@@ -14,6 +14,8 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,6 @@ from .decompose import decompose, sponsor_split_sweep
 from .discontinuity import cjm_test, sponsor_sweep
 from .linker import link_all, load_synonyms, write_links_csv, write_links_summary_csv
 from .registry import (
-    OutcomeRank,
     Phase,
     Registry,
     SponsorClass,
@@ -60,7 +61,6 @@ class PipelineConfig(dict):
         cfg.update(
             {
                 "sidedness": "two-sided",
-                "cutoff": pz.Z_SIG,
                 "split_criterion": "revenue2018",
                 "split_k": 10,
                 "bootstrap_reps": 500,
@@ -92,6 +92,12 @@ class PipelineConfig(dict):
         for k, v in overrides.items():
             if v is not None:
                 cfg[k] = v
+        if "cutoff" not in cfg:
+            # the z of p = 0.05 on the active scale
+            cfg["cutoff"] = (
+                pz.Z_SIG if cfg.side() is pz.Sidedness.TWO_SIDED
+                else float(-pz.inv_norm_cdf(0.05))
+            )
         if not 7 <= int(cfg["split_k"]) <= 20:
             raise ValueError(f"split_k must lie in [7,20], got {cfg['split_k']}")
         return cfg
@@ -155,47 +161,28 @@ def _load_registry(cfg: PipelineConfig, filtered: bool = True) -> Registry:
     return reg
 
 
-def _select_group(reg: Registry, cfg: PipelineConfig, group: str) -> Registry:
+def _rankings(reg: Registry) -> dict:
+    return reg.rankings if any(reg.rankings.get(c) for c in reg.rankings) else default_rankings()
+
+
+def _group_ids(reg: Registry, cfg: PipelineConfig, group: str) -> frozenset[str]:
+    """The ids of the trials of a sponsor group."""
+    everyone = frozenset(reg.trials)
+    industry = frozenset(
+        tid for tid, t in reg.trials.items() if t.sponsor_class is SponsorClass.INDUSTRY
+    )
     if group == "all":
-        return reg
+        return everyone
     if group == "non_industry":
-        return reg.filter_trials(lambda t: t.sponsor_class is SponsorClass.NON_INDUSTRY)
+        return everyone - industry
     if group == "all_industry":
-        return reg.filter_trials(lambda t: t.sponsor_class is SponsorClass.INDUSTRY)
-    rankings = reg.rankings if any(reg.rankings.get(c) for c in reg.rankings) else default_rankings()
+        return industry
     crit, k = str(cfg["split_criterion"]), int(cfg["split_k"])
-    table = rankings.get(crit, {})
     split = [
-        s for s in all_sponsor_splits(rankings, k_range=[k]) if s.criterion == crit
+        s for s in all_sponsor_splits(_rankings(reg), k_range=[k]) if s.criterion == crit
     ][0]
     want = "Large" if group == "top_industry" else "Small"
-    return reg.filter_trials(
-        lambda t: t.sponsor_class is SponsorClass.INDUSTRY
-        and split.group_of(t.sponsor_name) == want
-    )
-
-
-def _scores_by_trial(reg: Registry, side, outcome_rank=OutcomeRank.PRIMARY) -> dict:
-    out: dict[str, list] = {}
-    for o in reg.outcomes:
-        if o.outcome_rank is not outcome_rank:
-            continue
-        out.setdefault(o.trial_id, []).append(pz.transform(o.raw_p, side))
-    return out
-
-
-def _precise_z(reg: Registry, phase: Phase, side, rank=OutcomeRank.PRIMARY) -> np.ndarray:
-    vals = []
-    for o in reg.outcomes:
-        if o.outcome_rank is not rank:
-            continue
-        t = reg.trials[o.trial_id]
-        if t.phase is not phase:
-            continue
-        s = pz.transform(o.raw_p, side)
-        if s.is_precise:
-            vals.append(s.z)
-    return np.asarray(vals, dtype=float)
+    return frozenset(t for t in industry if split.group_of(reg.trials[t].sponsor_name) == want)
 
 
 def _links_for(reg: Registry, cfg: PipelineConfig):
@@ -206,6 +193,46 @@ def _links_for(reg: Registry, cfg: PipelineConfig):
             raise FileNotFoundError(f"input file not found: {syn_path}")
         synonyms = load_synonyms(syn_path)
     return link_all(reg, synonyms=synonyms)
+
+
+class _Inputs:
+    """The inputs of one command, each read, filtered, transformed and
+    linked at most once, so that ``report`` runs every stage off one pass."""
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+        self._groups: dict[str, frozenset[str]] = {}
+
+    @cached_property
+    def registry(self) -> Registry:
+        return _load_registry(self.cfg)
+
+    @cached_property
+    def table(self) -> pz.OutcomeTable:
+        return pz.outcome_table(self.registry, self.cfg.side())
+
+    @cached_property
+    def links(self):
+        return _links_for(self.registry, self.cfg)
+
+    def group_ids(self, group: str) -> frozenset[str]:
+        if group not in self._groups:
+            self._groups[group] = _group_ids(self.registry, self.cfg, group)
+        return self._groups[group]
+
+    def rows(self, group: str) -> pz.OutcomeTable:
+        """The table rows of a sponsor group."""
+        return self.table.subset(self.table.isin("trial_id", self.group_ids(group)))
+
+    def group_links(self, group: str) -> list:
+        """The links of a group's phase II trials, each match set cut down to
+        the group's phase III trials.  Matching is pairwise, so this equals
+        linking the group alone."""
+        ids = self.group_ids(group)
+        return [
+            replace(r, matched_phase3_ids=r.matched_phase3_ids & ids)
+            for r in self.links[0] if r.phase2_id in ids
+        ]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -224,8 +251,8 @@ def _fnum(v) -> str:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def _cmd_ingest(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg, filtered=False)
+def _cmd_ingest(inp: _Inputs, outdir: Path) -> None:
+    reg = _load_registry(inp.cfg, filtered=False)
     filtered, audit = apply_sample_filters(reg)
     write_trials_csv(filtered, outdir / "trials_filtered.csv")
     write_outcomes_csv(filtered, outdir / "outcomes_filtered.csv")
@@ -241,25 +268,23 @@ def _cmd_ingest(cfg: PipelineConfig, outdir: Path) -> None:
     )
 
 
-def _cmd_transform(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    side = cfg.side()
-    rows = []
-    for o in reg.outcomes:
-        s = pz.transform(o.raw_p, side)
-        z_val = s.z if s.is_precise else (s.imputed_z if s.imputed_z is not None else s.bound)
-        rows.append([o.trial_id, o.outcome_rank.value, s.kind.value, _fnum(z_val)])
+def _cmd_transform(inp: _Inputs, outdir: Path) -> None:
+    t = inp.table
+    z_val = np.where(t.precise, t.z, t.bound)
+    rows = [
+        [tid, rank, kind, _fnum(v)]
+        for tid, rank, kind, v in zip(t.trial_id, t.rank, t.kind, z_val)
+    ]
     _write_csv(outdir / "zscores.csv", ["trial_id", "outcome_rank", "z_kind", "z_value"], rows)
-    print(f"transformed {len(rows)} outcomes ({side.value})")
+    print(f"transformed {len(rows)} outcomes ({t.side.value})")
 
 
-def _cmd_density(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    reg = _select_group(reg, cfg, str(cfg["group"]))
-    side = cfg.side()
+def _cmd_density(inp: _Inputs, outdir: Path) -> None:
+    cfg = inp.cfg
+    t = inp.rows(str(cfg["group"]))
     curves = []
     for phase, label in ((Phase.PHASE2, "phase2"), (Phase.PHASE3, "phase3")):
-        z = _precise_z(reg, phase, side)
+        z = t.z[t.sample(phase) & t.precise]
         if z.size < 10:
             raise ValueError(f"too few precise z-scores for {label} density")
         curve = density.kde(
@@ -293,16 +318,15 @@ def _cmd_density(cfg: PipelineConfig, outdir: Path) -> None:
     print(f"densities written for {cfg['group']}")
 
 
-def _cmd_disctest(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    side = cfg.side()
+def _cmd_disctest(inp: _Inputs, outdir: Path) -> None:
+    cfg = inp.cfg
     cutoff = float(cfg["cutoff"])
     bandwidth = cfg.get("bandwidth")
     rows = []
     for group in _GROUPS:
-        sub = _select_group(reg, cfg, group)
+        t = inp.rows(group)
         for phase, label in ((Phase.PHASE2, "phase2"), (Phase.PHASE3, "phase3")):
-            z = _precise_z(sub, phase, side)
+            z = t.z[t.sample(phase) & t.precise]
             try:
                 r = cjm_test(z, cutoff=cutoff, poly_order=int(cfg["poly_order"]),
                              bandwidth=bandwidth)
@@ -322,9 +346,8 @@ def _cmd_disctest(cfg: PipelineConfig, outdir: Path) -> None:
     print(f"discontinuity tests at z={cutoff:g} written")
 
 
-def _cmd_link(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    results, summary = _links_for(reg, cfg)
+def _cmd_link(inp: _Inputs, outdir: Path) -> None:
+    results, summary = inp.links
     write_links_csv(results, outdir / "links.csv")
     write_links_summary_csv(results, outdir / "links_summary.csv")
     _write_csv(
@@ -341,17 +364,15 @@ def _cmd_link(cfg: PipelineConfig, outdir: Path) -> None:
     )
 
 
-def _cmd_fit_selection(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    sub = _select_group(reg, cfg, str(cfg["group"]))
-    results, _ = _links_for(sub, cfg)
-    design = build_design(sub, results, side=cfg.side())
+def _cmd_fit_selection(inp: _Inputs, outdir: Path) -> None:
+    cfg, group = inp.cfg, str(inp.cfg["group"])
+    design = build_design(inp.rows(group), inp.group_links(group))
     model = fit_logit(design)
     ses = model.se()
     rows = []
     for name, est in model.coefficients.items():
         se = ses[name]
-        p = 2.0 * (1.0 - pz.norm_cdf(abs(est) / se)) if se > 0 else float("nan")
+        p = 2.0 * pz.norm_sf(abs(est) / se) if se > 0 else float("nan")
         stars = "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
         rows.append([name, _fnum(est), _fnum(se), stars])
     rows.append(["mean_dependent_variable", _fnum(model.mean_dep), "", ""])
@@ -382,13 +403,11 @@ def _cmd_fit_selection(cfg: PipelineConfig, outdir: Path) -> None:
     print(f"selection fit: {model.n_obs} rows, converged={model.converged}")
 
 
-def _cmd_decompose(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    sub = _select_group(reg, cfg, str(cfg["group"]))
-    results, _ = _links_for(sub, cfg)
+def _cmd_decompose(inp: _Inputs, outdir: Path) -> None:
+    cfg, group = inp.cfg, str(inp.cfg["group"])
     report = decompose(
-        sub, results, bootstrap_reps=int(cfg["bootstrap_reps"]),
-        seed=int(cfg["seed"]), cutoff=float(cfg["cutoff"]), side=cfg.side(),
+        inp.rows(group), inp.group_links(group), bootstrap_reps=int(cfg["bootstrap_reps"]),
+        seed=int(cfg["seed"]), cutoff=float(cfg["cutoff"]),
     )
     rows = [
         ["share_ph2", _fnum(report.shares["ph2"]), _fnum(report.std_errs["ph2"]), ""],
@@ -425,15 +444,11 @@ def _cmd_decompose(cfg: PipelineConfig, outdir: Path) -> None:
     )
 
 
-def _cmd_sweep(cfg: PipelineConfig, outdir: Path) -> None:
-    reg = _load_registry(cfg)
-    rankings = reg.rankings if any(reg.rankings.get(c) for c in reg.rankings) else default_rankings()
-    splits = all_sponsor_splits(rankings)
-    side = cfg.side()
-    industry = reg.filter_trials(lambda t: t.sponsor_class is SponsorClass.INDUSTRY)
-    scores = _scores_by_trial(industry, side)
+def _cmd_sweep(inp: _Inputs, outdir: Path) -> None:
+    cfg = inp.cfg
+    splits = all_sponsor_splits(_rankings(inp.registry))
     disc_rows = sponsor_sweep(
-        industry, scores, splits, Phase.PHASE3, cutoff=float(cfg["cutoff"]),
+        inp.table, splits, Phase.PHASE3, cutoff=float(cfg["cutoff"]),
         poly_order=int(cfg["poly_order"]),
     )
     _write_csv(
@@ -454,8 +469,9 @@ def _cmd_sweep(cfg: PipelineConfig, outdir: Path) -> None:
             xlabel="p-value", vline=0.05,
         )
 
-    results, _ = _links_for(industry, cfg)
-    exp_rows = sponsor_split_sweep(industry, results, splits, cutoff=float(cfg["cutoff"]))
+    exp_rows = sponsor_split_sweep(
+        inp.table, inp.group_links("all_industry"), splits, cutoff=float(cfg["cutoff"])
+    )
     _write_csv(
         outdir / "sweep_explained.csv",
         ["criterion", "k", "group", "ph2", "ph3", "ph2_sc", "explained_fraction", "error"],
@@ -496,8 +512,8 @@ def _sim_config(cfg: PipelineConfig) -> SimConfig:
     )
 
 
-def _cmd_simulate(cfg: PipelineConfig, outdir: Path) -> None:
-    sim_cfg = _sim_config(cfg)
+def _cmd_simulate(inp: _Inputs, outdir: Path) -> None:
+    sim_cfg = _sim_config(inp.cfg)
     reg, truth = generate(sim_cfg)
     write_trials_csv(reg, outdir / "trials.csv")
     write_outcomes_csv(reg, outdir / "outcomes.csv")
@@ -512,23 +528,27 @@ def _cmd_simulate(cfg: PipelineConfig, outdir: Path) -> None:
     print(f"simulated {sim_cfg.n_trials} trials ({cont} continued) into {outdir}")
 
 
-def _cmd_report(cfg: PipelineConfig, outdir: Path) -> None:
-    if "trials" not in cfg:
+def _cmd_report(inp: _Inputs, outdir: Path) -> None:
+    if "trials" not in inp.cfg:
         # self-contained run on a fresh simulation
         sim_dir = outdir / "sim"
         sim_dir.mkdir(parents=True, exist_ok=True)
-        _cmd_simulate(cfg, sim_dir)
-        cfg = PipelineConfig(cfg)
+        _cmd_simulate(inp, sim_dir)
+        cfg = PipelineConfig(inp.cfg)
         cfg["trials"] = str(sim_dir / "trials.csv")
         cfg["outcomes"] = str(sim_dir / "outcomes.csv")
         cfg["rankings"] = str(sim_dir / "rankings.csv")
         cfg["synonyms"] = str(sim_dir / "synonyms.csv")
-    _cmd_transform(cfg, outdir)
-    _cmd_density(cfg, outdir)
-    _cmd_disctest(cfg, outdir)
-    _cmd_link(cfg, outdir)
-    _cmd_fit_selection(cfg, outdir)
-    _cmd_decompose(cfg, outdir)
+        inp = _Inputs(cfg)
+    # take all the stages need from the registry up front and let it go:
+    # the heavy stages then run without it in memory
+    for group in _GROUPS:
+        inp.group_ids(group)
+    _ = inp.table, inp.links
+    del inp.registry
+    for stage in (_cmd_transform, _cmd_density, _cmd_disctest, _cmd_link,
+                  _cmd_fit_selection, _cmd_decompose):
+        stage(inp, outdir)
     print(f"report artifacts in {outdir}")
 
 
@@ -588,7 +608,7 @@ def main(argv: list[str] | None = None) -> int:
             Path(cfg[k]) for k in ("trials", "outcomes", "rankings", "synonyms")
             if cfg.get(k)
         ]
-        _COMMANDS[args.command](cfg, outdir)
+        _COMMANDS[args.command](_Inputs(cfg), outdir)
         _write_manifest(outdir, cfg, inputs)
     except (ValueError, FileNotFoundError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,17 @@ import numpy as np
 
 from .density import epanechnikov_survival, sj_bandwidth, silverman_bandwidth
 from .linker import LinkResult
-from .pz import Sidedness, Z_D1, Z_D2, Z_SIG, ZKind, norm_cdf
-from .registry import OutcomeRank, Phase, Registry, SponsorClass
-from .selection import SelectionDesign, SelectionModel, build_design, fit_logit, predict
+from .pz import Z_SIG, OutcomeTable, ZKind, norm_sf
+from .registry import OutcomeRank, Phase
+from .selection import (
+    SelectionDesign,
+    SelectionModel,
+    build_design,
+    design_rows,
+    fit_logit,
+    link_labels,
+    predict,
+)
 
 __all__ = [
     "DecompositionReport",
@@ -53,16 +61,8 @@ class DecompositionReport:
         val = self.diffs.get(key, self.shares.get(key))
         if not (se and se > 0) or val is None or math.isnan(se):
             return ""
-        p = 2.0 * (1.0 - norm_cdf(abs(val) / se))
+        p = 2.0 * norm_sf(abs(val) / se)
         return "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
-
-
-def _effective_bound(kind: str, z: float, side: Sidedness) -> float:
-    if kind == ZKind.ABOVE_D1.value:
-        return Z_D1 if side is Sidedness.TWO_SIDED else 3.0902
-    if kind == ZKind.ABOVE_D2.value:
-        return Z_D2 if side is Sidedness.TWO_SIDED else 3.7190
-    return z  # precise value or imputed censor
 
 
 def censored_aware_share(
@@ -71,60 +71,38 @@ def censored_aware_share(
     weights: np.ndarray,
     cutoff: float,
     bandwidth: float,
-    side: Sidedness = Sidedness.TWO_SIDED,
 ) -> float:
     """Share at or above the cutoff: exact Epanechnikov KDE mass for the
-    precise rows plus censored point masses, over the total weight."""
+    precise rows plus censored point masses, over the total weight.
+
+    Censored rows count at their ``zvals`` entry: the censor bound for
+    D1/D2 rows, the imputed value for other censors.
+    """
     precise = kinds == ZKind.PRECISE.value
     w_p = float(weights[precise].sum())
     above = 0.0
     if w_p > 0:
         u = (cutoff - zvals[precise]) / bandwidth
         above += float(np.dot(weights[precise], epanechnikov_survival(u)))
-    total = w_p
-    for i in np.where(~precise)[0]:
-        wi = float(weights[i])
-        total += wi
-        if _effective_bound(kinds[i], zvals[i], side) >= cutoff:
-            above += wi
+    w_c, z_c = weights[~precise], zvals[~precise]
+    if np.isnan(z_c).any():
+        raise ValueError("censored rows need a bound or an imputed z")
+    total = w_p + float(w_c.sum())
+    above += float(w_c[z_c >= cutoff].sum())
     if total <= 0:
         raise ValueError("zero total mass in share computation")
     return above / total
 
 
 def phase_scores(
-    reg: Registry,
+    table: OutcomeTable,
     phase: Phase,
     outcome_rank: OutcomeRank = OutcomeRank.PRIMARY,
-    side: Sidedness = Sidedness.TWO_SIDED,
 ) -> SelectionDesign:
     """Industry trial-outcome design rows for one phase, link labels unset
     (prediction/share sample, not a fitting sample)."""
-    ids = [
-        t.trial_id
-        for t in reg.trials.values()
-        if t.phase is phase and t.sponsor_class is SponsorClass.INDUSTRY
-    ]
-    links = [LinkResult(phase2_id=t, matched_phase3_ids=frozenset()) for t in ids]
-    return build_design(
-        _phase_view(reg, phase), links, outcome_rank=outcome_rank, side=side
-    )
-
-
-def _phase_view(reg: Registry, phase: Phase) -> Registry:
-    """Registry restricted to one phase, retagged so design construction
-    (which selects phase II rows) applies uniformly."""
-    if phase is Phase.PHASE2:
-        return reg.filter_trials(lambda t: t.phase is Phase.PHASE2)
-    from dataclasses import replace as _replace
-
-    trials = {
-        tid: _replace(t, phase=Phase.PHASE2)
-        for tid, t in reg.trials.items()
-        if t.phase is phase
-    }
-    outcomes = tuple(o for o in reg.outcomes if o.trial_id in trials)
-    return Registry(trials=trials, outcomes=outcomes, rankings=reg.rankings)
+    rows = table.industry & table.sample(phase, outcome_rank)
+    return design_rows(table, rows, np.zeros(int(rows.sum())))
 
 
 def _auto_bandwidth(z_precise: np.ndarray) -> float:
@@ -140,7 +118,6 @@ def counterfactual_share(
     model: SelectionModel,
     cutoff: float = Z_SIG,
     bandwidth: float | None = None,
-    side: Sidedness = Sidedness.TWO_SIDED,
 ) -> float:
     """Share of significant results the later phase would show if only
     selective continuation were at work: phase II scores reweighted by
@@ -151,15 +128,12 @@ def counterfactual_share(
         raise ValueError("all predicted weights are zero")
     if bandwidth is None:
         bandwidth = _auto_bandwidth(design.z[design.kind == ZKind.PRECISE.value])
-    return censored_aware_share(
-        design.kind.astype(str), design.z, w, cutoff, bandwidth, side
-    )
+    return censored_aware_share(design.kind, design.share_z, w, cutoff, bandwidth)
 
 
-def _unit_share(design: SelectionDesign, cutoff: float, bandwidth: float,
-                side: Sidedness) -> float:
+def _unit_share(design: SelectionDesign, cutoff: float, bandwidth: float) -> float:
     return censored_aware_share(
-        design.kind.astype(str), design.z, np.ones(design.n_obs), cutoff, bandwidth, side
+        design.kind, design.share_z, np.ones(design.n_obs), cutoff, bandwidth
     )
 
 
@@ -181,24 +155,22 @@ class _TrialIndex:
 
 
 def decompose(
-    reg: Registry,
+    table: OutcomeTable,
     link_results: Sequence[LinkResult],
     model: SelectionModel | None = None,
     bootstrap_reps: int = 500,
     seed: int | None = None,
     cutoff: float = Z_SIG,
     outcome_rank: OutcomeRank = OutcomeRank.PRIMARY,
-    side: Sidedness = Sidedness.TWO_SIDED,
     max_dropped_frac: float = 0.10,
 ) -> DecompositionReport:
     """Point decomposition plus trial-clustered bootstrap of the whole
     estimation procedure (selection refit, reweighting, share
     computation in every repetition)."""
-    fit_design = build_design(reg, link_results, outcome_rank=outcome_rank, side=side)
     if model is None:
-        model = fit_logit(fit_design)
-    ph2_design = phase_scores(reg, Phase.PHASE2, outcome_rank, side)
-    ph3_design = phase_scores(reg, Phase.PHASE3, outcome_rank, side)
+        model = fit_logit(build_design(table, link_results, outcome_rank=outcome_rank))
+    ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)
+    ph3_design = phase_scores(table, Phase.PHASE3, outcome_rank)
 
     h2 = _auto_bandwidth(ph2_design.z[ph2_design.kind == ZKind.PRECISE.value])
     h3 = _auto_bandwidth(ph3_design.z[ph3_design.kind == ZKind.PRECISE.value])
@@ -206,9 +178,9 @@ def decompose(
     def shares_given(ph2_d, ph3_d, mdl) -> tuple[float, float, float]:
         b2 = _auto_bandwidth(ph2_d.z[ph2_d.kind == ZKind.PRECISE.value])
         b3 = _auto_bandwidth(ph3_d.z[ph3_d.kind == ZKind.PRECISE.value])
-        s_ph2 = _unit_share(ph2_d, cutoff, b2, side)
-        s_ph3 = _unit_share(ph3_d, cutoff, b3, side)
-        s_sc = counterfactual_share(ph2_d, mdl, cutoff, b2, side)
+        s_ph2 = _unit_share(ph2_d, cutoff, b2)
+        s_ph3 = _unit_share(ph3_d, cutoff, b3)
+        s_sc = counterfactual_share(ph2_d, mdl, cutoff, b2)
         return s_ph2, s_ph3, s_sc
 
     s_ph2, s_ph3, s_sc = shares_given(ph2_design, ph3_design, model)
@@ -223,12 +195,7 @@ def decompose(
     std_errs = {k: float("nan") for k in (*SHARE_KEYS, *DIFF_KEYS)}
     dropped = 0
     if bootstrap_reps > 0:
-        # row labels over the prediction sample: continuation for rows of
-        # link-eligible trials, NaN elsewhere
-        y_map = {str(t): y for t, y in zip(fit_design.trial_id, fit_design.y)}
-        row_label = np.array(
-            [y_map.get(str(t), np.nan) for t in ph2_design.trial_id]
-        )
+        row_label = link_labels(ph2_design.trial_id, link_results)
         idx2 = _TrialIndex(ph2_design)
         idx3 = _TrialIndex(ph3_design)
         streams = np.random.SeedSequence(seed).spawn(bootstrap_reps)
@@ -276,7 +243,7 @@ def decompose(
 
 
 def sponsor_split_sweep(
-    reg: Registry,
+    table: OutcomeTable,
     link_results: Sequence[LinkResult],
     splits,
     cutoff: float = Z_SIG,
@@ -288,24 +255,15 @@ def sponsor_split_sweep(
     cells are flagged with a reason."""
     rows: list[dict] = []
     cache: dict[tuple, dict] = {}
-    links = list(link_results)
     for split in splits:
-        for group in ("Large", "Small"):
-            members = frozenset(
-                t.trial_id
-                for t in reg.trials.values()
-                if t.sponsor_class is SponsorClass.INDUSTRY
-                and split.group_of(t.sponsor_name) == group
-            )
-            key = (group, members)
+        for group, members in table.sponsor_groups(split):
+            key = (group, members.tobytes())
             if key not in cache:
-                sub = reg.filter_trials(lambda t: t.trial_id in members)
-                sub_links = [r for r in links if r.phase2_id in members]
                 cell: dict = {}
                 try:
                     rep = decompose(
-                        sub, sub_links, bootstrap_reps=0, cutoff=cutoff,
-                        outcome_rank=outcome_rank,
+                        table.subset(members), link_results, bootstrap_reps=0,
+                        cutoff=cutoff, outcome_rank=outcome_rank,
                     )
                     gap = rep.diffs["ph3_minus_ph2"]
                     cell["ph2"] = rep.shares["ph2"]

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .pz import Z_SIG, ZKind, ZScore
 
 __all__ = [
     "KdeSpec",
@@ -27,8 +25,6 @@ __all__ = [
     "default_grid",
     "epanechnikov",
     "epanechnikov_survival",
-    "significant_share",
-    "split_scores",
 ]
 
 # canonical bandwidth ratio delta(Epanechnikov)/delta(Gaussian):
@@ -309,80 +305,3 @@ def kde(
         band_high = np.percentile(reps, 97.5, axis=0)
 
     return DensityCurve(grid=g, values=values, band_low=band_low, band_high=band_high, bandwidth=h)
-
-
-# ---------------------------------------------------------------------------
-# Shares of significant results with censored tail mass
-
-def split_scores(
-    scores: Sequence[ZScore], weights: Sequence[float] | None = None
-) -> tuple[np.ndarray, np.ndarray, list[tuple[ZScore, float]]]:
-    """Separate precise scores (values + weights) from censored ones."""
-    if weights is None:
-        weights = np.ones(len(scores))
-    w = np.asarray(weights, dtype=float)
-    if len(w) != len(scores):
-        raise ValueError("weights length does not match scores")
-    zs, zw, censored = [], [], []
-    for s, wi in zip(scores, w):
-        if s.kind is ZKind.PRECISE:
-            zs.append(s.z)
-            zw.append(wi)
-        else:
-            censored.append((s, float(wi)))
-    return np.asarray(zs, dtype=float), np.asarray(zw, dtype=float), censored
-
-
-def significant_share(
-    scores: Sequence[ZScore],
-    weights: Sequence[float] | None = None,
-    cutoff: float = Z_SIG,
-    predicted_tail_counts: Mapping[ZKind, float] | None = None,
-    bandwidth: float | None = None,
-) -> float:
-    """Share of results at or above the cutoff, counting censored mass.
-
-    Precise scores contribute their weight above the cutoff: as a weighted
-    count by default, or as Epanechnikov KDE mass when ``bandwidth`` is
-    given (exact kernel integral, no grid).  Censored scores contribute
-    their full weight on the side of their bound / imputed value.  When
-    ``predicted_tail_counts`` is given it replaces the summed weights of
-    the corresponding censored kinds.  The total is renormalized to one.
-    """
-    if not scores:
-        raise ValueError("no scores")
-    zs, zw, censored = split_scores(scores, weights)
-
-    w_precise = float(zw.sum()) if zs.size else 0.0
-    if zs.size and bandwidth is not None:
-        frac_above = float(
-            np.dot(zw, epanechnikov_survival((cutoff - zs) / bandwidth)) / zw.sum()
-        )
-        precise_above = frac_above * w_precise
-    elif zs.size:
-        precise_above = float(zw[zs >= cutoff].sum())
-    else:
-        precise_above = 0.0
-
-    group_total: dict[ZKind, float] = {}
-    group_above: dict[ZKind, float] = {}
-    for s, wi in censored:
-        zeff = s.effective_z()
-        group_total[s.kind] = group_total.get(s.kind, 0.0) + wi
-        if zeff >= cutoff:
-            group_above[s.kind] = group_above.get(s.kind, 0.0) + wi
-    if predicted_tail_counts:
-        for kind, count in predicted_tail_counts.items():
-            old_total = group_total.get(kind)
-            if old_total is None:
-                continue
-            ratio = (count / old_total) if old_total > 0 else 0.0
-            group_total[kind] = count
-            group_above[kind] = group_above.get(kind, 0.0) * ratio
-
-    censored_total = sum(group_total.values())
-    censored_above = sum(group_above.values())
-    total = w_precise + censored_total
-    if total <= 0:
-        raise ValueError("total mass is zero")
-    return (precise_above + censored_above) / total

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .pz import ZKind, ZScore, norm_cdf
-from .registry import Phase, Registry, SponsorClass, SponsorSplit
+from .pz import OutcomeTable, norm_sf
+from .registry import Phase, SponsorSplit
 
 __all__ = [
     "DiscontinuityResult",
@@ -216,7 +216,7 @@ def cjm_test(
 
     jump = f_right - f_left
     t_stat = jump / se
-    p_value = 2.0 * (1.0 - norm_cdf(abs(t_stat)))
+    p_value = 2.0 * norm_sf(abs(t_stat))
     return DiscontinuityResult(
         cutoff=float(cutoff),
         f_left=f_left,
@@ -292,7 +292,7 @@ def binned_test(
         jump=jump,
         std_err=se,
         t_stat=t_stat,
-        p_value=float(2.0 * (1.0 - norm_cdf(abs(t_stat)))),
+        p_value=float(2.0 * norm_sf(abs(t_stat))),
         h_left=k_left * bin_width,
         h_right=k_right * bin_width,
         n_left=nl,
@@ -304,8 +304,7 @@ def binned_test(
 # Robustness sweep over large-vs-small sponsor definitions
 
 def sponsor_sweep(
-    reg: Registry,
-    scores_by_trial: Mapping[str, Sequence[ZScore]],
+    table: OutcomeTable,
     splits: Sequence[SponsorSplit],
     phase: Phase,
     cutoff: float = 1.96,
@@ -313,26 +312,18 @@ def sponsor_sweep(
 ) -> list[dict]:
     """Run the discontinuity test for every split x {Large, Small} cell.
 
-    ``scores_by_trial`` maps trial ids to transformed z-scores for the
-    outcomes under study; only precise scores enter the test.  Failed
-    cells carry an ``error`` reason instead of results.
+    Each cell holds the precise primary-outcome z-scores of the industry
+    trials of ``phase`` in that group.  Failed cells carry an ``error``
+    reason instead of results.
     """
     rows: list[dict] = []
     cache: dict[tuple, DiscontinuityResult | str] = {}
+    sample = table.sample(phase) & table.precise
     for split in splits:
-        for group in ("Large", "Small"):
-            zs: list[float] = []
-            members: list[str] = []
-            for t in reg.trials.values():
-                if t.phase is not phase or t.sponsor_class is not SponsorClass.INDUSTRY:
-                    continue
-                if split.group_of(t.sponsor_name) != group:
-                    continue
-                members.append(t.trial_id)
-                for s in scores_by_trial.get(t.trial_id, ()):
-                    if s.kind is ZKind.PRECISE:
-                        zs.append(s.z)
-            key = (group, tuple(sorted(members)))
+        for group, members in table.sponsor_groups(split):
+            in_cell = sample & members
+            zs = table.z[in_cell]
+            key = (group, in_cell.tobytes())
             if key not in cache:
                 try:
                     cache[key] = cjm_test(zs, cutoff=cutoff, poly_order=poly_order)

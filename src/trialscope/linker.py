@@ -87,7 +87,7 @@ def build_synonym_map(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
 def load_synonyms(path: str | Path) -> dict[str, str]:
     """Read a synonyms CSV (canonical_drug, synonym) into a lookup map."""
     pairs = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         expected = ["canonical_drug", "synonym"]
         if list(reader.fieldnames or []) != expected:

@@ -11,18 +11,27 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields, replace
+from typing import Sequence
 
 import numpy as np
 from scipy.special import erfc
 
-from .registry import ReportedP
+from .registry import (
+    OutcomeRank,
+    Phase,
+    Registry,
+    ReportedP,
+    SponsorClass,
+    SponsorSplit,
+    canonical_sponsor,
+)
 
 __all__ = [
     "Sidedness",
     "ZKind",
     "ZScore",
+    "OutcomeTable",
     "Z_D1",
     "Z_D2",
     "Z_SIG",
@@ -30,8 +39,10 @@ __all__ = [
     "norm_cdf",
     "norm_sf",
     "transform",
-    "transform_many",
+    "transform_arrays",
     "impute_other_censors",
+    "impute_arrays",
+    "outcome_table",
 ]
 
 # Censor bounds for "p<0.001" / "p<0.0001" under the two-sided transform,
@@ -161,9 +172,6 @@ def norm_sf(z):
     return out if out.ndim else float(out)
 
 
-_norm_sf = norm_sf
-
-
 def _acklam(q: np.ndarray) -> np.ndarray:
     a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
     x = np.empty_like(q)
@@ -208,7 +216,7 @@ def inv_norm_cdf(q):
     # Halley: x <- x - f/f' * (1 - f*f''/(2 f'^2))^-1 with f = Phi(x) - q.
     # Work on the tail side of the split to keep f well conditioned.
     upper = q_arr > 0.5
-    err = np.where(upper, _norm_sf(x) - (1.0 - q_arr), norm_cdf(x) - q_arr)
+    err = np.where(upper, norm_sf(x) - (1.0 - q_arr), norm_cdf(x) - q_arr)
     err = np.where(upper, -err, err)
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     u = err / pdf
@@ -217,41 +225,50 @@ def inv_norm_cdf(q):
     return float(x[0]) if scalar else x
 
 
-def transform(p: ReportedP, side: Sidedness = Sidedness.TWO_SIDED) -> ZScore:
-    """Map one reported p-value to its (possibly censored) z-score.
+def transform_arrays(kind, value, side: Sidedness = Sidedness.TWO_SIDED):
+    """Map reported p-values to z-scores, elementwise.
 
-    Exact p-values map through the normal quantile; the censor thresholds
-    0.001 and 0.0001 map to the dedicated D1/D2 kinds regardless of
-    sidedness; any other inequality becomes an OTHER_CENSOR whose bound is
-    expressed on the active z scale.
+    ``kind`` holds the reported kinds ("exact", "lt", "gt") and ``value``
+    the p-values or censor thresholds.  Exact p-values map through the
+    normal quantile; the censor thresholds 0.001 and 0.0001 (and exact
+    values indistinguishable from zero) map to the dedicated D1/D2 kinds
+    regardless of sidedness; any other inequality becomes an OTHER_CENSOR.
+    Returns the ZKind values, the precise z (NaN on censored rows) and the
+    censor bound on the active z scale (NaN on precise rows).
     """
-    halve = side is Sidedness.TWO_SIDED
+    kind = np.asarray(kind, dtype=str)
+    p = np.asarray(value, dtype=float)
+    unknown = ~np.isin(kind, ("exact", "lt", "gt"))
+    if unknown.any():
+        raise ValueError(f"unknown reported-p kind: {str(kind[unknown][0])!r}")
+    exact, lt = kind == "exact", kind == "lt"
+    underflow = exact & (p <= _P_UNDERFLOW)
+    precise = exact & ~underflow
+    d1 = lt & (p == 0.001)
+    d2 = underflow | (lt & (p == 0.0001))
+    p = np.where(underflow, 0.0001, p)
+    # one-sided arguments can reach 1.0 exactly; step inside the open
+    # domain by one representable unit
+    q = p / 2.0 if side is Sidedness.TWO_SIDED else np.minimum(p, 1.0 - 2.5e-16)
+    zq = -inv_norm_cdf(q)
+    codes = np.select(
+        [precise, d1, d2],
+        [ZKind.PRECISE.value, ZKind.ABOVE_D1.value, ZKind.ABOVE_D2.value],
+        ZKind.OTHER_CENSOR.value,
+    )
+    return codes, np.where(precise, zq, np.nan), np.where(precise, np.nan, zq)
 
-    def to_z(pv: float) -> float:
-        # one-sided arguments can reach 1.0 exactly; step inside the open
-        # domain by one representable unit
-        q = pv / 2.0 if halve else min(pv, 1.0 - 2.5e-16)
-        return float(-inv_norm_cdf(q))
 
-    if p.kind == "exact":
-        if p.value <= _P_UNDERFLOW:
-            return ZScore.above_d2(bound=to_z(0.0001))
-        return ZScore.precise(to_z(p.value))
-    if p.kind == "lt":
-        if p.value == 0.001:
-            return ZScore.above_d1(bound=to_z(0.001))
-        if p.value == 0.0001:
-            return ZScore.above_d2(bound=to_z(0.0001))
-        return ZScore.other_censor("above", to_z(p.value))
-    if p.kind == "gt":
-        return ZScore.other_censor("below", to_z(p.value))
-    raise ValueError(f"unknown reported-p kind: {p.kind!r}")
-
-
-def transform_many(
-    ps: Iterable[ReportedP], side: Sidedness = Sidedness.TWO_SIDED
-) -> list[ZScore]:
-    return [transform(p, side) for p in ps]
+def transform(p: ReportedP, side: Sidedness = Sidedness.TWO_SIDED) -> ZScore:
+    """Map one reported p-value to its (possibly censored) z-score; see
+    :func:`transform_arrays`.  OTHER_CENSOR bounds face away from the
+    reported inequality: "p<t" means z above the bound."""
+    (code,), (z,), (bound,) = transform_arrays([p.kind], [p.value], side)
+    kind = ZKind(code)
+    if kind is ZKind.PRECISE:
+        return ZScore.precise(z)
+    direction = "below" if p.kind == "gt" else "above"
+    return ZScore(kind, direction=direction, bound=float(bound))
 
 
 # z-value of p = 0.05 two-sided; shares use ">= Z_SIG" so a p reported as
@@ -259,30 +276,142 @@ def transform_many(
 Z_SIG = float(-inv_norm_cdf(0.025))
 
 
-def impute_other_censors(scores: Sequence[ZScore]) -> list[ZScore]:
-    """Fill every OTHER_CENSOR with the mean of the precise z values on its
-    censored side of the bound, computed within this collection.
+def impute_arrays(kind, z, bound, below) -> np.ndarray:
+    """Fill the OTHER_CENSOR rows of one sample whose z is NaN with the mean
+    of the sample's precise z values on the censored side of their bound
+    (below it where ``below``, above it otherwise).
 
-    Returns a new list; raises if some bound has no precise value on the
+    Returns a new array; raises if some bound has no precise value on the
     required side.
     """
-    precise = np.array([s.z for s in scores if s.kind is ZKind.PRECISE], dtype=float)
-    out: list[ZScore] = []
-    missing: list[tuple[str, float]] = []
-    for s in scores:
-        if s.kind is not ZKind.OTHER_CENSOR or s.imputed_z is not None:
-            out.append(s)
-            continue
-        if s.direction == "above":
-            pool = precise[precise > s.bound]
-        else:
-            pool = precise[precise < s.bound]
+    out = np.array(z, dtype=float)
+    todo = (kind == ZKind.OTHER_CENSOR.value) & np.isnan(out)
+    precise = out[kind == ZKind.PRECISE.value]
+    missing: list[str] = []
+    for is_below, b in sorted(set(zip(below[todo].tolist(), bound[todo].tolist()))):
+        pool = precise[precise < b] if is_below else precise[precise > b]
         if pool.size == 0:
-            missing.append((s.direction, s.bound))
-            out.append(s)
+            missing.append(f"z {'below' if is_below else 'above'} {b:g}")
             continue
-        out.append(replace(s, imputed_z=float(pool.mean())))
+        out[todo & (below == is_below) & (bound == b)] = pool.mean()
     if missing:
-        desc = ", ".join(f"z {d} {b:g}" for d, b in sorted(set(missing)))
-        raise ValueError(f"no precise z-scores available to impute censors: {desc}")
+        raise ValueError(
+            f"no precise z-scores available to impute censors: {', '.join(missing)}"
+        )
     return out
+
+
+def impute_other_censors(scores: Sequence[ZScore]) -> list[ZScore]:
+    """Fill every OTHER_CENSOR with the mean of the precise z values on its
+    censored side of the bound, computed within this collection; see
+    :func:`impute_arrays`.  Returns a new list."""
+    filled = impute_arrays(
+        np.array([s.kind.value for s in scores], dtype=str),
+        [s.z if s.is_precise else s.imputed_z for s in scores],
+        np.array([np.nan if s.bound is None else s.bound for s in scores]),
+        np.array([s.direction == "below" for s in scores], dtype=bool),
+    )
+    return [
+        replace(s, imputed_z=float(v))
+        if s.kind is ZKind.OTHER_CENSOR and s.imputed_z is None else s
+        for s, v in zip(scores, filled)
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeTable:
+    """The outcomes of a registry as columns, one row per outcome in
+    registry order, transformed once under ``side``.
+
+    ``kind`` holds ZKind values, ``z`` the precise z (NaN on censored rows),
+    ``bound`` the censor bound on the z scale (NaN on precise rows) and
+    ``below`` marks "p>t" censors.  Stages select their samples as boolean
+    row masks.  The trial-level columns (phase, industry flag, canonical
+    sponsor key and the selection regressors) repeat on each row of a trial.
+    """
+
+    side: Sidedness
+    trial_id: np.ndarray
+    phase: np.ndarray  # Phase values
+    industry: np.ndarray
+    sponsor: np.ndarray
+    rank: np.ndarray  # OutcomeRank values
+    kind: np.ndarray
+    z: np.ndarray
+    bound: np.ndarray
+    below: np.ndarray
+    mht: np.ndarray
+    sqrt_enroll: np.ndarray
+    placebo: np.ndarray
+    condition: np.ndarray
+    year: np.ndarray
+
+    @classmethod
+    def of(cls, reg: Registry, side: Sidedness, kind, z, bound) -> "OutcomeTable":
+        """Table of ``reg`` given the transformed columns of its outcomes."""
+        trial_cols = {
+            tid: (
+                t.phase.value,
+                t.sponsor_class is SponsorClass.INDUSTRY,
+                canonical_sponsor(t.sponsor_name),
+                math.sqrt(t.enrollment),
+                int(t.placebo_comparator),
+                t.condition_category,
+                str(t.completion_date.year) if t.completion_date is not None else "unknown",
+            )
+            for tid, t in reg.trials.items()
+        }
+        per_row = [trial_cols[o.trial_id] for o in reg.outcomes]
+
+        def col(j: int, dtype) -> np.ndarray:
+            return np.array([r[j] for r in per_row], dtype=dtype)
+
+        return cls(
+            side=side,
+            trial_id=np.array([o.trial_id for o in reg.outcomes], dtype=str),
+            phase=col(0, str),
+            industry=col(1, bool),
+            sponsor=col(2, str),
+            rank=np.array([o.outcome_rank.value for o in reg.outcomes], dtype=str),
+            kind=np.asarray(kind, dtype=str),
+            z=np.asarray(z, dtype=float),
+            bound=np.asarray(bound, dtype=float),
+            below=np.array([o.raw_p.kind == "gt" for o in reg.outcomes], dtype=bool),
+            mht=np.array([o.mht_adjusted for o in reg.outcomes], dtype=int),
+            sqrt_enroll=col(3, float),
+            placebo=col(4, int),
+            condition=col(5, str),
+            year=col(6, str),
+        )
+
+    def subset(self, rows: np.ndarray) -> "OutcomeTable":
+        """The rows selected by a mask or index array, in table order."""
+        return replace(
+            self, **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "side"}
+        )
+
+    def isin(self, column: str, values) -> np.ndarray:
+        """Row mask: the value of ``column`` is one of ``values``."""
+        return np.isin(getattr(self, column), np.array(list(values), dtype=str))
+
+    @property
+    def precise(self) -> np.ndarray:
+        """Row mask of the precisely reported outcomes."""
+        return self.kind == ZKind.PRECISE.value
+
+    def sample(self, phase: Phase, outcome_rank: OutcomeRank = OutcomeRank.PRIMARY) -> np.ndarray:
+        """Row mask of the outcomes of one rank in trials of one phase."""
+        return (self.phase == phase.value) & (self.rank == outcome_rank.value)
+
+    def sponsor_groups(self, split: SponsorSplit) -> tuple[tuple[str, np.ndarray], ...]:
+        """Industry row masks of the Large and Small groups of a sponsor split."""
+        large = self.isin("sponsor", (k for k, g in split.classification.items() if g == "Large"))
+        return ("Large", self.industry & large), ("Small", self.industry & ~large)
+
+
+def outcome_table(reg: Registry, side: Sidedness = Sidedness.TWO_SIDED) -> OutcomeTable:
+    """Transform every outcome of ``reg`` at once into an :class:`OutcomeTable`."""
+    raw = [o.raw_p for o in reg.outcomes]
+    return OutcomeTable.of(
+        reg, side, *transform_arrays([p.kind for p in raw], [p.value for p in raw], side)
+    )

@@ -167,9 +167,6 @@ class Registry:
     def trial(self, trial_id: str) -> TrialRecord:
         return self.trials[trial_id]
 
-    def outcomes_for(self, trial_id: str) -> tuple[OutcomeResult, ...]:
-        return tuple(o for o in self.outcomes if o.trial_id == trial_id)
-
     def filter_trials(self, keep: Callable[[TrialRecord], bool]) -> "Registry":
         """New registry with only the trials passing ``keep`` (and their
         outcomes)."""
@@ -263,24 +260,21 @@ def canonical_sponsor(name: str, parents: Mapping[str, str] | None = None) -> st
 _CODE_PREFIX = re.compile(r"^([A-Z]\d{2})\s*:")
 
 
-def _load_categories() -> tuple[dict[str, float], dict[str, str], dict[str, set[str]]]:
+def _load_categories() -> tuple[dict[str, float], dict[str, set[str]]]:
     spending: dict[str, float] = {}
-    names: dict[str, str] = {}
     with _data_path("condition_categories.csv").open(encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            code = row["code"].strip()
-            spending[code] = float(row["medicare_d_spending_bn"])
-            names[code] = row["name"].strip()
+            spending[row["code"].strip()] = float(row["medicare_d_spending_bn"])
     term_codes: dict[str, set[str]] = {}
     with _data_path("mesh_terms.csv").open(encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             term_codes.setdefault(_normalize_name(row["term"]), set()).add(
                 row["code"].strip()
             )
-    return spending, names, term_codes
+    return spending, term_codes
 
 
-_CATEGORY_SPENDING, _CATEGORY_NAMES, _TERM_CODES = _load_categories()
+_CATEGORY_SPENDING, _TERM_CODES = _load_categories()
 
 CONDITION_CATEGORIES: Mapping[str, float] = dict(_CATEGORY_SPENDING)
 
@@ -291,16 +285,13 @@ def use_category_tables(
 ) -> None:
     """Replace the bundled condition-category tables with user-supplied
     CSVs (same columns as the packaged files); None leaves a table as is."""
-    global _CATEGORY_SPENDING, _CATEGORY_NAMES, _TERM_CODES
+    global _CATEGORY_SPENDING, _TERM_CODES
     if categories_csv is not None:
         spending: dict[str, float] = {}
-        names: dict[str, str] = {}
         with open(categories_csv, newline="", encoding="utf-8") as fh:
             for row in csv.DictReader(fh):
-                code = row["code"].strip()
-                spending[code] = float(row["medicare_d_spending_bn"])
-                names[code] = row["name"].strip()
-        _CATEGORY_SPENDING, _CATEGORY_NAMES = spending, names
+                spending[row["code"].strip()] = float(row["medicare_d_spending_bn"])
+        _CATEGORY_SPENDING = spending
     if terms_csv is not None:
         term_codes: dict[str, set[str]] = {}
         with open(terms_csv, newline="", encoding="utf-8") as fh:
@@ -358,10 +349,6 @@ def assign_condition_category(
     return max(candidates, key=lambda c: (spending.get(c, 0.0), c))
 
 
-def category_name(code: str) -> str:
-    return _CATEGORY_NAMES.get(code, OTHER_CATEGORY)
-
-
 # ---------------------------------------------------------------------------
 # CSV parsing helpers
 
@@ -413,7 +400,8 @@ def _check_header(reader: csv.DictReader, expected: Sequence[str], file: str) ->
 
 
 def _read_rows(path: Path, expected: Sequence[str]):
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         _check_header(reader, expected, str(path))
         for i, row in enumerate(reader, start=2):

@@ -9,7 +9,6 @@ small-sample factor, clustered at the condition-category level.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -18,15 +17,16 @@ import numpy as np
 from scipy.stats import chi2
 
 from .linker import LinkResult
-from .pz import Sidedness, ZKind, ZScore, impute_other_censors, transform
-from .registry import OutcomeRank, Phase, Registry, SponsorClass
+from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
+from .registry import OutcomeRank, Phase, Registry
 
 __all__ = [
     "SelectionDesign",
-    "SelectionDesignRow",
     "SelectionModel",
     "SeparationError",
     "build_design",
+    "design_rows",
+    "link_labels",
     "fit_logit",
     "wald_equality",
     "predict",
@@ -40,24 +40,11 @@ class SeparationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class SelectionDesignRow:
-    continuation: int
-    z_ph2: float
-    d1: int
-    d2: int
-    sqrt_enroll: float
-    placebo: int
-    mht_adjusted: int
-    condition_category: str
-    completion_year: str
-    cluster_id: str
-    trial_id: str
-
-
 @dataclass
 class SelectionDesign:
-    """Columnar trial-outcome design; rows() yields record views."""
+    """Columnar trial-outcome design.  ``bound`` is each row's censor bound
+    on the z scale (NaN on precise rows); ``z`` is the regressor, zero on
+    D1/D2 rows."""
 
     y: np.ndarray
     z: np.ndarray
@@ -70,11 +57,12 @@ class SelectionDesign:
     year: np.ndarray
     trial_id: np.ndarray
     kind: np.ndarray  # z-score kind code per row ("precise", "above_d1", ...)
+    bound: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.y)
         for name in ("z", "d1", "d2", "sqrt_enroll", "placebo", "mht",
-                     "condition", "year", "trial_id", "kind"):
+                     "condition", "year", "trial_id", "kind", "bound"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"column {name} has wrong length")
         if np.any(self.d1 * self.d2 != 0):
@@ -90,28 +78,17 @@ class SelectionDesign:
     def n_trials(self) -> int:
         return len(np.unique(self.trial_id))
 
-    def rows(self):
-        for i in range(self.n_obs):
-            yield SelectionDesignRow(
-                continuation=int(self.y[i]),
-                z_ph2=float(self.z[i]),
-                d1=int(self.d1[i]),
-                d2=int(self.d2[i]),
-                sqrt_enroll=float(self.sqrt_enroll[i]),
-                placebo=int(self.placebo[i]),
-                mht_adjusted=int(self.mht[i]),
-                condition_category=str(self.condition[i]),
-                completion_year=str(self.year[i]),
-                cluster_id=str(self.condition[i]),
-                trial_id=str(self.trial_id[i]),
-            )
+    @property
+    def share_z(self) -> np.ndarray:
+        """The z at which each row enters a share: D1/D2 rows at their bound."""
+        return np.where((self.d1 == 1) | (self.d2 == 1), self.bound, self.z)
 
     def subset(self, idx: np.ndarray) -> "SelectionDesign":
         return SelectionDesign(
             y=self.y[idx], z=self.z[idx], d1=self.d1[idx], d2=self.d2[idx],
             sqrt_enroll=self.sqrt_enroll[idx], placebo=self.placebo[idx],
             mht=self.mht[idx], condition=self.condition[idx], year=self.year[idx],
-            trial_id=self.trial_id[idx], kind=self.kind[idx],
+            trial_id=self.trial_id[idx], kind=self.kind[idx], bound=self.bound[idx],
         )
 
 
@@ -140,73 +117,58 @@ class SelectionModel:
 # ---------------------------------------------------------------------------
 # Design construction
 
+def link_labels(trial_id: np.ndarray, link_results: Sequence[LinkResult]) -> np.ndarray:
+    """Continuation label per row: 1.0 or 0.0 for rows of trials eligible
+    for linking, NaN elsewhere."""
+    eligible = [r.phase2_id for r in link_results if r.eligible]
+    continued = [r.phase2_id for r in link_results if r.eligible and r.continued]
+    return np.where(
+        np.isin(trial_id, np.array(eligible, dtype=str)),
+        np.isin(trial_id, np.array(continued, dtype=str)).astype(float),
+        np.nan,
+    )
+
+
+def design_rows(table: OutcomeTable, rows: np.ndarray, y: np.ndarray) -> SelectionDesign:
+    """Design over the table rows selected by a mask, with labels ``y``.
+    Other censors are imputed within these rows."""
+    if not rows.any():
+        raise ValueError("selection design is empty")
+    t = table.subset(rows)
+    d1 = (t.kind == ZKind.ABOVE_D1.value).astype(int)
+    d2 = (t.kind == ZKind.ABOVE_D2.value).astype(int)
+    z = impute_arrays(t.kind, t.z, t.bound, t.below)
+    return SelectionDesign(
+        y=y, z=np.where((d1 == 1) | (d2 == 1), 0.0, z), d1=d1, d2=d2,
+        sqrt_enroll=t.sqrt_enroll, placebo=t.placebo, mht=t.mht,
+        condition=t.condition, year=t.year, trial_id=t.trial_id, kind=t.kind,
+        bound=t.bound,
+    )
+
+
 def build_design(
-    reg: Registry,
+    table: OutcomeTable | Registry,
     link_results: Sequence[LinkResult],
     outcome_rank: OutcomeRank = OutcomeRank.PRIMARY,
-    side: Sidedness = Sidedness.TWO_SIDED,
 ) -> SelectionDesign:
     """One row per industry phase II trial-outcome with a linked
     continuation label.  Censored scores enter with z = 0 and the matching
-    dummy; other censors get their imputed value as the z regressor."""
-    links = {r.phase2_id: r for r in link_results if r.eligible}
+    dummy; other censors get their imputed value as the z regressor.
 
-    trial_ids: list[str] = []
-    scores: list[ZScore] = []
-    meta: list[tuple] = []
-    for o in reg.outcomes:
-        if o.outcome_rank is not outcome_rank:
-            continue
-        t = reg.trials.get(o.trial_id)
-        if t is None or t.phase is not Phase.PHASE2:
-            continue
-        if t.sponsor_class is not SponsorClass.INDUSTRY:
-            continue
-        res = links.get(t.trial_id)
-        if res is None:
-            continue
-        scores.append(transform(o.raw_p, side))
-        trial_ids.append(t.trial_id)
-        meta.append((t, o, res))
-    if not scores:
-        raise ValueError("selection design is empty")
-
-    scores = impute_other_censors(scores)
-
-    n = len(scores)
-    y = np.zeros(n)
-    z = np.zeros(n)
-    d1 = np.zeros(n, dtype=int)
-    d2 = np.zeros(n, dtype=int)
-    sqrt_enroll = np.zeros(n)
-    placebo = np.zeros(n, dtype=int)
-    mht = np.zeros(n, dtype=int)
-    condition = np.empty(n, dtype=object)
-    year = np.empty(n, dtype=object)
-    kind = np.empty(n, dtype=object)
-    for i, (s, (t, o, res)) in enumerate(zip(scores, meta)):
-        y[i] = 1.0 if res.continued else 0.0
-        if s.kind is ZKind.PRECISE:
-            z[i] = s.z
-        elif s.kind is ZKind.ABOVE_D1:
-            d1[i] = 1
-        elif s.kind is ZKind.ABOVE_D2:
-            d2[i] = 1
-        else:
-            z[i] = s.effective_z()
-        sqrt_enroll[i] = math.sqrt(t.enrollment)
-        placebo[i] = int(t.placebo_comparator)
-        mht[i] = int(o.mht_adjusted)
-        condition[i] = t.condition_category
-        year[i] = (
-            str(t.completion_date.year) if t.completion_date is not None else "unknown"
+    A registry is transformed two-sided, one outcome at a time through the
+    scalar :func:`transform`; pipelines pass the table of
+    :func:`~trialscope.pz.outcome_table`, built once.
+    """
+    if isinstance(table, Registry):
+        scores = [transform(o.raw_p) for o in table.outcomes]
+        table = OutcomeTable.of(
+            table, Sidedness.TWO_SIDED, [s.kind.value for s in scores],
+            [s.z if s.is_precise else np.nan for s in scores],
+            [np.nan if s.is_precise else s.bound for s in scores],
         )
-        kind[i] = s.kind.value
-    return SelectionDesign(
-        y=y, z=z, d1=d1, d2=d2, sqrt_enroll=sqrt_enroll, placebo=placebo,
-        mht=mht, condition=condition, year=year,
-        trial_id=np.array(trial_ids, dtype=object), kind=kind,
-    )
+    labels = link_labels(table.trial_id, link_results)
+    rows = table.industry & table.sample(Phase.PHASE2, outcome_rank) & ~np.isnan(labels)
+    return design_rows(table, rows, labels[rows])
 
 
 def _dummy_levels(values: np.ndarray, fixed: tuple | None) -> tuple[str, list[str]]:

@@ -433,6 +433,7 @@ def end_to_end_truth_check(
     from .selection import build_design, fit_logit
 
     reg, truth = generate(cfg)
+    table = pz.outcome_table(reg)
     synonyms = build_synonym_map(truth.synonym_pairs)
     links, summary = link_all(reg, synonyms=synonyms)
 
@@ -446,10 +447,10 @@ def end_to_end_truth_check(
             f"(missing {missing}, extra {extra})"
         )
 
-    design = build_design(reg, links)
+    design = build_design(table, links)
     model = fit_logit(design)
     report = decompose(
-        reg, links, model=model, bootstrap_reps=bootstrap_reps, seed=cfg.seed + 1
+        table, links, model=model, bootstrap_reps=bootstrap_reps, seed=cfg.seed + 1
     )
 
     out = {

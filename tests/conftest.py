@@ -49,3 +49,14 @@ def sim_small():
     synonyms = build_synonym_map(truth.synonym_pairs)
     links, summary = link_all(reg, synonyms=synonyms)
     return reg, truth, links, summary
+
+
+@pytest.fixture(scope="session")
+def sim_csvs(tmp_path_factory):
+    """CSV inputs of a simulated registry large enough for every sweep cell
+    type to compute: (trials, outcomes, rankings, synonyms) paths."""
+    from trialscope.cli import main
+
+    out = tmp_path_factory.mktemp("simcsv")
+    assert main(["simulate", "--out", str(out), "--seed", "5", "--n-trials", "1100"]) == 0
+    return tuple(out / f"{name}.csv" for name in ("trials", "outcomes", "rankings", "synonyms"))

@@ -21,7 +21,7 @@ from trialscope.decompose import decompose
 from trialscope.density import KdeSpec, kde, sj_bandwidth
 from trialscope.discontinuity import cjm_test
 from trialscope.linker import build_synonym_map, link_all
-from trialscope.pz import Sidedness, inv_norm_cdf, norm_sf, transform
+from trialscope.pz import Sidedness, inv_norm_cdf, norm_sf, outcome_table, transform
 from trialscope.registry import OutcomeRank, ReportedP, ingest
 from trialscope.selection import (
     SeparationError,
@@ -213,7 +213,7 @@ def _meta_rep(seed, misreporting, bootstrap_reps=200):
     cfg = SimConfig(n_trials=2000, seed=seed, misreporting=misreporting)
     reg, truth = generate(cfg)
     links, _ = link_all(reg, synonyms=build_synonym_map(truth.synonym_pairs))
-    rep = decompose(reg, links, bootstrap_reps=bootstrap_reps, seed=seed + 1)
+    rep = decompose(outcome_table(reg), links, bootstrap_reps=bootstrap_reps, seed=seed + 1)
     resid = rep.diffs["ph3_minus_ph2_sc"]
     se = rep.std_errs["ph3_minus_ph2_sc"]
     identity_gap = abs(
@@ -291,7 +291,7 @@ def test_criterion_7_real_data_replication():
     from trialscope.registry import SponsorClass, default_rankings, all_sponsor_splits
 
     industry = reg.filter_trials(lambda t: t.sponsor_class is SponsorClass.INDUSTRY)
-    design = build_design(industry, links)
+    design = build_design(outcome_table(industry), links)
     model = fit_logit(design)
     c = model.coefficients
     assert c["z_ph2"] == pytest.approx(0.331, abs=0.005)
@@ -299,7 +299,7 @@ def test_criterion_7_real_data_replication():
     assert c["d2"] == pytest.approx(1.232, abs=0.005)
     assert model.mean_dep == pytest.approx(0.296, abs=0.005)
 
-    rep = decompose(industry, links, model=model, bootstrap_reps=500, seed=0)
+    rep = decompose(outcome_table(industry), links, model=model, bootstrap_reps=500, seed=0)
     assert rep.shares["ph2"] == pytest.approx(0.481, abs=0.005)
     assert rep.shares["ph3"] == pytest.approx(0.721, abs=0.005)
     assert rep.shares["ph2_sc"] == pytest.approx(0.604, abs=0.005)
@@ -319,8 +319,8 @@ def test_criterion_7_real_data_replication():
     assert disc.p_value == pytest.approx(0.032, abs=0.01)
 
     top = industry.filter_trials(lambda t: split.group_of(t.sponsor_name) == "Large")
-    m_small = fit_logit(build_design(small, links))
-    m_top = fit_logit(build_design(top, links))
+    m_small = fit_logit(build_design(outcome_table(small), links))
+    m_top = fit_logit(build_design(outcome_table(top), links))
     assert wald_equality(m_small, m_top) == pytest.approx(0.00480, abs=0.002)
     report(7, True, "real-data replication targets met")
 

@@ -1,8 +1,11 @@
+import csv
 import json
 
 import pytest
 
+from trialscope import cli
 from trialscope.cli import PipelineConfig, main
+from trialscope.pz import Z_SIG
 
 
 def run(args):
@@ -30,6 +33,16 @@ class TestConfig:
         cfg_file.write_text("nonsense=1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             PipelineConfig.load(str(cfg_file), {})
+
+    def test_default_cutoff_follows_sidedness(self, tmp_path):
+        assert PipelineConfig.load(None, {})["cutoff"] == Z_SIG
+        one = PipelineConfig.load(None, {"sidedness": "one-sided"})["cutoff"]
+        assert one == pytest.approx(1.644854, abs=1e-6)
+        explicit = {"sidedness": "one-sided", "cutoff": 1.96}
+        assert PipelineConfig.load(None, explicit)["cutoff"] == 1.96
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("sidedness=one-sided\ncutoff=2.5\n")
+        assert PipelineConfig.load(str(cfg_file), {"cutoff": None})["cutoff"] == 2.5
 
     def test_split_k_bounds(self, tmp_path):
         cfg_file = tmp_path / "k.cfg"
@@ -150,6 +163,46 @@ class TestHeavierSubcommands:
         assert len(rows) == 113  # 56 splits x 2 groups + header
         assert (tmp_path / "sweep_explained.csv").exists()
         assert (tmp_path / "sweep_disc_pvalues_small.svg").exists()
+
+    def test_sweep_follows_sidedness(self, sim_csvs, tmp_path):
+        trials, outcomes, rankings, synonyms = sim_csvs
+        tables = {}
+        for side in ("two-sided", "one-sided"):
+            out = tmp_path / side
+            assert run(["sweep", "--trials", trials, "--outcomes", outcomes,
+                        "--synonyms", synonyms, "--rankings", rankings,
+                        "--sidedness", side, "--cutoff", 1.96, "--out", out]) == 0
+            tables[side] = [
+                list(csv.reader(open(out / name, encoding="utf-8")))
+                for name in ("sweep_discontinuity.csv", "sweep_explained.csv")
+            ]
+        # one-sided z of the same p-values are larger, so with the cutoff
+        # held fixed every computable cell moves in both tables
+        for two, one in zip(tables["two-sided"], tables["one-sided"]):
+            cells = [(a, b) for a, b in zip(two[1:], one[1:]) if not a[-1] and not b[-1]]
+            assert cells
+            assert all(a[4] != b[4] for a, b in cells)
+
+    def test_report_reads_and_links_once(self, sim_dir, tmp_path, monkeypatch):
+        calls = {"ingest": 0, "link_all": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        assert run(["report", "--trials", sim_dir / "trials.csv",
+                    "--outcomes", sim_dir / "outcomes.csv",
+                    "--synonyms", sim_dir / "synonyms.csv",
+                    "--rankings", sim_dir / "rankings.csv",
+                    "--bootstrap-reps", 0, "--out", tmp_path]) == 0
+        assert calls == {"ingest": 1, "link_all": 1}
+        assert (tmp_path / "decomposition.csv").exists()
 
     def test_fit_selection_artifacts(self, sim_dir, tmp_path):
         assert run(["fit-selection", "--trials", sim_dir / "trials.csv",

@@ -10,7 +10,7 @@ from trialscope.decompose import (
     sponsor_split_sweep,
 )
 from trialscope.linker import build_synonym_map, link_all
-from trialscope.pz import Z_SIG
+from trialscope.pz import Z_D1, Z_D2, Z_SIG, outcome_table
 from trialscope.registry import Phase, all_sponsor_splits
 from trialscope.selection import build_design, fit_logit
 from trialscope.simulate import Misreporting, SimConfig, generate
@@ -27,7 +27,7 @@ def fitted(sim_small):
 class TestShares:
     def test_censored_share_homogeneous_in_weights(self):
         kinds = np.array(["precise", "precise", "above_d1", "above_d2"], dtype=object)
-        z = np.array([2.5, 1.0, 0.0, 0.0])
+        z = np.array([2.5, 1.0, Z_D1, Z_D2])
         w = np.array([1.0, 2.0, 0.5, 0.25])
         a = censored_aware_share(kinds, z, w, Z_SIG, bandwidth=0.4)
         b = censored_aware_share(kinds, z, 7.7 * w, Z_SIG, bandwidth=0.4)
@@ -35,7 +35,7 @@ class TestShares:
 
     def test_censored_mass_counts_above(self):
         kinds = np.array(["precise", "above_d1"], dtype=object)
-        z = np.array([0.5, 0.0])
+        z = np.array([0.5, Z_D1])
         w = np.ones(2)
         # cutoff far above the precise value: all precise KDE mass below
         share = censored_aware_share(kinds, z, w, 1.96, bandwidth=0.1)
@@ -56,10 +56,10 @@ class TestShares:
             n_clusters=model.n_clusters, log_likelihood=0.0,
             mean_dep=model.mean_dep, levels=model.levels,
         )
-        ph2 = phase_scores(reg, Phase.PHASE2)
+        ph2 = phase_scores(outcome_table(reg), Phase.PHASE2)
         h = 0.35
         unweighted = censored_aware_share(
-            ph2.kind.astype(str), ph2.z, np.ones(ph2.n_obs), Z_SIG, h
+            ph2.kind, ph2.share_z, np.ones(ph2.n_obs), Z_SIG, h
         )
         reweighted = counterfactual_share(ph2, flat, cutoff=Z_SIG, bandwidth=h)
         assert reweighted == pytest.approx(unweighted, abs=1e-14)
@@ -68,7 +68,7 @@ class TestShares:
 class TestDecompose:
     def test_identity_and_report_shape(self, sim_small):
         reg, truth, links, _ = sim_small
-        rep = decompose(reg, links, bootstrap_reps=25, seed=3)
+        rep = decompose(outcome_table(reg), links, bootstrap_reps=25, seed=3)
         lhs = rep.diffs["ph2_sc_minus_ph2"] + rep.diffs["ph3_minus_ph2_sc"]
         assert lhs == pytest.approx(rep.diffs["ph3_minus_ph2"], abs=1e-12)
         for key in ("ph2", "ph3", "ph2_sc"):
@@ -79,16 +79,16 @@ class TestDecompose:
 
     def test_bootstrap_determinism(self, sim_small):
         reg, truth, links, _ = sim_small
-        a = decompose(reg, links, bootstrap_reps=30, seed=11)
-        b = decompose(reg, links, bootstrap_reps=30, seed=11)
+        a = decompose(outcome_table(reg), links, bootstrap_reps=30, seed=11)
+        b = decompose(outcome_table(reg), links, bootstrap_reps=30, seed=11)
         assert a.shares == b.shares
         assert a.std_errs == b.std_errs
-        c = decompose(reg, links, bootstrap_reps=30, seed=12)
+        c = decompose(outcome_table(reg), links, bootstrap_reps=30, seed=12)
         assert any(a.std_errs[k] != c.std_errs[k] for k in a.std_errs)
 
     def test_selection_only_residual_small(self, sim_small):
         reg, truth, links, _ = sim_small
-        rep = decompose(reg, links, bootstrap_reps=120, seed=4)
+        rep = decompose(outcome_table(reg), links, bootstrap_reps=120, seed=4)
         resid = rep.diffs["ph3_minus_ph2_sc"]
         se = rep.std_errs["ph3_minus_ph2_sc"]
         assert abs(resid) < 3.0 * se
@@ -99,7 +99,7 @@ class TestDecompose:
         )
         reg, truth = generate(cfg)
         links, _ = link_all(reg, synonyms=build_synonym_map(truth.synonym_pairs))
-        rep = decompose(reg, links, bootstrap_reps=120, seed=5)
+        rep = decompose(outcome_table(reg), links, bootstrap_reps=120, seed=5)
         resid = rep.diffs["ph3_minus_ph2_sc"]
         se = rep.std_errs["ph3_minus_ph2_sc"]
         assert resid > 1.959964 * se
@@ -117,7 +117,7 @@ class TestDecompose:
 
         monkeypatch.setattr(dec, "fit_logit", boom)
         with pytest.raises(RuntimeError, match="failed"):
-            decompose(reg, links, model=model, bootstrap_reps=20, seed=1)
+            decompose(outcome_table(reg), links, model=model, bootstrap_reps=20, seed=1)
 
     def test_stars_formatting(self):
         rep = DecompositionReport(
@@ -131,7 +131,7 @@ class TestSweep:
     def test_explained_fraction_cells(self, sim_small):
         reg, truth, links, _ = sim_small
         splits = all_sponsor_splits(reg.rankings, k_range=[10, 11])
-        rows = sponsor_split_sweep(reg, links, splits)
+        rows = sponsor_split_sweep(outcome_table(reg), links, splits)
         assert len(rows) == 16
         good = [r for r in rows if not r["error"]]
         assert good, "expected at least one computable cell"
@@ -143,6 +143,6 @@ class TestSweep:
     def test_degenerate_gap_flagged(self, sim_small):
         reg, truth, links, _ = sim_small
         splits = all_sponsor_splits(reg.rankings, k_range=[10])
-        rows = sponsor_split_sweep(reg, links, splits, min_gap=10.0)
+        rows = sponsor_split_sweep(outcome_table(reg), links, splits, min_gap=10.0)
         assert all(r["explained_fraction"] is None for r in rows)
         assert all("degenerate" in r["error"] for r in rows if r["error"])

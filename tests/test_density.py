@@ -10,11 +10,11 @@ from trialscope.density import (
     epanechnikov,
     epanechnikov_survival,
     kde,
-    significant_share,
     silverman_bandwidth,
     sj_bandwidth,
 )
-from trialscope.pz import ZKind, ZScore
+from trialscope.decompose import censored_aware_share
+from trialscope.pz import Z_SIG, ZKind, ZScore
 
 
 def lscv_bandwidth(x, lo, hi):
@@ -175,6 +175,16 @@ class TestKde:
         assert avg[100] > avg[1000] > avg[10_000]
 
 
+def significant_share(scores, weights=None, bandwidth=1e-9):
+    """censored_aware_share over ZScores; a tiny bandwidth makes the KDE
+    mass of a precise score a count on its side of the cutoff."""
+    kinds = np.array([s.kind.value for s in scores], dtype=str)
+    zvals = np.array([s.effective_z() if s.imputed_z is not None or s.kind is not
+                      ZKind.OTHER_CENSOR else np.nan for s in scores], dtype=float)
+    w = np.ones(len(scores)) if weights is None else np.asarray(weights, dtype=float)
+    return censored_aware_share(kinds, zvals, w, Z_SIG, bandwidth)
+
+
 class TestSignificantShare:
     def test_three_precise_one_censor(self):
         scores = [ZScore.precise(v) for v in (1.0, 2.0, 2.5)] + [ZScore.above_d1()]
@@ -185,13 +195,13 @@ class TestSignificantShare:
         assert significant_share(scores) == 0.0
 
     def test_boundary_counts_significant(self):
-        from trialscope.pz import Z_SIG
-        assert significant_share([ZScore.precise(Z_SIG)]) == 1.0
+        # censored mass exactly at the cutoff counts as significant
+        assert significant_share([ZScore.above_d1(bound=Z_SIG)]) == 1.0
 
     def test_weights_and_predicted_tail_counts(self):
+        # a predicted tail count enters as the weight of the censored row
         scores = [ZScore.precise(2.5), ZScore.precise(1.0), ZScore.above_d2()]
-        share = significant_share(scores, weights=[1.0, 1.0, 1.0],
-                                  predicted_tail_counts={ZKind.ABOVE_D2: 2.0})
+        share = significant_share(scores, weights=[1.0, 1.0, 2.0])
         assert share == pytest.approx(3.0 / 4.0)
 
     def test_imputed_censor_counts_by_value(self):
@@ -212,7 +222,7 @@ class TestSignificantShare:
         rng = np.random.default_rng(13)
         zs = np.abs(rng.normal(size=5000))
         scores = [ZScore.precise(float(v)) for v in zs]
-        count_share = significant_share(scores)
+        count_share = float(np.mean(zs >= Z_SIG))
         kde_share = significant_share(scores, bandwidth=0.3)
         assert kde_share == pytest.approx(count_share, abs=0.02)
 

@@ -7,8 +7,8 @@ from trialscope.discontinuity import (
     cjm_test,
     sponsor_sweep,
 )
-from trialscope.pz import transform
-from trialscope.registry import OutcomeRank, Phase, all_sponsor_splits
+from trialscope.pz import outcome_table
+from trialscope.registry import Phase, all_sponsor_splits
 from trialscope.simulate import SimConfig, generate
 
 
@@ -128,21 +128,16 @@ class TestBinned:
 
 
 @pytest.fixture(scope="module")
-def sim_scores():
+def sim_reg():
     reg, truth = generate(SimConfig(n_trials=2600, seed=31))
-    scores = {}
-    for o in reg.outcomes:
-        if o.outcome_rank is OutcomeRank.PRIMARY:
-            scores.setdefault(o.trial_id, []).append(transform(o.raw_p))
-    return reg, scores
+    return reg
 
 
 class TestSponsorSweep:
-    def test_identical_classifications_identical_pvalues(self, sim_scores):
-        reg, scores = sim_scores
-        splits = all_sponsor_splits(reg.rankings, k_range=[10])
+    def test_identical_classifications_identical_pvalues(self, sim_reg):
+        splits = all_sponsor_splits(sim_reg.rankings, k_range=[10])
         twin = [splits[0], splits[0]]
-        rows = sponsor_sweep(reg, scores, twin, Phase.PHASE3)
+        rows = sponsor_sweep(outcome_table(sim_reg), twin, Phase.PHASE3)
         large = [r for r in rows if r["group"] == "Large"]
         assert large[0]["p_value"] == large[1]["p_value"]
 
@@ -153,12 +148,8 @@ class TestSponsorSweep:
         fracs, pooled = [], []
         for seed in (31, 77, 123, 500, 901):
             reg, _ = generate(SimConfig(n_trials=2600, seed=seed))
-            scores = {}
-            for o in reg.outcomes:
-                if o.outcome_rank is OutcomeRank.PRIMARY:
-                    scores.setdefault(o.trial_id, []).append(transform(o.raw_p))
             splits = all_sponsor_splits(reg.rankings)
-            rows = sponsor_sweep(reg, scores, splits, Phase.PHASE3)
+            rows = sponsor_sweep(outcome_table(reg), splits, Phase.PHASE3)
             assert len(rows) == 2 * len(splits)
             ok = np.asarray([r["p_value"] for r in rows if not r["error"]])
             assert ok.size > 60
@@ -167,16 +158,24 @@ class TestSponsorSweep:
         assert np.mean(fracs) < 0.15
         assert 0.3 < np.mean(pooled) < 0.8
 
-    def test_failed_cells_carry_reason(self, sim_scores):
-        reg, scores = sim_scores
+    def test_failed_cells_carry_reason(self, sim_reg):
         # keep only two sponsors so the Large cell goes empty for k where
         # neither is ranked in the top group
-        splits = all_sponsor_splits(reg.rankings, k_range=[7])
-        few = reg.filter_trials(lambda t: t.sponsor_name in ("Sponsor 01",))
-        rows = sponsor_sweep(few, scores, splits[:1], Phase.PHASE3)
+        splits = all_sponsor_splits(sim_reg.rankings, k_range=[7])
+        few = sim_reg.filter_trials(lambda t: t.sponsor_name in ("Sponsor 01",))
+        rows = sponsor_sweep(outcome_table(few), splits[:1], Phase.PHASE3)
         errs = [r for r in rows if r["error"]]
         assert errs, "expected at least one failed cell"
         assert all(r["p_value"] is None for r in errs)
+
+
+def test_huge_t_keeps_a_positive_p_value():
+    # 2 * (1 - Phi(|t|)) cancels to exactly 0 beyond |t| ~ 8.3
+    rng = np.random.default_rng(0)
+    x = np.concatenate([rng.uniform(0.0, 1.96, 300), rng.uniform(1.96, 4.0, 6000)])
+    for r in (cjm_test(x, 1.96), binned_test(x, 1.96, bin_width=0.05)):
+        assert r.t_stat > 10.0
+        assert 0.0 < r.p_value < 1e-30
 
 
 class TestShiftedCutoffs:

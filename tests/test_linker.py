@@ -164,6 +164,9 @@ class TestCanonicalization:
         f = tmp_path / "syn.csv"
         f.write_text("canonical_drug,synonym\na,b\n", encoding="utf-8")
         assert canonical_drug("b", load_synonyms(f)) == "a"
+        bom = tmp_path / "bom.csv"
+        bom.write_text("canonical_drug,synonym\na,b\n", encoding="utf-8-sig")
+        assert load_synonyms(bom) == load_synonyms(f)
         bad = tmp_path / "bad.csv"
         bad.write_text("x,y\na,b\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected columns"):

@@ -18,6 +18,7 @@ from trialscope.pz import (
     inv_norm_cdf,
     norm_cdf,
     transform,
+    transform_arrays,
 )
 from trialscope.registry import ReportedP
 
@@ -140,6 +141,40 @@ class TestTransform:
         z2 = np.array([transform(ReportedP.exact(p)).z for p in ps])
         z1 = np.array([transform(ReportedP.exact(p), Sidedness.ONE_SIDED).z for p in ps])
         assert np.array_equal(np.argsort(z2), np.argsort(z1))
+
+
+class TestTransformArrays:
+    CASES = [
+        ("exact", 0.0), ("exact", 1e-16), ("exact", 1e-15), ("exact", 2e-15),
+        ("exact", 1e-9), ("exact", 0.0004), ("exact", 0.05), ("exact", 0.5),
+        ("exact", 1.0), ("lt", 0.001), ("lt", 0.0001), ("lt", 0.05), ("lt", 0.01),
+        ("gt", 0.05), ("gt", 0.1), ("gt", 0.9),
+    ]
+
+    @pytest.mark.parametrize("side", list(Sidedness))
+    def test_equals_scalar_transform(self, side):
+        rng = np.random.default_rng(17)
+        cases = self.CASES + [("exact", float(p)) for p in 10.0 ** rng.uniform(-12, 0, 200)]
+        kinds, zs, bounds = transform_arrays([k for k, _ in cases], [v for _, v in cases], side)
+        for (k, v), code, z, bound in zip(cases, kinds, zs, bounds):
+            s = transform(ReportedP(k, v), side)
+            assert code == s.kind.value
+            if s.is_precise:
+                assert z == s.z and np.isnan(bound)
+                # the array quantile equals the scalar quantile bit for bit
+                q = v / 2.0 if side is Sidedness.TWO_SIDED else min(v, 1.0 - 2.5e-16)
+                assert z == -inv_norm_cdf(q)
+            else:
+                assert bound == s.bound and np.isnan(z)
+                assert s.direction == ("below" if k == "gt" else "above")
+
+    def test_one_sided_p_one_is_finite(self):
+        _, z, _ = transform_arrays(["exact"], [1.0], Sidedness.ONE_SIDED)
+        assert np.isfinite(z[0]) and z[0] < -8.0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind"):
+            transform_arrays(["eq"], [0.5])
 
 
 class TestImputation:

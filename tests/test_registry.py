@@ -104,6 +104,14 @@ class TestIngest:
         for a, b in zip(first, second):
             assert a.read_bytes() == b.read_bytes()
 
+    def test_byte_order_mark_accepted(self, tmp_path, toy_csvs):
+        boms = []
+        for path in toy_csvs:
+            bom = tmp_path / f"bom_{path.name}"
+            bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            boms.append(bom)
+        assert ingest(*boms) == ingest(*toy_csvs)
+
 
 class TestFilters:
     def _with_extra_rows(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from trialscope.pz import Z_D1, Z_D2, outcome_table
 from trialscope.registry import OutcomeRank
 from trialscope.selection import (
     CORE_COEFS,
@@ -39,17 +40,18 @@ def synthetic_design(rng, n, beta=None, n_cond=12, n_years=8, rows_per_trial=1):
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     kind = np.where(d1 == 1, "above_d1", np.where(d2 == 1, "above_d2", "precise"))
     tid = np.array([f"T{i // rows_per_trial:05d}" for i in range(n)], dtype=object)
+    bound = np.where(d1 == 1, Z_D1, np.where(d2 == 1, Z_D2, np.nan))
     return SelectionDesign(
         y=y, z=z, d1=d1, d2=d2, sqrt_enroll=sqrt_enroll,
         placebo=placebo.astype(int), mht=mht, condition=cond.astype(object),
-        year=year.astype(object), trial_id=tid, kind=kind.astype(object),
+        year=year.astype(object), trial_id=tid, kind=kind.astype(object), bound=bound,
     ), beta
 
 
 class TestDesign:
     def test_censored_rows(self, sim_small):
         reg, truth, links, _ = sim_small
-        design = build_design(reg, links)
+        design = build_design(outcome_table(reg), links)
         assert design.n_obs == sum(
             1 for o in reg.outcomes
             if o.outcome_rank is OutcomeRank.PRIMARY and o.trial_id.startswith("SIM2")
@@ -58,12 +60,14 @@ class TestDesign:
         assert np.all(design.z[d2_rows] == 0.0)
         assert np.all(design.d2[d2_rows] == 1)
         assert np.all(design.d1 * design.d2 == 0)
+        assert np.all(design.share_z[d2_rows] == design.bound[d2_rows])
+        assert np.all(np.isnan(design.bound[design.kind == "precise"]))
 
     def test_empty_design_raises(self, sim_small):
         reg, truth, links, _ = sim_small
         empty = reg.filter_trials(lambda t: False)
         with pytest.raises(ValueError, match="empty"):
-            build_design(empty, links)
+            build_design(outcome_table(empty), links)
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -75,14 +79,20 @@ class TestDesign:
                 year=np.array(["2010"], dtype=object),
                 trial_id=np.array(["T"], dtype=object),
                 kind=np.array(["above_d1"], dtype=object),
+                bound=np.array([Z_D1]),
             )
 
-    def test_rows_view(self, sim_small):
+    def test_table_matches_scalar_registry_path(self, sim_small):
+        # a registry is transformed outcome by outcome through the scalar
+        # transform; the table of outcome_table is transformed at once
         reg, truth, links, _ = sim_small
-        design = build_design(reg, links)
-        row = next(design.rows())
-        assert row.cluster_id == row.condition_category
-        assert row.trial_id == str(design.trial_id[0])
+        a = build_design(reg, links)
+        b = build_design(outcome_table(reg), links)
+        for name in ("y", "z", "d1", "d2", "sqrt_enroll", "placebo", "mht",
+                     "condition", "year", "trial_id", "kind", "bound"):
+            col_a, col_b = getattr(a, name), getattr(b, name)
+            assert col_a.dtype.kind == col_b.dtype.kind, name
+            assert np.array_equal(col_a, col_b, equal_nan=col_a.dtype.kind == "f"), name
 
 
 class TestFit:
@@ -147,7 +157,7 @@ class TestFit:
             sqrt_enroll=design.sqrt_enroll, placebo=design.placebo,
             mht=design.mht, condition=design.condition,
             year=np.array([str(int(v) + 1000) for v in design.year], dtype=object),
-            trial_id=design.trial_id, kind=design.kind,
+            trial_id=design.trial_id, kind=design.kind, bound=design.bound,
         )
         m2 = fit_logit(shifted)
         p2 = predict(m2, shifted)
@@ -218,6 +228,7 @@ class TestPredict:
             mht=design.mht[:5],
             condition=np.array(["NEVER_SEEN"] * 5, dtype=object),
             year=design.year[:5], trial_id=design.trial_id[:5], kind=design.kind[:5],
+            bound=design.bound[:5],
         )
         with pytest.warns(UserWarning, match="unseen"):
             p = predict(m, other)
@@ -227,6 +238,7 @@ class TestPredict:
             mht=design.mht[:5],
             condition=np.array([m.levels["condition"][0]] * 5, dtype=object),
             year=design.year[:5], trial_id=design.trial_id[:5], kind=design.kind[:5],
+            bound=design.bound[:5],
         )
         assert np.allclose(p, predict(m, ref))
 
@@ -244,7 +256,7 @@ class TestSecondaryContrast:
             cfg = SimConfig(n_trials=700, seed=4000 + s, secondary_outcomes_per_trial=2)
             reg, truth = generate(cfg)
             links, _ = link_all(reg, synonyms=build_synonym_map(truth.synonym_pairs))
-            design = build_design(reg, links, outcome_rank=OutcomeRank.SECONDARY)
+            design = build_design(outcome_table(reg), links, outcome_rank=OutcomeRank.SECONDARY)
             m = fit_logit(design)
             se = m.se()["z_ph2"]
             t = m.coefficients["z_ph2"] / se
