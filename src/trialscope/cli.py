@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from functools import cached_property
 from pathlib import Path
 
@@ -23,7 +22,13 @@ import numpy as np
 from . import __version__, density, pz, svg
 from .decompose import decompose, sponsor_split_sweep
 from .discontinuity import cjm_test, sponsor_sweep
-from .linker import link_all, load_synonyms, write_links_csv, write_links_summary_csv
+from .linker import (
+    link_all,
+    load_synonyms,
+    restrict_links,
+    write_links_csv,
+    write_links_summary_csv,
+)
 from .registry import (
     Phase,
     Registry,
@@ -225,14 +230,8 @@ class _Inputs:
         return self.table.subset(self.table.isin("trial_id", self.group_ids(group)))
 
     def group_links(self, group: str) -> list:
-        """The links of a group's phase II trials, each match set cut down to
-        the group's phase III trials.  Matching is pairwise, so this equals
-        linking the group alone."""
-        ids = self.group_ids(group)
-        return [
-            replace(r, matched_phase3_ids=r.matched_phase3_ids & ids)
-            for r in self.links[0] if r.phase2_id in ids
-        ]
+        """The links of a group's phase II trials, cut down to the group."""
+        return restrict_links(self.links[0], self.group_ids(group))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

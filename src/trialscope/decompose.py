@@ -19,10 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .density import epanechnikov_survival, sj_bandwidth, silverman_bandwidth
-from .linker import LinkResult
+from .linker import LinkResult, restrict_links
 from .pz import Z_SIG, OutcomeTable, ZKind, norm_sf
 from .registry import OutcomeRank, Phase
 from .selection import (
+    PinnedDesign,
     SelectionDesign,
     SelectionModel,
     build_design,
@@ -131,27 +132,46 @@ def counterfactual_share(
     return censored_aware_share(design.kind, design.share_z, w, cutoff, bandwidth)
 
 
-def _unit_share(design: SelectionDesign, cutoff: float, bandwidth: float) -> float:
-    return censored_aware_share(
-        design.kind, design.share_z, np.ones(design.n_obs), cutoff, bandwidth
-    )
-
-
 class _TrialIndex:
-    """Row indices grouped by trial, for cluster resampling."""
+    """Row indices grouped by trial, for cluster resampling: the rows of
+    trial ``j`` are ``order[starts[j]:starts[j] + sizes[j]]``."""
 
-    def __init__(self, design: SelectionDesign):
-        tid = design.trial_id.astype(str)
-        order = np.argsort(tid, kind="stable")
-        sorted_tid = tid[order]
-        ids, starts = np.unique(sorted_tid, return_index=True)
-        bounds = np.append(starts, len(sorted_tid))
-        self.n_trials = len(ids)
-        self.groups = [order[bounds[i]:bounds[i + 1]] for i in range(self.n_trials)]
+    def __init__(self, trial_id: np.ndarray):
+        tid = trial_id.astype(str)
+        self.order = np.argsort(tid, kind="stable")
+        _, self.starts, self.sizes = np.unique(
+            tid[self.order], return_index=True, return_counts=True
+        )
+        self.n_trials = len(self.starts)
 
     def resample_rows(self, rng: np.random.Generator) -> np.ndarray:
+        """The rows of ``n_trials`` trials drawn with replacement, trial by
+        trial in draw order."""
         drawn = rng.integers(0, self.n_trials, size=self.n_trials)
-        return np.concatenate([self.groups[j] for j in drawn])
+        sizes = self.sizes[drawn]
+        ends = np.cumsum(sizes)
+        within = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        return self.order[np.repeat(self.starts[drawn], sizes) + within]
+
+
+class _ShareSample:
+    """The share inputs of one phase, pinned once; ``share`` reads any
+    row gather of them."""
+
+    def __init__(self, design: SelectionDesign):
+        self.kind = design.kind
+        self.share_z = design.share_z
+        self.z = design.z
+        self.precise = design.kind == ZKind.PRECISE.value
+        self.trials = _TrialIndex(design.trial_id)
+
+    def bandwidth(self, rows: np.ndarray | slice = slice(None)) -> float:
+        return _auto_bandwidth(self.z[rows][self.precise[rows]])
+
+    def share(self, rows, weights: np.ndarray, cutoff: float, bandwidth: float) -> float:
+        return censored_aware_share(
+            self.kind[rows], self.share_z[rows], weights, cutoff, bandwidth
+        )
 
 
 def decompose(
@@ -166,24 +186,18 @@ def decompose(
 ) -> DecompositionReport:
     """Point decomposition plus trial-clustered bootstrap of the whole
     estimation procedure (selection refit, reweighting, share
-    computation in every repetition)."""
+    computation in every repetition).  The reps share one phase II design
+    matrix and gather their rows from it."""
     if model is None:
         model = fit_logit(build_design(table, link_results, outcome_rank=outcome_rank))
     ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)
     ph3_design = phase_scores(table, Phase.PHASE3, outcome_rank)
+    ph2, ph3 = _ShareSample(ph2_design), _ShareSample(ph3_design)
 
-    h2 = _auto_bandwidth(ph2_design.z[ph2_design.kind == ZKind.PRECISE.value])
-    h3 = _auto_bandwidth(ph3_design.z[ph3_design.kind == ZKind.PRECISE.value])
-
-    def shares_given(ph2_d, ph3_d, mdl) -> tuple[float, float, float]:
-        b2 = _auto_bandwidth(ph2_d.z[ph2_d.kind == ZKind.PRECISE.value])
-        b3 = _auto_bandwidth(ph3_d.z[ph3_d.kind == ZKind.PRECISE.value])
-        s_ph2 = _unit_share(ph2_d, cutoff, b2)
-        s_ph3 = _unit_share(ph3_d, cutoff, b3)
-        s_sc = counterfactual_share(ph2_d, mdl, cutoff, b2)
-        return s_ph2, s_ph3, s_sc
-
-    s_ph2, s_ph3, s_sc = shares_given(ph2_design, ph3_design, model)
+    h2, h3 = ph2.bandwidth(), ph3.bandwidth()
+    s_ph2 = ph2.share(slice(None), np.ones(ph2_design.n_obs), cutoff, h2)
+    s_ph3 = ph3.share(slice(None), np.ones(ph3_design.n_obs), cutoff, h3)
+    s_sc = counterfactual_share(ph2_design, model, cutoff, h2)
 
     shares = {"ph2": s_ph2, "ph3": s_ph3, "ph2_sc": s_sc}
     diffs = {
@@ -195,28 +209,26 @@ def decompose(
     std_errs = {k: float("nan") for k in (*SHARE_KEYS, *DIFF_KEYS)}
     dropped = 0
     if bootstrap_reps > 0:
-        row_label = link_labels(ph2_design.trial_id, link_results)
-        idx2 = _TrialIndex(ph2_design)
-        idx3 = _TrialIndex(ph3_design)
+        pinned = PinnedDesign(
+            ph2_design, link_labels(ph2_design.trial_id, link_results), model
+        )
         streams = np.random.SeedSequence(seed).spawn(bootstrap_reps)
         draws = np.full((bootstrap_reps, 6), np.nan)
-        warm = dict(zip(model.names, model.coef))
         for r in range(bootstrap_reps):
             rng = np.random.default_rng(streams[r])
+            rows2 = ph2.trials.resample_rows(rng)
+            rows3 = ph3.trials.resample_rows(rng)
             try:
-                rows2 = idx2.resample_rows(rng)
-                ph2_r = ph2_design.subset(rows2)
-                ph3_r = ph3_design.subset(idx3.resample_rows(rng))
-                labels = row_label[rows2]
-                keep = ~np.isnan(labels)
-                fit_r = ph2_r.subset(np.where(keep)[0])
-                # the resampled fitting rows keep their original labels
-                fit_r.y = labels[keep]
-                mdl_r = fit_logit(fit_r, warm_start=warm)
-                if not mdl_r.converged:
+                w = pinned.refit_predict(rows2)
+                if w is None:
                     dropped += 1
                     continue
-                a, b, c = shares_given(ph2_r, ph3_r, mdl_r)
+                if float(w.sum()) <= 0:
+                    raise ValueError("all predicted weights are zero")
+                b2, b3 = ph2.bandwidth(rows2), ph3.bandwidth(rows3)
+                a = ph2.share(rows2, np.ones(len(rows2)), cutoff, b2)
+                b = ph3.share(rows3, np.ones(len(rows3)), cutoff, b3)
+                c = ph2.share(rows2, w, cutoff, b2)
                 draws[r] = (a, b, c, b - a, b - c, c - a)
             except (ValueError, np.linalg.LinAlgError, RuntimeError):
                 dropped += 1
@@ -252,17 +264,24 @@ def sponsor_split_sweep(
 ) -> list[dict]:
     """Explained fraction (ph2_sc - ph2) / (ph3 - ph2) for Large and Small
     groups under every sponsor-split definition; degenerate or failing
-    cells are flagged with a reason."""
+    cells are flagged with a reason.  A cell's links are cut down to the
+    cell's trials."""
     rows: list[dict] = []
     cache: dict[tuple, dict] = {}
+    sponsors = frozenset(table.industry_sponsor.values())
     for split in splits:
+        # the Large sponsors present fix both cells of a split
+        large = sponsors.intersection(
+            k for k, g in split.classification.items() if g == "Large"
+        )
         for group, members in table.sponsor_groups(split):
-            key = (group, members.tobytes())
+            key = (group, large)
             if key not in cache:
                 cell: dict = {}
                 try:
+                    links = restrict_links(link_results, table.group_trials(split, group))
                     rep = decompose(
-                        table.subset(members), link_results, bootstrap_reps=0,
+                        table.subset(members), links, bootstrap_reps=0,
                         cutoff=cutoff, outcome_rank=outcome_rank,
                     )
                     gap = rep.diffs["ph3_minus_ph2"]

@@ -130,27 +130,36 @@ def _pair_counts(x: np.ndarray, nb: int = 1024) -> tuple[np.ndarray, float]:
     return cnt, d
 
 
-def _phi4_sum(cnt: np.ndarray, d: float, n: int, h: float) -> float:
+def _pair_distances(cnt: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distances and pair counts of the nonempty pair-count bins, in
+    increasing distance."""
+    k = np.flatnonzero(cnt)
+    return k * d, cnt[k]
+
+
+def _scaled(dist: np.ndarray, cnt: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Squared scaled distances below 1000 and their counts; the squares
+    increase with the distances, so they are a prefix."""
+    delta = (dist / h) ** 2
+    m = int(np.searchsorted(delta, 1000.0))
+    return delta[:m], cnt[:m]
+
+
+def _phi4_sum(dist: np.ndarray, cnt: np.ndarray, n: int, h: float) -> float:
     """Estimate of the integrated squared second density derivative."""
-    k = np.arange(len(cnt))
-    delta = (k * d / h) ** 2
-    mask = delta < 1000.0
-    delta = delta[mask]
+    delta, c = _scaled(dist, cnt, h)
     terms = np.exp(-delta / 2.0) * (delta * delta - 6.0 * delta + 3.0)
-    s = float(np.dot(terms, cnt[mask]))
+    s = float(np.dot(terms, c))
     s = 2.0 * s + n * 3.0
     return s / (n * (n - 1) * h**5 * _SQRT_2PI)
 
 
-def _phi6_sum(cnt: np.ndarray, d: float, n: int, h: float) -> float:
-    k = np.arange(len(cnt))
-    delta = (k * d / h) ** 2
-    mask = delta < 1000.0
-    delta = delta[mask]
+def _phi6_sum(dist: np.ndarray, cnt: np.ndarray, n: int, h: float) -> float:
+    delta, c = _scaled(dist, cnt, h)
     terms = np.exp(-delta / 2.0) * (
         delta**3 - 15.0 * delta * delta + 45.0 * delta - 15.0
     )
-    s = float(np.dot(terms, cnt[mask]))
+    s = float(np.dot(terms, c))
     s = 2.0 * s + n * (-15.0)
     return s / (n * (n - 1) * h**7 * _SQRT_2PI)
 
@@ -169,12 +178,12 @@ def sj_bandwidth(sample: Sequence[float], nb: int = 1024) -> BandwidthResult:
         raise ValueError("need at least 10 distinct values for a plug-in bandwidth")
     n = len(x)
     lam = _scale(x)
-    cnt, d = _pair_counts(x, nb=nb)
+    dist, cnt = _pair_distances(*_pair_counts(x, nb=nb))
 
     a = 0.920 * lam * n ** (-1.0 / 7.0)
     b = 0.912 * lam * n ** (-1.0 / 9.0)
-    tdb = -_phi6_sum(cnt, d, n, b)
-    sda = _phi4_sum(cnt, d, n, a)
+    tdb = -_phi6_sum(dist, cnt, n, b)
+    sda = _phi4_sum(dist, cnt, n, a)
 
     sd_full = float(np.std(x, ddof=1))
     lo, hi = sd_full / n, 2.0 * sd_full
@@ -183,7 +192,7 @@ def sj_bandwidth(sample: Sequence[float], nb: int = 1024) -> BandwidthResult:
         if tdb <= 0 or sda <= 0:
             return float("nan")
         alpha2 = 1.357 * (sda / tdb) ** (1.0 / 7.0) * h ** (5.0 / 7.0)
-        s = _phi4_sum(cnt, d, n, alpha2)
+        s = _phi4_sum(dist, cnt, n, alpha2)
         if s <= 0:
             return float("nan")
         return (1.0 / (2.0 * math.sqrt(math.pi) * n * s)) ** 0.2 - h

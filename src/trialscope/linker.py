@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -28,6 +28,7 @@ __all__ = [
     "build_synonym_map",
     "link",
     "link_all",
+    "restrict_links",
     "DEFAULT_MESH_STOPLIST",
     "LINK_COMPLETION_CUTOFF",
 ]
@@ -119,6 +120,19 @@ class LinkResult:
     @property
     def eligible(self) -> bool:
         return self.skip_reason == ""
+
+
+def restrict_links(
+    link_results: Iterable[LinkResult], trial_ids: frozenset[str] | set[str]
+) -> list[LinkResult]:
+    """The links of the phase II trials in ``trial_ids``, each match set cut
+    down to the phase III trials in ``trial_ids``.  Matching is pairwise,
+    so this equals linking those trials alone."""
+    return [
+        r if r.matched_phase3_ids <= trial_ids
+        else replace(r, matched_phase3_ids=r.matched_phase3_ids & trial_ids)
+        for r in link_results if r.phase2_id in trial_ids
+    ]
 
 
 @dataclass

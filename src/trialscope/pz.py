@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.special import erfc
@@ -345,6 +345,9 @@ class OutcomeTable:
     placebo: np.ndarray
     condition: np.ndarray
     year: np.ndarray
+    # canonical sponsor key of every industry trial of the registry,
+    # with or without outcomes
+    industry_sponsor: Mapping[str, str]
 
     @classmethod
     def of(cls, reg: Registry, side: Sidedness, kind, z, bound) -> "OutcomeTable":
@@ -382,13 +385,15 @@ class OutcomeTable:
             placebo=col(4, int),
             condition=col(5, str),
             year=col(6, str),
+            industry_sponsor={tid: c[2] for tid, c in trial_cols.items() if c[1]},
         )
 
     def subset(self, rows: np.ndarray) -> "OutcomeTable":
         """The rows selected by a mask or index array, in table order."""
-        return replace(
-            self, **{f.name: getattr(self, f.name)[rows] for f in fields(self) if f.name != "side"}
-        )
+        return replace(self, **{
+            f.name: getattr(self, f.name)[rows]
+            for f in fields(self) if f.name not in ("side", "industry_sponsor")
+        })
 
     def isin(self, column: str, values) -> np.ndarray:
         """Row mask: the value of ``column`` is one of ``values``."""
@@ -407,6 +412,15 @@ class OutcomeTable:
         """Industry row masks of the Large and Small groups of a sponsor split."""
         large = self.isin("sponsor", (k for k, g in split.classification.items() if g == "Large"))
         return ("Large", self.industry & large), ("Small", self.industry & ~large)
+
+    def group_trials(self, split: SponsorSplit, group: str) -> frozenset[str]:
+        """The industry trials of the registry, outcomes or not, in one group
+        ("Large" or "Small") of a sponsor split."""
+        large = group == "Large"
+        return frozenset(
+            tid for tid, key in self.industry_sponsor.items()
+            if (split.classification.get(key) == "Large") == large
+        )
 
 
 def outcome_table(reg: Registry, side: Sidedness = Sidedness.TWO_SIDED) -> OutcomeTable:

@@ -10,7 +10,7 @@ small-sample factor, clustered at the condition-category level.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -21,6 +21,7 @@ from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
 from .registry import OutcomeRank, Phase, Registry
 
 __all__ = [
+    "PinnedDesign",
     "SelectionDesign",
     "SelectionModel",
     "SeparationError",
@@ -90,6 +91,9 @@ class SelectionDesign:
             mht=self.mht[idx], condition=self.condition[idx], year=self.year[idx],
             trial_id=self.trial_id[idx], kind=self.kind[idx], bound=self.bound[idx],
         )
+
+
+_DESIGN_COLUMNS = frozenset(f.name for f in fields(SelectionDesign))
 
 
 @dataclass
@@ -226,39 +230,157 @@ def build_matrix(
 
 
 def _drop_collinear(
-    X: np.ndarray, names: list[str], tol: float = 1e-8
-) -> tuple[np.ndarray, list[str], list[str]]:
-    """Greedy Gram-Schmidt column filter; earlier columns win, so the core
-    regressors (listed first) are always retained."""
-    n, k = X.shape
-    Q = np.empty((n, 0))
-    keep, dropped = [], []
-    for j in range(k):
+    X: np.ndarray, names: Sequence[str], tol: float = 1e-8
+) -> tuple[np.ndarray, list[str]]:
+    """Indices of the columns a greedy Gram-Schmidt pass keeps, and the
+    names it drops.  A column is kept when its residual on the kept
+    earlier columns exceeds ``tol`` times its norm (at least 1); earlier
+    columns win, so the core regressors (listed first) are always retained.
+
+    Columns of norm at most ``tol`` are dropped first: the greedy pass
+    drops them and they leave its basis unchanged.  The residual norms of
+    the others are the pivots of the Cholesky factor of X'X; when every
+    pivot clears 100 times its tolerance, the greedy pass would keep every
+    column and is skipped.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    cols = np.flatnonzero(norms > tol)
+    Xc = X if len(cols) == X.shape[1] else X[:, cols]
+    floor = tol * np.maximum(norms[cols], 1.0)
+    try:
+        pivots = np.diag(np.linalg.cholesky(Xc.T @ Xc))
+        screened = bool(np.all(pivots > 100.0 * floor))
+    except np.linalg.LinAlgError:
+        screened = False
+    if not screened:
+        cols = cols[_greedy_keep(Xc, floor)]
+    kept = set(cols.tolist())
+    dropped = [nm for j, nm in enumerate(names) if j not in kept]
+    if dropped:
+        warnings.warn(f"dropping collinear columns: {dropped}")
+    return cols, dropped
+
+
+def _greedy_keep(X: np.ndarray, floor: np.ndarray) -> list[int]:
+    """Columns whose Gram-Schmidt residual on the kept earlier columns
+    exceeds their ``floor``."""
+    Q = np.empty((X.shape[0], 0))
+    keep = []
+    for j in range(X.shape[1]):
         col = X[:, j]
         resid = col - Q @ (Q.T @ col) if Q.shape[1] else col.copy()
         norm = np.linalg.norm(resid)
-        if norm > tol * max(np.linalg.norm(col), 1.0):
+        if norm > floor[j]:
             keep.append(j)
             Q = np.column_stack([Q, resid / norm])
-        else:
-            dropped.append(names[j])
-    if dropped:
-        warnings.warn(f"dropping collinear columns: {dropped}")
-    return X[:, keep], [names[j] for j in keep], dropped
+    return keep
 
 
 def _expit(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Logistic function, overflow-free: 1/(1+e^-x) for x >= 0 and
+    e^x/(1+e^x) below."""
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def _log_likelihood(y: np.ndarray, p: np.ndarray) -> float:
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
     return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def _cluster_sums(scores: np.ndarray, clusters: np.ndarray) -> np.ndarray:
+    """Row sums of ``scores`` within each cluster present, one row per
+    cluster, for integer cluster codes."""
+    order = np.argsort(clusters, kind="stable")
+    codes = clusters[order]
+    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+    return np.add.reduceat(scores[order], starts, axis=0)
+
+
+@dataclass
+class _Fit:
+    beta: np.ndarray
+    converged: bool
+    vcov: np.ndarray
+    n_clusters: int
+    log_likelihood: float
+
+
+def _irls(
+    X: np.ndarray,
+    y: np.ndarray,
+    clusters: np.ndarray,
+    beta: np.ndarray,
+    names: Sequence[str],
+    max_iter: int = 100,
+    score_tol: float = 1e-8,
+    ll_tol: float = 1e-12,
+) -> _Fit:
+    """The logit fit on a screened matrix: IRLS from ``beta``, the
+    separation check and the clustered sandwich covariance (``clusters``
+    are integer codes) with its positive-semidefiniteness check."""
+    if y.size == 0 or y.min() == y.max():
+        raise ValueError("need both outcome classes to fit a logit")
+    n, k = X.shape
+    p = _expit(X @ beta)
+    ll = _log_likelihood(y, p)
+    ll_old = -np.inf
+    converged = False
+    for _ in range(max_iter):
+        score = X.T @ (y - p)
+        if np.max(np.abs(score)) < score_tol:
+            converged = True
+            break
+        if np.isfinite(ll_old) and abs(ll - ll_old) < ll_tol * (abs(ll_old) + 1e-30):
+            converged = True
+            break
+        ll_old = ll
+        w = np.maximum(p * (1.0 - p), 1e-10)
+        XtWX = (X * w[:, None]).T @ X
+        try:
+            delta = np.linalg.solve(XtWX, score)
+        except np.linalg.LinAlgError as exc:
+            raise SeparationError(f"singular information matrix: {exc}") from exc
+        # dampened step if the likelihood would not improve
+        step = 1.0
+        for _ in range(8):
+            cand = beta + step * delta
+            p_cand = _expit(X @ cand)
+            ll_cand = _log_likelihood(y, p_cand)
+            if ll_cand >= ll - 1e-12:
+                break
+            step *= 0.5
+        else:
+            cand = beta + step * delta
+            p_cand = _expit(X @ cand)
+            ll_cand = _log_likelihood(y, p_cand)
+        beta, p, ll = cand, p_cand, ll_cand
+
+    w = np.maximum(p * (1.0 - p), 1e-10)
+    XtWX = (X * w[:, None]).T @ X
+    bread = np.linalg.inv(XtWX)
+
+    plain_se = np.sqrt(np.maximum(np.diag(bread), 0.0))
+    blown = (np.abs(beta) > 15.0) & (plain_se > 5.0)
+    if np.any(blown):
+        bad = [names[j] for j in np.where(blown)[0]]
+        raise SeparationError(
+            f"complete separation suspected: runaway coefficient on {bad}"
+        )
+
+    sums = _cluster_sums((y - p)[:, None] * X, clusters)
+    meat = sums.T @ sums
+    n_clusters = len(sums)
+    if n_clusters > 1:
+        factor = (n_clusters / (n_clusters - 1.0)) * ((n - 1.0) / max(n - k, 1.0))
+    else:
+        factor = 1.0
+    vcov = factor * bread @ meat @ bread
+    vcov = 0.5 * (vcov + vcov.T)
+    eigs = np.linalg.eigvalsh(vcov)
+    if eigs.min() < -1e-8 * max(eigs.max(), 1.0):
+        raise RuntimeError("clustered covariance is not positive semidefinite")
+    return _Fit(beta, converged, vcov, n_clusters, ll)
 
 
 def fit_logit(
@@ -273,96 +395,69 @@ def fit_logit(
 
     Convergence when the largest score component falls below ``score_tol``
     or the relative log-likelihood change falls below ``ll_tol``.
-    Clusters default to the condition category; the sandwich carries the
+    Clusters are the values of the design column ``cluster_by``, by
+    default the condition category; the sandwich carries the
     G/(G-1) * (N-1)/(N-K) small-sample factor.  ``warm_start`` seeds named
     coefficients (bootstrap refits converge in a few steps).
     """
+    if cluster_by not in _DESIGN_COLUMNS:
+        raise ValueError(f"unknown cluster column {cluster_by!r}")
+    clusters = np.unique(getattr(design, cluster_by).astype(str), return_inverse=True)[1]
     y = design.y.astype(float)
-    if len(np.unique(y)) < 2:
-        raise ValueError("need both outcome classes to fit a logit")
     X_full, names_full, levels = build_matrix(design)
-    X, names, dropped = _drop_collinear(X_full, names_full)
-    n, k = X.shape
-
-    if warm_start is None:
-        beta = np.zeros(k)
-    else:
-        beta = np.array([warm_start.get(nm, 0.0) for nm in names])
-    ll_old = -np.inf
-    converged = False
-    for _ in range(max_iter):
-        eta = X @ beta
-        p = _expit(eta)
-        w = np.maximum(p * (1.0 - p), 1e-10)
-        score = X.T @ (y - p)
-        ll = _log_likelihood(y, p)
-        if np.max(np.abs(score)) < score_tol:
-            converged = True
-            break
-        if np.isfinite(ll_old) and abs(ll - ll_old) < ll_tol * (abs(ll_old) + 1e-30):
-            converged = True
-            break
-        ll_old = ll
-        XtWX = (X * w[:, None]).T @ X
-        try:
-            delta = np.linalg.solve(XtWX, score)
-        except np.linalg.LinAlgError as exc:
-            raise SeparationError(f"singular information matrix: {exc}") from exc
-        # dampened step if the likelihood would not improve
-        step = 1.0
-        for _ in range(8):
-            cand = beta + step * delta
-            if _log_likelihood(y, _expit(X @ cand)) >= ll - 1e-12:
-                break
-            step *= 0.5
-        beta = beta + step * delta
-
-    eta = X @ beta
-    p = _expit(eta)
-    w = np.maximum(p * (1.0 - p), 1e-10)
-    XtWX = (X * w[:, None]).T @ X
-    bread = np.linalg.inv(XtWX)
-
-    plain_se = np.sqrt(np.maximum(np.diag(bread), 0.0))
-    blown = (np.abs(beta) > 15.0) & (plain_se > 5.0)
-    if np.any(blown):
-        bad = [names[j] for j in np.where(blown)[0]]
-        raise SeparationError(
-            f"complete separation suspected: runaway coefficient on {bad}"
-        )
-
-    clusters = getattr(design, cluster_by) if cluster_by != "condition" else design.condition
-    clusters = clusters.astype(str)
-    resid = (y - p)[:, None] * X
-    meat = np.zeros((k, k))
-    labels = np.unique(clusters)
-    for g in labels:
-        s_g = resid[clusters == g].sum(axis=0)
-        meat += np.outer(s_g, s_g)
-    n_clusters = len(labels)
-    if n_clusters > 1:
-        factor = (n_clusters / (n_clusters - 1.0)) * ((n - 1.0) / max(n - k, 1.0))
-    else:
-        factor = 1.0
-    vcov = factor * bread @ meat @ bread
-    vcov = 0.5 * (vcov + vcov.T)
-    eigs = np.linalg.eigvalsh(vcov)
-    if eigs.min() < -1e-8 * max(eigs.max(), 1.0):
-        raise RuntimeError("clustered covariance is not positive semidefinite")
-
+    cols, dropped = _drop_collinear(X_full, names_full)
+    names = [names_full[j] for j in cols]
+    warm = warm_start or {}
+    beta = np.array([warm.get(nm, 0.0) for nm in names])
+    fit = _irls(X_full[:, cols], y, clusters, beta, names, max_iter, score_tol, ll_tol)
     return SelectionModel(
         names=names,
-        coef=beta,
-        vcov=vcov,
-        converged=converged,
-        n_obs=n,
+        coef=fit.beta,
+        vcov=fit.vcov,
+        converged=fit.converged,
+        n_obs=len(y),
         n_trials=design.n_trials,
-        n_clusters=n_clusters,
-        log_likelihood=_log_likelihood(y, p),
+        n_clusters=fit.n_clusters,
+        log_likelihood=fit.log_likelihood,
         mean_dep=float(y.mean()),
         levels=levels,
         dropped=dropped,
     )
+
+
+class PinnedDesign:
+    """The matrix of a design, built once with its full-sample dummy
+    layout, for logit refits on row gathers of it (bootstrap reps).
+
+    Rows labelled NaN enter predictions but not fits.  A refit screens the
+    gathered columns, so a dummy level absent from its fitting rows folds
+    into the reference, and starts from the coefficients of ``start``.
+    """
+
+    def __init__(self, design: SelectionDesign, labels: np.ndarray, start: SelectionModel):
+        self.X, self.names, _ = build_matrix(design)
+        self.labels = labels
+        self.fitting = ~np.isnan(labels)
+        self.clusters = np.unique(design.condition.astype(str), return_inverse=True)[1]
+        warm = start.coefficients
+        self.beta0 = np.array([warm.get(nm, 0.0) for nm in self.names])
+
+    def refit_predict(self, rows: np.ndarray) -> np.ndarray | None:
+        """Continuation probabilities of the gathered rows from a refit on
+        their labelled rows, clustered by condition; None when the refit
+        does not converge.  Raises like :func:`fit_logit`."""
+        X = self.X[rows]
+        fitting = self.fitting[rows]
+        X_fit = X if fitting.all() else X[fitting]
+        cols, _ = _drop_collinear(X_fit, self.names)
+        if len(cols) < len(self.names):
+            X, X_fit = X[:, cols], X_fit[:, cols]
+        fit_rows = rows[fitting]
+        fit = _irls(
+            X_fit, self.labels[fit_rows], self.clusters[fit_rows],
+            self.beta0[cols], [self.names[j] for j in cols],
+        )
+        return _expit(X @ fit.beta) if fit.converged else None
 
 
 def wald_equality(

@@ -12,6 +12,7 @@ from trialscope.linker import (
     link,
     link_all,
     load_synonyms,
+    restrict_links,
 )
 from trialscope.registry import (
     Phase,
@@ -218,6 +219,18 @@ class TestLinkAll:
             )
             checked += 1
         assert checked > 50
+
+    def test_restricted_links_equal_linking_the_subset(self, sim_small):
+        reg, truth, links, summary = sim_small
+        ids = frozenset(list(reg.trials)[::2])
+        alone, _ = link_all(reg.filter_trials(lambda t: t.trial_id in ids),
+                            synonyms=build_synonym_map(truth.synonym_pairs))
+        cut = restrict_links(links, ids)
+        assert sum(r.matched_phase3_ids != c.matched_phase3_ids
+                   for r, c in zip([r for r in links if r.phase2_id in ids], cut)) > 0
+        assert {r.phase2_id: (r.matched_phase3_ids, r.skip_reason) for r in cut} == {
+            r.phase2_id: (r.matched_phase3_ids, r.skip_reason) for r in alone
+        }
 
     def test_summary_rates(self, sim_small):
         reg, truth, links, summary = sim_small

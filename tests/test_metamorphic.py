@@ -1,5 +1,5 @@
 """Metamorphic checks: the results do not depend on the order of the input
-rows or on what the trials are called."""
+rows, on what the trials are called or on the scale of the weights."""
 
 import csv
 
@@ -7,10 +7,16 @@ import numpy as np
 import pytest
 
 from trialscope.cli import main
-from trialscope.decompose import decompose, sponsor_split_sweep
+from trialscope.decompose import (
+    censored_aware_share,
+    decompose,
+    phase_scores,
+    sponsor_split_sweep,
+)
+from trialscope.density import KdeSpec, kde
 from trialscope.discontinuity import sponsor_sweep
 from trialscope.linker import link_all, load_synonyms
-from trialscope.pz import outcome_table
+from trialscope.pz import Z_SIG, outcome_table
 from trialscope.registry import Phase, all_sponsor_splits, apply_sample_filters, ingest
 
 
@@ -96,3 +102,26 @@ def test_trial_relabel_invariance(sim_csvs, baseline, tmp_path):
         rewrite(outcomes, tmp_path / "outcomes.csv", relabel=relabel),
     )
     assert_close(baseline, results(*renamed, rankings, synonyms, tmp_path))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e3])
+def test_weight_scale_invariance(sim_small, scale):
+    ph2 = phase_scores(outcome_table(sim_small[0]), Phase.PHASE2)
+    w = np.random.default_rng(10).uniform(0.1, 2.0, ph2.n_obs)
+    for h in (0.2, 0.45):
+        share = censored_aware_share(ph2.kind, ph2.share_z, w, Z_SIG, h)
+        scaled = censored_aware_share(ph2.kind, ph2.share_z, scale * w, Z_SIG, h)
+        assert scaled == pytest.approx(share, rel=0, abs=1e-12)
+    precise = ph2.kind == "precise"
+    z, wz = ph2.z[precise], w[precise]
+    for spec, scaled_spec in (
+        (KdeSpec(weights=wz), KdeSpec(weights=scale * wz)),
+        (KdeSpec(bandwidth=0.3, weights=wz, boundary_reflection=True),
+         KdeSpec(bandwidth=0.3, weights=scale * wz, boundary_reflection=True)),
+    ):
+        a = kde(z, spec, bootstrap_bands=True, bootstrap_reps=20, seed=4)
+        b = kde(z, scaled_spec, bootstrap_bands=True, bootstrap_reps=20, seed=4)
+        assert np.array_equal(a.grid, b.grid)
+        for va, vb in ((a.values, b.values), (a.band_low, b.band_low),
+                       (a.band_high, b.band_high)):
+            assert np.max(np.abs(va - vb)) <= 1e-12

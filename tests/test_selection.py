@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -9,6 +11,7 @@ from trialscope.selection import (
     SelectionDesign,
     SelectionModel,
     SeparationError,
+    _drop_collinear,
     build_design,
     build_matrix,
     fit_logit,
@@ -170,6 +173,62 @@ class TestFit:
         assert np.max(np.abs(m1.coef - m2.coef)) < 1e-7
 
 
+def greedy_columns(X, tol=1e-8):
+    """Columns kept by the greedy Gram-Schmidt filter, one column at a time:
+    the reference for the screened ``_drop_collinear``."""
+    Q = np.empty((X.shape[0], 0))
+    keep = []
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        resid = col - Q @ (Q.T @ col) if Q.shape[1] else col.copy()
+        norm = np.linalg.norm(resid)
+        if norm > tol * max(np.linalg.norm(col), 1.0):
+            keep.append(j)
+            Q = np.column_stack([Q, resid / norm])
+    return keep
+
+
+class TestColumnScreen:
+    @pytest.fixture
+    def matrix(self):
+        design, _ = synthetic_design(np.random.default_rng(12), 800)
+        X, names, _ = build_matrix(design)
+        return X, names
+
+    def screened(self, X, names):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return _drop_collinear(X, names)[0].tolist()
+
+    def test_full_rank_keeps_all(self, matrix):
+        X, names = matrix
+        assert self.screened(X, names) == greedy_columns(X) == list(range(X.shape[1]))
+
+    @pytest.mark.parametrize("offset, kept", [(0.0, False), (1e-7, True), (1e-10, False)])
+    def test_duplicate_and_near_duplicate(self, matrix, offset, kept):
+        X, names = matrix
+        rng = np.random.default_rng(13)
+        noise = rng.normal(size=X.shape[0])
+        # column 5 (placebo) is replaced by z plus a residual of relative size offset
+        X = X.copy()
+        X[:, 5] = X[:, 1] + offset * np.linalg.norm(X[:, 1]) * noise / np.linalg.norm(noise)
+        expected = greedy_columns(X)
+        assert (5 in expected) is kept
+        assert self.screened(X, names) == expected
+
+    def test_zero_and_constant_sum_columns(self, matrix):
+        X, names = matrix
+        X = X.copy()
+        X[:, 8] = 0.0  # a level absent from the rows
+        X[:, 9] = X[:, 0] - X[:, 10:].sum(axis=1)  # dummies summing to the constant
+        expected = greedy_columns(X)
+        assert len(expected) < X.shape[1] - 1
+        with pytest.warns(UserWarning, match="collinear"):
+            cols, dropped = _drop_collinear(X, names)
+        assert cols.tolist() == expected
+        assert dropped == [names[j] for j in range(X.shape[1]) if j not in expected]
+
+
 class TestWald:
     def test_identical_models_p_one(self):
         design, _ = synthetic_design(np.random.default_rng(7), 1500)
@@ -193,6 +252,16 @@ class TestWald:
             ps.append(wald_equality(ma, mb))
         stat = kstest(ps, "uniform")
         assert stat.pvalue > 0.01
+
+    def test_cluster_by_any_column(self):
+        design, _ = synthetic_design(np.random.default_rng(14), 600)
+        assert fit_logit(design, cluster_by="year").n_clusters == len(np.unique(design.year))
+        assert fit_logit(design, cluster_by="trial_id").n_clusters == design.n_trials
+
+    def test_unknown_cluster_column(self):
+        design, _ = synthetic_design(np.random.default_rng(15), 300)
+        with pytest.raises(ValueError, match="cluster column 'sponsor'"):
+            fit_logit(design, cluster_by="sponsor")
 
     def test_missing_coefficient(self):
         design, _ = synthetic_design(np.random.default_rng(8), 800)
