@@ -11,6 +11,7 @@ simple pre-binned histogram test is provided as a cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -70,8 +71,11 @@ def _min_matrix(q: int, n_nodes: int = 96) -> np.ndarray:
     return upow.T @ core @ upow
 
 
+@functools.cache
 def _slope_constants(q: int) -> tuple[float, float]:
-    """(bias constant, variance constant) of the boundary density slope."""
+    """(bias constant, variance constant) of the boundary density slope.
+
+    They depend on the order alone, so each order is computed once."""
     s_inv = np.linalg.inv(_moment_matrix(q))
     e = s_inv[1]  # row selecting the linear coefficient
     c_bias = float(e @ _bias_vector(q)) / math.factorial(q + 1)

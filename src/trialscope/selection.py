@@ -14,7 +14,6 @@ from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.stats import chi2
 
 from .linker import LinkResult
 from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
@@ -481,6 +480,10 @@ def wald_equality(
     except np.linalg.LinAlgError as exc:
         raise ValueError("combined covariance is singular") from exc
     stat = float(diff @ sol)
+    # imported here: scipy.stats takes most of a second to load, and no CLI
+    # command needs it
+    from scipy.stats import chi2
+
     return float(chi2.sf(stat, df=len(coef_names)))
 
 

@@ -166,10 +166,6 @@ class SimTruth:
         return self.phase3_share_reported(cutoff) - self.phase3_share_full(cutoff)
 
 
-def _norm_cdf(x: np.ndarray) -> np.ndarray:
-    return pz.norm_cdf(x)
-
-
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * np.asarray(x) ** 2) / math.sqrt(2.0 * math.pi)
 
@@ -178,7 +174,7 @@ def _tail_payoff(mu: np.ndarray, c: float) -> np.ndarray:
     """E[|T| 1{|T|>c}] for T ~ N(mu, 1)."""
     mu = np.asarray(mu, dtype=float)
     return (
-        mu * ((1.0 - _norm_cdf(c - mu)) - _norm_cdf(-c - mu))
+        mu * ((1.0 - pz.norm_cdf(c - mu)) - pz.norm_cdf(-c - mu))
         + _norm_pdf(c - mu)
         + _norm_pdf(c + mu)
     )

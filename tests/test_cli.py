@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,3 +217,13 @@ class TestHeavierSubcommands:
         preds = (tmp_path / "selection_predictions.csv").read_text().splitlines()
         assert preds[0] == "trial_id,row,continuation,p_hat"
         assert (tmp_path / "selection_curve.svg").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs every CLI process most of a second; no command needs it
+    code = "import sys, trialscope.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "False"

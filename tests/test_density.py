@@ -14,7 +14,10 @@ from trialscope.density import (
     sj_bandwidth,
 )
 from trialscope.decompose import censored_aware_share
-from trialscope.pz import Z_SIG, ZKind, ZScore
+from trialscope.density import _KernelSums
+from trialscope.pz import Z_SIG, ZKind, ZScore, outcome_table
+from trialscope.registry import Phase
+from trialscope.simulate import SimConfig, generate
 
 
 def lscv_bandwidth(x, lo, hi):
@@ -70,7 +73,129 @@ class TestSjBandwidth:
         assert out.h > 0
 
 
+def brute_force_density(x, w, h, grid, reflect):
+    """The kernel sum at each grid point, one dot product per point, over
+    the observations within one bandwidth (the reference for the prefix-sum
+    evaluation)."""
+    W = w.sum()
+    order = np.argsort(x)
+    xs, ws = x[order], w[order]
+    out = np.zeros_like(grid, dtype=float)
+    lo = np.searchsorted(xs, grid - h, side="left")
+    hi = np.searchsorted(xs, grid + h, side="right")
+    for i, g in enumerate(grid):
+        s = slice(lo[i], hi[i])
+        if s.start == s.stop:
+            continue
+        u = (g - xs[s]) / h
+        out[i] = np.dot(ws[s], 0.75 * (1.0 - u * u))
+    out /= W * h
+    if reflect:
+        ref = np.zeros_like(grid, dtype=float)
+        lo = np.searchsorted(xs, -grid - h, side="left")
+        hi = np.searchsorted(xs, -grid + h, side="right")
+        for i, g in enumerate(grid):
+            s = slice(lo[i], hi[i])
+            if s.start == s.stop:
+                continue
+            u = (-g - xs[s]) / h
+            ref[i] = np.dot(ws[s], 0.75 * (1.0 - u * u))
+        out += ref / (W * h)
+    return out
+
+
+@pytest.fixture(scope="module")
+def registry_scale_sample():
+    """Precise phase II z-scores of a 5,000-trial simulated registry, the
+    size of the benchmark's report registry, with their bandwidth and the
+    default 512-point grid."""
+    reg, _ = generate(SimConfig(n_trials=5000, seed=101))
+    t = outcome_table(reg)
+    z = t.z[t.sample(Phase.PHASE2) & t.precise]
+    h = float(sj_bandwidth(z))
+    return z, h, default_grid(z, h)
+
+
+class TestPrefixSumEvaluation:
+    """Small samples pass with plain float64 prefix sums too; only a sample
+    at registry scale shows their cancellation."""
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    @pytest.mark.parametrize("weighting", ["unit", "random"])
+    def test_registry_scale_matches_brute_force(self, registry_scale_sample, reflect, weighting):
+        z, h, grid = registry_scale_sample
+        assert z.size > 4000 and grid.size == 512
+        w = np.ones(z.size) if weighting == "unit" else (
+            np.random.default_rng(13).uniform(0.1, 3.0, z.size))
+        ref = brute_force_density(z, w, h, grid, reflect)
+        for scale in (1.0, 1e-3, 1e3):
+            got = _KernelSums(z, h, grid, reflect)(scale * w)
+            assert np.max(np.abs(got - ref)) <= 1e-12, scale
+
+    def test_windows_past_the_sample_are_zero(self):
+        x = np.random.default_rng(14).uniform(5.0, 6.0, 200)
+        grid = np.concatenate([np.linspace(0.0, 4.4, 12), np.linspace(6.6, 9.0, 7)])
+        for reflect in (False, True):
+            assert np.all(_KernelSums(x, 0.5, grid, reflect)(np.ones(x.size)) == 0.0)
+
+    def test_observations_at_window_edges(self):
+        # every grid point has observations exactly at g - h and g + h
+        x = np.arange(0.0, 5.0, 0.25)
+        w = np.random.default_rng(15).uniform(0.5, 2.0, x.size)
+        grid = np.arange(0.0, 6.0, 0.25)
+        for reflect in (False, True):
+            got = _KernelSums(x, 0.5, grid, reflect)(w)
+            assert np.all(got >= 0.0)
+            assert np.max(np.abs(got - brute_force_density(x, w, 0.5, grid, reflect))) <= 1e-15
+        # a window holding only edge observations
+        got = _KernelSums(np.array([1.0, 3.0]), 1.0, np.array([2.0]), False)(np.ones(2))
+        assert got[0] == 0.0
+        # centres at x +- h in floating point put single observations a
+        # rounding error inside or outside their windows
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            x = rng.normal(3.0, 1.0, 3)
+            w = rng.uniform(0.1, 2.0, 3)
+            h = rng.uniform(0.05, 1.0)
+            grid = np.sort(np.concatenate([x - h, x + h]))
+            got = _KernelSums(x, h, grid, False)(w)
+            assert np.all(got >= 0.0)
+            assert np.max(np.abs(got - brute_force_density(x, w, h, grid, False))) <= 1e-12
+
+    def test_single_observation(self):
+        grid = np.linspace(0.0, 4.0, 17)
+        got = _KernelSums(np.array([2.0]), 1.0, grid, False)(np.array([3.0]))
+        assert np.max(np.abs(got - epanechnikov(grid - 2.0))) <= 1e-15
+        assert got[8] == pytest.approx(0.75)
+
+
+def brute_force_bands(x, w, h, grid, reps, seed):
+    """Pointwise 95% bands of kde's bootstrap by the direct route: draw the
+    same rows from the same streams, gather them, and sum the kernel."""
+    curves = np.empty((reps, grid.size))
+    for r, stream in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        idx = np.random.default_rng(stream).integers(0, x.size, size=x.size)
+        wr = w[idx] if w[idx].sum() > 0 else np.ones(x.size)
+        curves[r] = brute_force_density(x[idx], wr, h, grid, False)
+    return np.percentile(curves, 2.5, axis=0), np.percentile(curves, 97.5, axis=0)
+
+
 class TestKde:
+    @pytest.mark.parametrize("n, weighting", [(300, "random"), (12, "one point")])
+    def test_bands_match_brute_force_resampling(self, n, weighting):
+        # reps reweight the sorted sample by draw counts; with one weighted
+        # point, about a third of the reps draw only zero weights and fall
+        # back to unit weights
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=n)
+        w = rng.uniform(0.1, 2.0, n) if weighting == "random" else np.eye(n)[0]
+        grid = np.linspace(-3.0, 3.0, 61)
+        curve = kde(x, KdeSpec(bandwidth=0.8, weights=w), grid=grid,
+                    bootstrap_bands=True, bootstrap_reps=40, seed=18)
+        low, high = brute_force_bands(x, w, 0.8, grid, 40, 18)
+        assert np.max(np.abs(curve.band_low - low)) <= 1e-12
+        assert np.max(np.abs(curve.band_high - high)) <= 1e-12
+
     def test_standard_normal_peak(self):
         rng = np.random.default_rng(42)
         x = rng.normal(size=10_000)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trialscope import discontinuity
 from trialscope.discontinuity import (
     DiscontinuityResult,
     binned_test,
@@ -98,6 +99,27 @@ class TestCjm:
             b = binned_test(x, 1.96, bin_width=0.05)
             agree += (a.jump > 0) == (b.jump > 0)
         assert agree / n_seeds >= 0.9
+
+
+class TestSlopeConstants:
+    def test_cached_equals_fresh(self):
+        for q in (1, 2, 3):
+            assert discontinuity._slope_constants(q) == discontinuity._slope_constants.__wrapped__(q)
+
+    def test_second_test_builds_no_quadrature(self, monkeypatch):
+        x = np.abs(np.random.default_rng(12).normal(size=2000))
+        first = cjm_test(x, 1.96)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+
+        def counted(n):
+            calls.append(n)
+            return leggauss(n)
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+        second = cjm_test(x, 1.96)
+        assert calls == []
+        assert second == first
 
 
 class TestBinned:
