@@ -32,7 +32,6 @@ from .linker import (
 from .registry import (
     Phase,
     Registry,
-    SponsorClass,
     all_sponsor_splits,
     apply_sample_filters,
     default_rankings,
@@ -170,12 +169,13 @@ def _rankings(reg: Registry) -> dict:
     return reg.rankings if any(reg.rankings.get(c) for c in reg.rankings) else default_rankings()
 
 
-def _group_ids(reg: Registry, cfg: PipelineConfig, group: str) -> frozenset[str]:
-    """The ids of the trials of a sponsor group."""
+def _group_ids(
+    reg: Registry, table: pz.OutcomeTable, cfg: PipelineConfig, group: str
+) -> frozenset[str]:
+    """The ids of the trials of a sponsor group.  The sponsor groups read
+    the canonical sponsor keys of the table."""
     everyone = frozenset(reg.trials)
-    industry = frozenset(
-        tid for tid, t in reg.trials.items() if t.sponsor_class is SponsorClass.INDUSTRY
-    )
+    industry = frozenset(table.industry_sponsor)
     if group == "all":
         return everyone
     if group == "non_industry":
@@ -186,8 +186,7 @@ def _group_ids(reg: Registry, cfg: PipelineConfig, group: str) -> frozenset[str]
     split = [
         s for s in all_sponsor_splits(_rankings(reg), k_range=[k]) if s.criterion == crit
     ][0]
-    want = "Large" if group == "top_industry" else "Small"
-    return frozenset(t for t in industry if split.group_of(reg.trials[t].sponsor_name) == want)
+    return table.group_trials(split, "Large" if group == "top_industry" else "Small")
 
 
 def _links_for(reg: Registry, cfg: PipelineConfig):
@@ -222,7 +221,7 @@ class _Inputs:
 
     def group_ids(self, group: str) -> frozenset[str]:
         if group not in self._groups:
-            self._groups[group] = _group_ids(self.registry, self.cfg, group)
+            self._groups[group] = _group_ids(self.registry, self.table, self.cfg, group)
         return self._groups[group]
 
     def rows(self, group: str) -> pz.OutcomeTable:

@@ -18,7 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import epanechnikov_survival, sj_bandwidth, silverman_bandwidth
+from .density import (
+    _draws,
+    _n_distinct,
+    epanechnikov_survival,
+    silverman_bandwidth,
+    sj_bandwidth,
+)
 from .linker import LinkResult, restrict_links
 from .pz import Z_SIG, OutcomeTable, ZKind, norm_sf
 from .registry import OutcomeRank, Phase
@@ -106,11 +112,15 @@ def phase_scores(
     return design_rows(table, rows, np.zeros(int(rows.sum())))
 
 
-def _auto_bandwidth(z_precise: np.ndarray) -> float:
-    if len(np.unique(z_precise)) >= 10:
-        return float(sj_bandwidth(z_precise))
-    if z_precise.size >= 2 and np.ptp(z_precise) > 0:
-        return silverman_bandwidth(z_precise)
+def _auto_bandwidth(z_precise: np.ndarray, counts: np.ndarray | None = None) -> float:
+    """Sheather-Jones bandwidth of the precise scores, Silverman's below 10
+    distinct values, 0.5 without spread.  ``counts`` are draw counts."""
+    x, c = _draws(z_precise, counts)
+    distinct = _n_distinct(x)
+    if distinct >= 10:
+        return float(sj_bandwidth(x, c))
+    if distinct >= 2:
+        return silverman_bandwidth(x, c)
     return 0.5
 
 
@@ -132,46 +142,33 @@ def counterfactual_share(
     return censored_aware_share(design.kind, design.share_z, w, cutoff, bandwidth)
 
 
-class _TrialIndex:
-    """Row indices grouped by trial, for cluster resampling: the rows of
-    trial ``j`` are ``order[starts[j]:starts[j] + sizes[j]]``."""
-
-    def __init__(self, trial_id: np.ndarray):
-        tid = trial_id.astype(str)
-        self.order = np.argsort(tid, kind="stable")
-        _, self.starts, self.sizes = np.unique(
-            tid[self.order], return_index=True, return_counts=True
-        )
-        self.n_trials = len(self.starts)
-
-    def resample_rows(self, rng: np.random.Generator) -> np.ndarray:
-        """The rows of ``n_trials`` trials drawn with replacement, trial by
-        trial in draw order."""
-        drawn = rng.integers(0, self.n_trials, size=self.n_trials)
-        sizes = self.sizes[drawn]
-        ends = np.cumsum(sizes)
-        within = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-        return self.order[np.repeat(self.starts[drawn], sizes) + within]
-
-
-class _ShareSample:
-    """The share inputs of one phase, pinned once; ``share`` reads any
-    row gather of them."""
+class _PhaseSample:
+    """The share and bandwidth inputs of one phase, pinned once.  A
+    bootstrap rep is this sample reweighted by its draw counts: each row
+    counts as often as its trial was drawn."""
 
     def __init__(self, design: SelectionDesign):
         self.kind = design.kind
         self.share_z = design.share_z
-        self.z = design.z
-        self.precise = design.kind == ZKind.PRECISE.value
-        self.trials = _TrialIndex(design.trial_id)
+        self.trial_code = np.unique(design.trial_id.astype(str), return_inverse=True)[1]
+        self.n_trials = int(self.trial_code.max()) + 1
+        precise = np.flatnonzero(design.kind == ZKind.PRECISE.value)
+        order = np.argsort(design.z[precise], kind="stable")
+        self.precise = precise[order]
+        self.z_sorted = design.z[self.precise]
 
-    def bandwidth(self, rows: np.ndarray | slice = slice(None)) -> float:
-        return _auto_bandwidth(self.z[rows][self.precise[rows]])
+    def counts(self, rng: np.random.Generator) -> np.ndarray:
+        """Draw counts per row of ``n_trials`` trials drawn with replacement."""
+        drawn = rng.integers(0, self.n_trials, size=self.n_trials)
+        return np.bincount(drawn, minlength=self.n_trials)[self.trial_code]
 
-    def share(self, rows, weights: np.ndarray, cutoff: float, bandwidth: float) -> float:
-        return censored_aware_share(
-            self.kind[rows], self.share_z[rows], weights, cutoff, bandwidth
+    def bandwidth(self, counts: np.ndarray | None = None) -> float:
+        return _auto_bandwidth(
+            self.z_sorted, None if counts is None else counts[self.precise]
         )
+
+    def share(self, weights: np.ndarray, cutoff: float, bandwidth: float) -> float:
+        return censored_aware_share(self.kind, self.share_z, weights, cutoff, bandwidth)
 
 
 def decompose(
@@ -186,17 +183,18 @@ def decompose(
 ) -> DecompositionReport:
     """Point decomposition plus trial-clustered bootstrap of the whole
     estimation procedure (selection refit, reweighting, share
-    computation in every repetition).  The reps share one phase II design
-    matrix and gather their rows from it."""
+    computation in every repetition).  A rep is a set of trial draw
+    counts; the refit, the bandwidths and the shares reweight the pinned
+    phase samples by them."""
     if model is None:
         model = fit_logit(build_design(table, link_results, outcome_rank=outcome_rank))
     ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)
     ph3_design = phase_scores(table, Phase.PHASE3, outcome_rank)
-    ph2, ph3 = _ShareSample(ph2_design), _ShareSample(ph3_design)
+    ph2, ph3 = _PhaseSample(ph2_design), _PhaseSample(ph3_design)
 
     h2, h3 = ph2.bandwidth(), ph3.bandwidth()
-    s_ph2 = ph2.share(slice(None), np.ones(ph2_design.n_obs), cutoff, h2)
-    s_ph3 = ph3.share(slice(None), np.ones(ph3_design.n_obs), cutoff, h3)
+    s_ph2 = ph2.share(np.ones(ph2_design.n_obs), cutoff, h2)
+    s_ph3 = ph3.share(np.ones(ph3_design.n_obs), cutoff, h3)
     s_sc = counterfactual_share(ph2_design, model, cutoff, h2)
 
     shares = {"ph2": s_ph2, "ph3": s_ph3, "ph2_sc": s_sc}
@@ -216,19 +214,19 @@ def decompose(
         draws = np.full((bootstrap_reps, 6), np.nan)
         for r in range(bootstrap_reps):
             rng = np.random.default_rng(streams[r])
-            rows2 = ph2.trials.resample_rows(rng)
-            rows3 = ph3.trials.resample_rows(rng)
+            counts2, counts3 = ph2.counts(rng), ph3.counts(rng)
             try:
-                w = pinned.refit_predict(rows2)
-                if w is None:
+                p = pinned.refit_predict(counts2)
+                if p is None:
                     dropped += 1
                     continue
+                w = counts2 * p
                 if float(w.sum()) <= 0:
                     raise ValueError("all predicted weights are zero")
-                b2, b3 = ph2.bandwidth(rows2), ph3.bandwidth(rows3)
-                a = ph2.share(rows2, np.ones(len(rows2)), cutoff, b2)
-                b = ph3.share(rows3, np.ones(len(rows3)), cutoff, b3)
-                c = ph2.share(rows2, w, cutoff, b2)
+                b2, b3 = ph2.bandwidth(counts2), ph3.bandwidth(counts3)
+                a = ph2.share(counts2, cutoff, b2)
+                b = ph3.share(counts3, cutoff, b3)
+                c = ph2.share(w, cutoff, b2)
                 draws[r] = (a, b, c, b - a, b - c, c - a)
             except (ValueError, np.linalg.LinAlgError, RuntimeError):
                 dropped += 1

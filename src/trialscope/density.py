@@ -94,38 +94,86 @@ class DensityCurve:
         return partial + float(np.trapezoid(v[i:], g[i:]))
 
 
-def _scale(x: np.ndarray) -> float:
-    sd = float(np.std(x, ddof=1))
-    q75, q25 = np.percentile(x, [75, 25])
-    iqr = (q75 - q25) / 1.349
+def _draws(sample, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The drawn values of a sample in increasing order, with how often each
+    was drawn: every value once, or with integer frequency weights the
+    values of positive weight.  A sample already in order is not sorted."""
+    x = np.asarray(sample, dtype=float)
+    if weights is None:
+        c = np.ones(x.shape, dtype=np.int64)
+    else:
+        c = np.asarray(weights)
+        if c.shape != x.shape:
+            raise ValueError(f"weights shape {c.shape} does not match sample {x.shape}")
+        if not np.issubdtype(c.dtype, np.integer):
+            raise ValueError("weights must be integer counts")
+        if np.any(c < 0):
+            raise ValueError("weights must be nonnegative")
+        drawn = c > 0
+        x, c = x[drawn], c[drawn]
+    if np.any(x[1:] < x[:-1]):
+        order = np.argsort(x, kind="stable")
+        x, c = x[order], c[order]
+    return x, c
+
+
+def _n_distinct(x: np.ndarray) -> int:
+    """Number of distinct values of a sorted sample."""
+    return int(np.count_nonzero(x[1:] != x[:-1])) + 1 if x.size else 0
+
+
+def _order_stat(x: np.ndarray, cum: np.ndarray, q: float) -> float:
+    """The ``q`` quantile of a sorted sample with cumulative counts ``cum``,
+    interpolated between order statistics as ``np.percentile`` does."""
+    pos = (cum[-1] - 1) * q
+    k = math.floor(pos)
+    t = pos - k
+    a, b = x[np.searchsorted(cum, [k, min(k + 1, cum[-1] - 1)], side="right")]
+    return float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+
+
+def _spread(x: np.ndarray, c: np.ndarray) -> tuple[float, float]:
+    """Standard deviation (ddof 1) of drawn values with counts, and the
+    smaller positive one of it and IQR/1.349."""
+    n = c.sum()
+    mean = np.dot(c, x) / n
+    sd = math.sqrt(np.dot(c, (x - mean) ** 2) / (n - 1)) if n > 1 else float("nan")
+    cum = np.cumsum(c)
+    iqr = (_order_stat(x, cum, 0.75) - _order_stat(x, cum, 0.25)) / 1.349
     candidates = [s for s in (sd, iqr) if s > 0]
     if not candidates:
         raise ValueError("sample has zero spread")
-    return min(candidates)
+    return sd, min(candidates)
 
 
-def silverman_bandwidth(sample: Sequence[float]) -> float:
-    """Rule-of-thumb bandwidth on the Epanechnikov scale."""
-    x = np.asarray(sample, dtype=float)
-    return 0.9 * _scale(x) * len(x) ** (-0.2) * EPAN_OVER_GAUSS
+def _silverman(scale: float, n: int) -> float:
+    return 0.9 * scale * n ** (-0.2) * EPAN_OVER_GAUSS
 
 
-def _pair_counts(x: np.ndarray, nb: int = 1024) -> tuple[np.ndarray, float]:
-    """Histogram pair counts: cnt[k] = number of unordered pairs whose
-    binned distance is k bin widths (k >= 1); cnt[0] counts same-bin pairs."""
-    xmin, xmax = float(x.min()), float(x.max())
+def silverman_bandwidth(sample: Sequence[float], weights=None) -> float:
+    """Rule-of-thumb bandwidth on the Epanechnikov scale.  ``weights`` are
+    integer frequency weights: the bandwidth of the sample with each value
+    repeated that often."""
+    x, c = _draws(sample, weights)
+    return _silverman(_spread(x, c)[1], int(c.sum()))
+
+
+def _pair_counts(x: np.ndarray, c: np.ndarray, nb: int = 1024) -> tuple[np.ndarray, float]:
+    """Histogram pair counts of sorted drawn values with counts ``c``:
+    cnt[k] = number of unordered pairs whose binned distance is k bin
+    widths (k >= 1); cnt[0] counts same-bin pairs."""
+    xmin, xmax = float(x[0]), float(x[-1])
     rang = (xmax - xmin) * 1.01
     d = rang / nb
     idx = np.minimum((x - xmin) / d, nb - 1).astype(np.int64)
-    counts = np.bincount(idx, minlength=nb).astype(float)
+    counts = np.bincount(idx, weights=c, minlength=nb)
     # autocorrelation of bin counts via FFT
     size = 1 << int(np.ceil(np.log2(2 * nb)))
     f = np.fft.rfft(counts, size)
     ac = np.fft.irfft(f * np.conj(f), size)[:nb]
     ac = np.rint(ac)
-    n = len(x)
     cnt = np.empty(nb)
-    cnt[0] = (ac[0] - n) / 2.0
+    cnt[0] = (ac[0] - c.sum()) / 2.0
     cnt[1:] = ac[1:]
     return cnt, d
 
@@ -164,7 +212,7 @@ def _phi6_sum(dist: np.ndarray, cnt: np.ndarray, n: int, h: float) -> float:
     return s / (n * (n - 1) * h**7 * _SQRT_2PI)
 
 
-def sj_bandwidth(sample: Sequence[float], nb: int = 1024) -> BandwidthResult:
+def sj_bandwidth(sample: Sequence[float], weights=None, nb: int = 1024) -> BandwidthResult:
     """Sheather-Jones solve-the-equation plug-in bandwidth, Epanechnikov scale.
 
     Solves h = [R(K) / (n * S(alpha2(h)))]^(1/5) for a Gaussian kernel by
@@ -172,20 +220,23 @@ def sj_bandwidth(sample: Sequence[float], nb: int = 1024) -> BandwidthResult:
     the integrated squared second density derivative at a pilot bandwidth
     coupled to h, then rescales the root by the canonical kernel ratio.
     Falls back to the Silverman rule (flagged) when the bracket has no root.
+
+    ``weights`` are integer frequency weights, such as the draw counts of a
+    bootstrap rep: the result is that of the sample with each value
+    repeated that often, read off the counts of a sample sorted once.
     """
-    x = np.asarray(sample, dtype=float)
-    if len(np.unique(x)) < 10:
+    x, c = _draws(sample, weights)
+    if _n_distinct(x) < 10:
         raise ValueError("need at least 10 distinct values for a plug-in bandwidth")
-    n = len(x)
-    lam = _scale(x)
-    dist, cnt = _pair_distances(*_pair_counts(x, nb=nb))
+    n = int(c.sum())
+    sd_full, lam = _spread(x, c)
+    dist, cnt = _pair_distances(*_pair_counts(x, c, nb=nb))
 
     a = 0.920 * lam * n ** (-1.0 / 7.0)
     b = 0.912 * lam * n ** (-1.0 / 9.0)
     tdb = -_phi6_sum(dist, cnt, n, b)
     sda = _phi4_sum(dist, cnt, n, a)
 
-    sd_full = float(np.std(x, ddof=1))
     lo, hi = sd_full / n, 2.0 * sd_full
 
     def objective(h: float) -> float:
@@ -199,13 +250,13 @@ def sj_bandwidth(sample: Sequence[float], nb: int = 1024) -> BandwidthResult:
 
     f_lo, f_hi = objective(lo), objective(hi)
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0:
-        return BandwidthResult(h=silverman_bandwidth(x), fallback=True)
+        return BandwidthResult(h=_silverman(lam, n), fallback=True)
 
     while (hi - lo) > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
         f_mid = objective(mid)
         if not np.isfinite(f_mid):
-            return BandwidthResult(h=silverman_bandwidth(x), fallback=True)
+            return BandwidthResult(h=_silverman(lam, n), fallback=True)
         if f_lo * f_mid <= 0:
             hi = mid
         else:

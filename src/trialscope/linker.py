@@ -26,7 +26,6 @@ __all__ = [
     "canonical_drug",
     "load_synonyms",
     "build_synonym_map",
-    "link",
     "link_all",
     "restrict_links",
     "DEFAULT_MESH_STOPLIST",
@@ -157,50 +156,6 @@ def _clean_mesh(terms: frozenset[str], stoplist: frozenset[str]) -> frozenset[st
     return frozenset(out)
 
 
-def link(
-    phase2: TrialRecord,
-    phase3_pool: Sequence[TrialRecord],
-    synonyms: Mapping[str, str] | None = None,
-    mesh_stoplist: frozenset[str] = DEFAULT_MESH_STOPLIST,
-    completion_cutoff: date = LINK_COMPLETION_CUTOFF,
-) -> LinkResult:
-    """Match one phase II trial against a pool of phase III trials.
-
-    Ineligible phase II trials (no curated intervention, missing or late
-    completion) come back with a skip reason and no matches.
-    """
-    if not phase2.interventions:
-        return LinkResult(phase2.trial_id, frozenset(), "no_intervention")
-    if phase2.completion_date is None:
-        return LinkResult(phase2.trial_id, frozenset(), "no_completion_date")
-    if phase2.completion_date > completion_cutoff:
-        return LinkResult(phase2.trial_id, frozenset(), "completed_after_cutoff")
-
-    stop = frozenset(_basic_norm(s) for s in mesh_stoplist)
-    main_sets = [
-        frozenset(canonical_drug(d, synonyms) for d in combo)
-        for combo in phase2.interventions
-    ]
-    mesh2 = _clean_mesh(phase2.mesh_conditions, stop)
-
-    matched = set()
-    for cand in phase3_pool:
-        if cand.phase is not Phase.PHASE3:
-            continue
-        if (
-            phase2.start_date is None
-            or cand.start_date is None
-            or not phase2.start_date < cand.start_date
-        ):
-            continue
-        if not mesh2 <= _clean_mesh(cand.mesh_conditions, stop):
-            continue
-        listed = frozenset(canonical_drug(d, synonyms) for d in cand.listed_drugs())
-        if any(s <= listed for s in main_sets):
-            matched.add(cand.trial_id)
-    return LinkResult(phase2.trial_id, frozenset(matched))
-
-
 def _link_indexed(
     phase2: TrialRecord,
     pool_feats: list[tuple],
@@ -209,8 +164,10 @@ def _link_indexed(
     stop: frozenset[str],
     completion_cutoff: date,
 ) -> LinkResult:
-    """Same contract as :func:`link` against a pre-indexed pool: candidate
-    phase III trials are narrowed through an inverted drug index first."""
+    """Match one phase II trial against a pre-indexed phase III pool:
+    candidate phase III trials are narrowed through an inverted drug index
+    first.  Ineligible phase II trials (no curated intervention, missing or
+    late completion) come back with a skip reason and no matches."""
     if not phase2.interventions:
         return LinkResult(phase2.trial_id, frozenset(), "no_intervention")
     if phase2.completion_date is None:

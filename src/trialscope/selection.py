@@ -282,18 +282,20 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
-def _log_likelihood(y: np.ndarray, p: np.ndarray) -> float:
+def _log_likelihood(y: np.ndarray, p: np.ndarray, c: np.ndarray) -> float:
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return float(np.sum(c * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
 
 
 def _cluster_sums(scores: np.ndarray, clusters: np.ndarray) -> np.ndarray:
     """Row sums of ``scores`` within each cluster present, one row per
-    cluster, for integer cluster codes."""
-    order = np.argsort(clusters, kind="stable")
-    codes = clusters[order]
-    starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
-    return np.add.reduceat(scores[order], starts, axis=0)
+    cluster, for integer cluster codes (rows already in code order are
+    not sorted)."""
+    if np.any(clusters[1:] < clusters[:-1]):
+        order = np.argsort(clusters, kind="stable")
+        scores, clusters = scores[order], clusters[order]
+    starts = np.flatnonzero(np.r_[True, clusters[1:] != clusters[:-1]])
+    return np.add.reduceat(scores, starts, axis=0)
 
 
 @dataclass
@@ -314,19 +316,25 @@ def _irls(
     max_iter: int = 100,
     score_tol: float = 1e-8,
     ll_tol: float = 1e-12,
+    weights: np.ndarray | None = None,
 ) -> _Fit:
     """The logit fit on a screened matrix: IRLS from ``beta``, the
     separation check and the clustered sandwich covariance (``clusters``
-    are integer codes) with its positive-semidefiniteness check."""
+    are integer codes) with its positive-semidefiniteness check.
+
+    ``weights`` are positive frequency weights: a row of weight c counts as
+    c copies of it in every term, and the small-sample factor counts
+    sum(c) observations.  None is one per row."""
     if y.size == 0 or y.min() == y.max():
         raise ValueError("need both outcome classes to fit a logit")
-    n, k = X.shape
+    c = np.ones(y.size) if weights is None else weights
+    n, k = float(c.sum()), X.shape[1]
     p = _expit(X @ beta)
-    ll = _log_likelihood(y, p)
+    ll = _log_likelihood(y, p, c)
     ll_old = -np.inf
     converged = False
     for _ in range(max_iter):
-        score = X.T @ (y - p)
+        score = X.T @ (c * (y - p))
         if np.max(np.abs(score)) < score_tol:
             converged = True
             break
@@ -334,7 +342,7 @@ def _irls(
             converged = True
             break
         ll_old = ll
-        w = np.maximum(p * (1.0 - p), 1e-10)
+        w = c * np.maximum(p * (1.0 - p), 1e-10)
         XtWX = (X * w[:, None]).T @ X
         try:
             delta = np.linalg.solve(XtWX, score)
@@ -345,17 +353,17 @@ def _irls(
         for _ in range(8):
             cand = beta + step * delta
             p_cand = _expit(X @ cand)
-            ll_cand = _log_likelihood(y, p_cand)
+            ll_cand = _log_likelihood(y, p_cand, c)
             if ll_cand >= ll - 1e-12:
                 break
             step *= 0.5
         else:
             cand = beta + step * delta
             p_cand = _expit(X @ cand)
-            ll_cand = _log_likelihood(y, p_cand)
+            ll_cand = _log_likelihood(y, p_cand, c)
         beta, p, ll = cand, p_cand, ll_cand
 
-    w = np.maximum(p * (1.0 - p), 1e-10)
+    w = c * np.maximum(p * (1.0 - p), 1e-10)
     XtWX = (X * w[:, None]).T @ X
     bread = np.linalg.inv(XtWX)
 
@@ -367,7 +375,7 @@ def _irls(
             f"complete separation suspected: runaway coefficient on {bad}"
         )
 
-    sums = _cluster_sums((y - p)[:, None] * X, clusters)
+    sums = _cluster_sums((c * (y - p))[:, None] * X, clusters)
     meat = sums.T @ sums
     n_clusters = len(sums)
     if n_clusters > 1:
@@ -426,35 +434,43 @@ def fit_logit(
 
 class PinnedDesign:
     """The matrix of a design, built once with its full-sample dummy
-    layout, for logit refits on row gathers of it (bootstrap reps).
+    layout, for logit refits on reweightings of its rows (bootstrap reps).
 
     Rows labelled NaN enter predictions but not fits.  A refit screens the
-    gathered columns, so a dummy level absent from its fitting rows folds
-    into the reference, and starts from the coefficients of ``start``.
+    columns of its weighted fitting rows, so a dummy level absent from
+    them folds into the reference, and starts from the coefficients of
+    ``start``.
     """
 
     def __init__(self, design: SelectionDesign, labels: np.ndarray, start: SelectionModel):
         self.X, self.names, _ = build_matrix(design)
-        self.labels = labels
-        self.fitting = ~np.isnan(labels)
-        self.clusters = np.unique(design.condition.astype(str), return_inverse=True)[1]
+        clusters = np.unique(design.condition.astype(str), return_inverse=True)[1]
+        # fitting rows in cluster order, so a refit's cluster sums need no sort
+        fitting = np.flatnonzero(~np.isnan(labels))
+        self.fitting = fitting[np.argsort(clusters[fitting], kind="stable")]
+        self.X_fit = self.X[self.fitting]
+        self.y_fit = labels[self.fitting]
+        self.clusters_fit = clusters[self.fitting]
         warm = start.coefficients
         self.beta0 = np.array([warm.get(nm, 0.0) for nm in self.names])
 
-    def refit_predict(self, rows: np.ndarray) -> np.ndarray | None:
-        """Continuation probabilities of the gathered rows from a refit on
-        their labelled rows, clustered by condition; None when the refit
-        does not converge.  Raises like :func:`fit_logit`."""
-        X = self.X[rows]
-        fitting = self.fitting[rows]
-        X_fit = X if fitting.all() else X[fitting]
-        cols, _ = _drop_collinear(X_fit, self.names)
+    def refit_predict(self, counts: np.ndarray) -> np.ndarray | None:
+        """Continuation probabilities of every row from a refit in which
+        each labelled row counts ``counts`` times, clustered by condition;
+        None when the refit does not converge.  Equals a refit on the rows
+        repeated that often.  Raises like :func:`fit_logit`."""
+        counts = counts[self.fitting]
+        drawn = np.flatnonzero(counts)
+        c = counts[drawn].astype(float)
+        X_fit = self.X_fit[drawn]
+        # the screen sees sqrt(c) X, whose Gram matrix is that of the repeated rows
+        cols, _ = _drop_collinear(np.sqrt(c)[:, None] * X_fit, self.names)
+        X = self.X
         if len(cols) < len(self.names):
             X, X_fit = X[:, cols], X_fit[:, cols]
-        fit_rows = rows[fitting]
         fit = _irls(
-            X_fit, self.labels[fit_rows], self.clusters[fit_rows],
-            self.beta0[cols], [self.names[j] for j in cols],
+            X_fit, self.y_fit[drawn], self.clusters_fit[drawn], self.beta0[cols],
+            [self.names[j] for j in cols], weights=c,
         )
         return _expit(X @ fit.beta) if fit.converged else None
 

@@ -1,3 +1,4 @@
+import csv
 import textwrap
 
 import pytest
@@ -60,3 +61,20 @@ def sim_csvs(tmp_path_factory):
     out = tmp_path_factory.mktemp("simcsv")
     assert main(["simulate", "--out", str(out), "--seed", "5", "--n-trials", "1100"]) == 0
     return tuple(out / f"{name}.csv" for name in ("trials", "outcomes", "rankings", "synonyms"))
+
+
+@pytest.fixture(scope="session")
+def mixed_csvs(sim_csvs, tmp_path_factory):
+    """The inputs of ``sim_csvs`` with every third trial rewritten to an
+    unranked academic sponsor of class non_industry (the simulator writes
+    industry trials only): (trials, outcomes, rankings, synonyms) paths."""
+    trials, outcomes, rankings, synonyms = sim_csvs
+    with open(trials, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    name, cls = header.index("sponsor_name"), header.index("sponsor_class")
+    for i, r in enumerate(rows[::3]):
+        r[name], r[cls] = f"University Hospital {i % 25}", "non_industry"
+    mixed = tmp_path_factory.mktemp("mixed") / "trials.csv"
+    with open(mixed, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return mixed, outcomes, rankings, synonyms

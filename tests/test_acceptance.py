@@ -155,6 +155,7 @@ def test_criterion_3_discontinuity_power():
     assert elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_4_logit_recovery():
     t0 = time.time()
     true = {"const": -1.8, "z_ph2": 0.331, "d1": 1.063, "d2": 1.232,
@@ -223,6 +224,7 @@ def _meta_rep(seed, misreporting, bootstrap_reps=200):
     return resid, se, truth.suppression_effect(), identity_gap
 
 
+@pytest.mark.slow
 def test_criterion_5_oracle_decomposition():
     t0 = time.time()
     metas = 50

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import trialscope.selection as sel
 from trialscope.decompose import (
     DecompositionReport,
     _auto_bandwidth,
-    _TrialIndex,
+    _PhaseSample,
     censored_aware_share,
     counterfactual_share,
     decompose,
@@ -136,6 +137,53 @@ class TestDecompose:
         assert rep.stars("d") == "***"
 
 
+def resample_rows(trial_id, rng):
+    """The rows of as many trials as there are, drawn with replacement,
+    trial by trial in draw order: the gather path of a rep, and the
+    reference for its draw counts."""
+    tid = trial_id.astype(str)
+    order = np.argsort(tid, kind="stable")
+    _, starts, sizes = np.unique(tid[order], return_index=True, return_counts=True)
+    drawn = rng.integers(0, len(starts), size=len(starts))
+    return np.concatenate([order[starts[j]:starts[j] + sizes[j]] for j in drawn])
+
+
+def gather_rep(pinned, ph2, ph3, labels, rows2, rows3, cutoff=Z_SIG):
+    """A rep on gathered rows, the reference for the draw counts: the
+    pinned matrix's rows repeated as drawn, screened and refitted through
+    the unweighted IRLS core, and the bandwidths and shares of the gathered
+    samples.  Returns the weights of the gathered rows, the bandwidths and
+    the rep's six draws."""
+    X = pinned.X[rows2]
+    fitting = ~np.isnan(labels[rows2])
+    cols, _ = sel._drop_collinear(X[fitting], pinned.names)
+    clusters = np.unique(ph2.condition.astype(str), return_inverse=True)[1]
+    fit_rows = rows2[fitting]
+    fit = sel._irls(
+        X[fitting][:, cols], labels[fit_rows], clusters[fit_rows], pinned.beta0[cols],
+        [pinned.names[j] for j in cols],
+    )
+    assert fit.converged
+    w = sel._expit(X[:, cols] @ fit.beta)
+    b2 = _auto_bandwidth(ph2.z[rows2][ph2.kind[rows2] == "precise"])
+    b3 = _auto_bandwidth(ph3.z[rows3][ph3.kind[rows3] == "precise"])
+    a = censored_aware_share(ph2.kind[rows2], ph2.share_z[rows2], np.ones(len(rows2)),
+                             cutoff, b2)
+    b = censored_aware_share(ph3.kind[rows3], ph3.share_z[rows3], np.ones(len(rows3)),
+                             cutoff, b3)
+    c = censored_aware_share(ph2.kind[rows2], ph2.share_z[rows2], w, cutoff, b2)
+    return w, (b2, b3), (a, b, c, b - a, b - c, c - a)
+
+
+def count_rep(pinned, ph2, ph3, counts2, counts3, cutoff=Z_SIG):
+    """The same rep from draw counts, as :func:`decompose` runs it."""
+    p = pinned.refit_predict(counts2)
+    b2, b3 = ph2.bandwidth(counts2), ph3.bandwidth(counts3)
+    a, b = ph2.share(counts2, cutoff, b2), ph3.share(counts3, cutoff, b3)
+    c = ph2.share(counts2 * p, cutoff, b2)
+    return p, (b2, b3), (a, b, c, b - a, b - c, c - a)
+
+
 def subset_shares(ph2, ph3, labels, warm, rows2, rows3, cutoff=Z_SIG):
     """A rep's (ph2, ph3, ph2_sc) shares and weights from designs subset to
     its rows, a warm-started ``fit_logit`` and ``predict``: the reference
@@ -155,6 +203,9 @@ def subset_shares(ph2, ph3, labels, warm, rows2, rows3, cutoff=Z_SIG):
     return shares, sel.predict(model, ph2_r), b2
 
 
+KEYS = ("ph2", "ph3", "ph2_sc", "ph3_minus_ph2", "ph3_minus_ph2_sc", "ph2_sc_minus_ph2")
+
+
 class TestPinnedDesign:
     @pytest.fixture(scope="class")
     def setup(self, sim_small):
@@ -169,41 +220,68 @@ class TestPinnedDesign:
     def test_reps_match_subset_refits(self, setup):
         table, links, model, ph2, ph3, labels = setup
         pinned = PinnedDesign(ph2, labels, model)
-        idx2, idx3 = _TrialIndex(ph2.trial_id), _TrialIndex(ph3.trial_id)
+        s2, s3 = _PhaseSample(ph2), _PhaseSample(ph3)
         draws = []
         for stream in np.random.SeedSequence(9).spawn(5):
             rng = np.random.default_rng(stream)
-            rows2, rows3 = idx2.resample_rows(rng), idx3.resample_rows(rng)
+            counts2, counts3 = s2.counts(rng), s3.counts(rng)
+            rng = np.random.default_rng(stream)
+            rows2, rows3 = resample_rows(ph2.trial_id, rng), resample_rows(ph3.trial_id, rng)
             (a, b, c), w_ref, b2 = subset_shares(ph2, ph3, labels, model.coefficients,
                                                  rows2, rows3)
-            w = pinned.refit_predict(rows2)
-            assert np.max(np.abs(w - w_ref)) < 1e-9
-            assert censored_aware_share(
-                ph2.kind[rows2], ph2.share_z[rows2], w, Z_SIG, b2
-            ) == pytest.approx(c, rel=0, abs=1e-9)
-            draws.append((a, b, c, b - a, b - c, c - a))
+            p, _, draw = count_rep(pinned, s2, s3, counts2, counts3)
+            assert np.max(np.abs(p[rows2] - w_ref)) < 1e-9
+            assert draw[:3] == pytest.approx((a, b, c), rel=0, abs=1e-9)
+            draws.append(draw)
         rep = decompose(table, links, model=model, bootstrap_reps=5, seed=9)
         assert rep.dropped_reps == 0
         ref = np.std(np.array(draws), axis=0, ddof=1)
-        for j, key in enumerate(("ph2", "ph3", "ph2_sc", "ph3_minus_ph2",
-                                 "ph3_minus_ph2_sc", "ph2_sc_minus_ph2")):
+        for j, key in enumerate(KEYS):
             assert rep.std_errs[key] == pytest.approx(ref[j], rel=0, abs=1e-9), key
+
+    def test_count_reps_match_gather_reps(self, setup):
+        table, links, model, ph2, ph3, labels = setup
+        pinned = PinnedDesign(ph2, labels, model)
+        s2, s3 = _PhaseSample(ph2), _PhaseSample(ph3)
+        draws = []
+        for stream in np.random.SeedSequence(17).spawn(20):
+            counts_rng, rows_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+            counts2, counts3 = s2.counts(counts_rng), s3.counts(counts_rng)
+            rows2 = resample_rows(ph2.trial_id, rows_rng)
+            rows3 = resample_rows(ph3.trial_id, rows_rng)
+            w_ref, h_ref, draw_ref = gather_rep(pinned, ph2, ph3, labels, rows2, rows3)
+            p, h, draw = count_rep(pinned, s2, s3, counts2, counts3)
+            assert np.max(np.abs(p[rows2] - w_ref)) < 1e-12
+            assert h == pytest.approx(h_ref, rel=1e-12, abs=0)
+            assert draw == pytest.approx(draw_ref, rel=0, abs=1e-12)
+            draws.append(draw_ref)
+        rep = decompose(table, links, model=model, bootstrap_reps=20, seed=17)
+        assert rep.dropped_reps == 0
+        ref = np.std(np.array(draws), axis=0, ddof=1)
+        for j, key in enumerate(KEYS):
+            assert rep.std_errs[key] == pytest.approx(ref[j], rel=1e-12, abs=0), key
 
     def test_absent_reference_level(self, setup):
         # without the pinned reference level the other condition dummies sum
         # to the constant; the screen drops one, which reparametrises the fit
         table, links, model, ph2, ph3, labels = setup
         ref_level = build_matrix(ph2)[2]["condition"][0]
-        rows2 = np.flatnonzero((ph2.condition != ref_level) & ~np.isnan(labels))
+        counts2 = ((ph2.condition != ref_level) & ~np.isnan(labels)).astype(int)
+        counts2[np.flatnonzero(counts2)[::3]] = 2  # some rows drawn twice
+        rows2 = np.repeat(np.arange(ph2.n_obs), counts2)
         rows3 = np.arange(ph3.n_obs)
+        pinned = PinnedDesign(ph2, labels, model)
         (_, _, c), w_ref, b2 = subset_shares(ph2, ph3, labels, model.coefficients,
                                              rows2, rows3)
         with pytest.warns(UserWarning, match="collinear"):
-            w = PinnedDesign(ph2, labels, model).refit_predict(rows2)
-        assert np.max(np.abs(w - w_ref)) < 1e-9
-        assert censored_aware_share(
-            ph2.kind[rows2], ph2.share_z[rows2], w, Z_SIG, b2
-        ) == pytest.approx(c, rel=0, abs=1e-9)
+            w_gather = gather_rep(pinned, ph2, ph3, labels, rows2, rows3)[0]
+        with pytest.warns(UserWarning, match="collinear"):
+            p = pinned.refit_predict(counts2)
+        assert np.max(np.abs(p[rows2] - w_gather)) < 1e-12
+        assert np.max(np.abs(p[rows2] - w_ref)) < 1e-9
+        assert _PhaseSample(ph2).share(counts2 * p, Z_SIG, b2) == pytest.approx(
+            c, rel=0, abs=1e-9
+        )
 
     def test_resample_rows_matches_concatenation(self):
         rng = np.random.default_rng(0)
@@ -212,11 +290,17 @@ class TestPinnedDesign:
         _, starts = np.unique(tid[order], return_index=True)
         bounds = np.append(starts, len(tid))
         groups = [order[bounds[i]:bounds[i + 1]] for i in range(len(starts))]
-        index = _TrialIndex(tid)
+        sample = _PhaseSample(SimpleNamespace(
+            kind=np.full(len(tid), "precise", dtype=object), share_z=np.zeros(len(tid)),
+            z=np.zeros(len(tid)), trial_id=tid,
+        ))
         for seed in range(5):
             drawn = np.random.default_rng(seed).integers(0, len(groups), size=len(groups))
             expected = np.concatenate([groups[j] for j in drawn])
-            assert np.array_equal(index.resample_rows(np.random.default_rng(seed)), expected)
+            assert np.array_equal(resample_rows(tid, np.random.default_rng(seed)), expected)
+            # a rep's draw counts are the bincount of its concatenated rows
+            counts = sample.counts(np.random.default_rng(seed))
+            assert np.array_equal(counts, np.bincount(expected, minlength=len(tid)))
 
     def test_failed_checks_are_dropped_reps(self, setup, monkeypatch):
         table, links, model, ph2, ph3, labels = setup

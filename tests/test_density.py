@@ -72,6 +72,58 @@ class TestSjBandwidth:
         assert isinstance(out, BandwidthResult)
         assert out.h > 0
 
+    @pytest.mark.parametrize("case", ["regular", "silverman fallback", "few distinct"])
+    def test_counts_equal_repeated_sample(self, case, monkeypatch):
+        # integer frequency weights, zeros included, over a sorted sample:
+        # the bandwidth of the sample with each value repeated that often
+        import trialscope.density as dens
+
+        rng = np.random.default_rng(31)
+        xs = np.sort(rng.standard_t(3, size=400))  # heavy tails: the IQR sets the scale
+        if case == "few distinct":
+            xs = np.sort(rng.choice(np.linspace(-1.0, 2.0, 7), size=60))
+        if case == "silverman fallback":
+            monkeypatch.setattr(dens, "_phi6_sum", lambda *a, **k: 1.0)
+        for seed in range(4):
+            c = np.bincount(np.random.default_rng(seed).integers(0, xs.size, xs.size),
+                            minlength=xs.size)
+            assert (c == 0).any() and (c > 1).any()
+            repeated = np.repeat(xs, c)
+            # the rule of thumb from np.std and np.percentile of the repeats
+            iqr = np.subtract(*np.percentile(repeated, [75, 25])) / 1.349
+            scale = min(s for s in (np.std(repeated, ddof=1), iqr) if s > 0)
+            silverman = 0.9 * scale * repeated.size ** -0.2 * dens.EPAN_OVER_GAUSS
+            assert silverman_bandwidth(xs, weights=c) == pytest.approx(
+                silverman, rel=1e-12, abs=0
+            )
+            if case == "few distinct":
+                for sample, weights in ((xs, c), (repeated, None)):
+                    with pytest.raises(ValueError, match="distinct"):
+                        sj_bandwidth(sample, weights=weights)
+                continue
+            got, ref = sj_bandwidth(xs, weights=c), sj_bandwidth(repeated)
+            assert got.fallback == ref.fallback == (case == "silverman fallback")
+            assert got.h == pytest.approx(ref.h, rel=1e-12, abs=0)
+            # the order of the sample does not matter
+            perm = rng.permutation(xs.size)
+            assert sj_bandwidth(xs[perm], weights=c[perm]).h == pytest.approx(
+                ref.h, rel=1e-12, abs=0
+            )
+
+    def test_count_validation(self):
+        x = np.random.default_rng(4).normal(size=50)
+        with pytest.raises(ValueError, match="shape"):
+            sj_bandwidth(x, weights=np.ones(49, dtype=int))
+        with pytest.raises(ValueError, match="integer"):
+            sj_bandwidth(x, weights=np.full(50, 0.5))
+        with pytest.raises(ValueError, match="nonnegative"):
+            sj_bandwidth(x, weights=-np.ones(50, dtype=int))
+        # ten distinct values in the sample but fewer drawn
+        c = np.zeros(50, dtype=int)
+        c[:9] = 3
+        with pytest.raises(ValueError, match="distinct"):
+            sj_bandwidth(x, weights=c)
+
 
 def brute_force_density(x, w, h, grid, reflect):
     """The kernel sum at each grid point, one dot product per point, over

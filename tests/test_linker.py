@@ -9,7 +9,6 @@ from trialscope.linker import (
     LinkResult,
     build_synonym_map,
     canonical_drug,
-    link,
     link_all,
     load_synonyms,
     restrict_links,
@@ -22,6 +21,8 @@ from trialscope.registry import (
     TrialRecord,
     assign_condition_category,
 )
+
+from linear_linker import link
 
 
 def make_trial(

@@ -12,6 +12,7 @@ from trialscope.selection import (
     SelectionModel,
     SeparationError,
     _drop_collinear,
+    _irls,
     build_design,
     build_matrix,
     fit_logit,
@@ -171,6 +172,24 @@ class TestFit:
         m1 = fit_logit(design)
         m2 = fit_logit(design, warm_start=dict(zip(m1.names, m1.coef)))
         assert np.max(np.abs(m1.coef - m2.coef)) < 1e-7
+
+    def test_frequency_weights_equal_repeated_rows(self):
+        # every term of the weighted core (score, information, likelihood,
+        # cluster sums, small-sample factor) counts a row of weight c c times
+        rng = np.random.default_rng(7)
+        design, _ = synthetic_design(rng, 600, n_cond=8, n_years=4)
+        X, names, _ = build_matrix(design)
+        clusters = np.unique(design.condition.astype(str), return_inverse=True)[1]
+        c = rng.integers(1, 4, design.n_obs)
+        rows = np.repeat(np.arange(design.n_obs), c)
+        start = np.zeros(X.shape[1])
+        ref = _irls(X[rows], design.y[rows], clusters[rows], start, names)
+        got = _irls(X, design.y, clusters, start, names, weights=c.astype(float))
+        assert got.converged and ref.converged
+        assert got.n_clusters == ref.n_clusters
+        np.testing.assert_allclose(got.beta, ref.beta, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(got.vcov, ref.vcov, rtol=1e-10, atol=1e-14)
+        assert got.log_likelihood == pytest.approx(ref.log_likelihood, rel=1e-12)
 
 
 def greedy_columns(X, tol=1e-8):

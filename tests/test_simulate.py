@@ -50,6 +50,7 @@ class TestGenerate:
         b, _ = generate(SimConfig(n_trials=250, seed=78))
         assert registry_bytes(a, tmp_path, "a") != registry_bytes(b, tmp_path, "b")
 
+    @pytest.mark.slow
     def test_decision_rules_statistically_equal(self):
         n = 50_000
         reg_l, truth_l = generate(SimConfig(n_trials=n, seed=5, decision_rule="logistic"))
@@ -146,6 +147,7 @@ class TestMisreporting:
         assert inflated
         assert all(t.z3_reported == pytest.approx(Z_SIG) for t in inflated)
 
+    @pytest.mark.slow
     def test_inflate_detected_by_binned_test(self):
         hits = 0
         reps = 20
@@ -162,6 +164,7 @@ class TestMisreporting:
             hits += r.p_value < 0.05
         assert hits / reps >= 0.8
 
+    @pytest.mark.slow
     def test_no_misreporting_cjm_size(self):
         rejections = 0
         reps = 60
