@@ -23,11 +23,9 @@ from . import __version__, density, pz, svg
 from .decompose import decompose, sponsor_split_sweep
 from .discontinuity import cjm_test, sponsor_sweep
 from .linker import (
+    Links,
     link_all,
     load_synonyms,
-    restrict_links,
-    write_links_csv,
-    write_links_summary_csv,
 )
 from .registry import (
     Phase,
@@ -169,26 +167,6 @@ def _rankings(reg: Registry) -> dict:
     return reg.rankings if any(reg.rankings.get(c) for c in reg.rankings) else default_rankings()
 
 
-def _group_ids(
-    reg: Registry, table: pz.OutcomeTable, cfg: PipelineConfig, group: str
-) -> frozenset[str]:
-    """The ids of the trials of a sponsor group.  The sponsor groups read
-    the canonical sponsor keys of the table."""
-    everyone = frozenset(reg.trials)
-    industry = frozenset(table.industry_sponsor)
-    if group == "all":
-        return everyone
-    if group == "non_industry":
-        return everyone - industry
-    if group == "all_industry":
-        return industry
-    crit, k = str(cfg["split_criterion"]), int(cfg["split_k"])
-    split = [
-        s for s in all_sponsor_splits(_rankings(reg), k_range=[k]) if s.criterion == crit
-    ][0]
-    return table.group_trials(split, "Large" if group == "top_industry" else "Small")
-
-
 def _links_for(reg: Registry, cfg: PipelineConfig):
     synonyms = None
     syn_path = cfg.get("synonyms")
@@ -205,7 +183,7 @@ class _Inputs:
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
-        self._groups: dict[str, frozenset[str]] = {}
+        self._groups: dict[str, np.ndarray] = {}
 
     @cached_property
     def registry(self) -> Registry:
@@ -219,18 +197,33 @@ class _Inputs:
     def links(self):
         return _links_for(self.registry, self.cfg)
 
-    def group_ids(self, group: str) -> frozenset[str]:
+    def group_mask(self, group: str) -> np.ndarray:
+        """The trial mask of a sponsor group over the table's trials.  The
+        sponsor groups read the canonical sponsor keys of the table."""
         if group not in self._groups:
-            self._groups[group] = _group_ids(self.registry, self.table, self.cfg, group)
+            industry = self.table.trials.industry
+            if group == "all":
+                mask = np.ones_like(industry)
+            elif group == "non_industry":
+                mask = ~industry
+            elif group == "all_industry":
+                mask = industry
+            else:
+                crit, k = str(self.cfg["split_criterion"]), int(self.cfg["split_k"])
+                split = [s for s in all_sponsor_splits(_rankings(self.registry), k_range=[k])
+                         if s.criterion == crit][0]
+                half = "Large" if group == "top_industry" else "Small"
+                mask = self.table.group_mask(split, half)
+            self._groups[group] = mask
         return self._groups[group]
 
     def rows(self, group: str) -> pz.OutcomeTable:
         """The table rows of a sponsor group."""
-        return self.table.subset(self.table.isin("trial_id", self.group_ids(group)))
+        return self.table.subset(self.group_mask(group)[self.table.trial_code])
 
-    def group_links(self, group: str) -> list:
+    def group_links(self, group: str) -> Links:
         """The links of a group's phase II trials, cut down to the group."""
-        return restrict_links(self.links[0], self.group_ids(group))
+        return self.links[0].within(self.group_mask(group))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -345,9 +338,15 @@ def _cmd_disctest(inp: _Inputs, outdir: Path) -> None:
 
 
 def _cmd_link(inp: _Inputs, outdir: Path) -> None:
-    results, summary = inp.links
-    write_links_csv(results, outdir / "links.csv")
-    write_links_summary_csv(results, outdir / "links_summary.csv")
+    links, summary = inp.links
+    ids, n = links.ids, links.n_matches
+    _write_csv(outdir / "links.csv", ["phase2_id", "phase3_id"],
+               ids[np.column_stack(links.pairs())].tolist())
+    _write_csv(
+        outdir / "links_summary.csv", ["phase2_id", "continued", "n_matches", "skip_reason"],
+        list(zip(ids[links.phase2].tolist(), np.where(n > 0, "true", "false").tolist(),
+                 n.tolist(), links.skip_reason.tolist())),
+    )
     _write_csv(
         outdir / "links_rates.csv",
         ["sponsor_class", "n_eligible", "n_continued", "rate"],
@@ -385,8 +384,8 @@ def _cmd_fit_selection(inp: _Inputs, outdir: Path) -> None:
         outdir / "selection_predictions.csv",
         ["trial_id", "row", "continuation", "p_hat"],
         [
-            [design.trial_id[i], i, int(design.y[i]), _fnum(probs[i])]
-            for i in range(design.n_obs)
+            [tid, i, int(y), _fnum(p)] for i, (tid, y, p) in
+            enumerate(zip(inp.table.trials.ids[design.trial_code], design.y, probs))
         ],
     )
     z_grid = np.linspace(0.0, 5.0, 101)
@@ -541,7 +540,7 @@ def _cmd_report(inp: _Inputs, outdir: Path) -> None:
     # take all the stages need from the registry up front and let it go:
     # the heavy stages then run without it in memory
     for group in _GROUPS:
-        inp.group_ids(group)
+        inp.group_mask(group)
     _ = inp.table, inp.links
     del inp.registry
     for stage in (_cmd_transform, _cmd_density, _cmd_disctest, _cmd_link,

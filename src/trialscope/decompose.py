@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .density import (
     silverman_bandwidth,
     sj_bandwidth,
 )
-from .linker import LinkResult, restrict_links
+from .linker import Links
 from .pz import Z_SIG, OutcomeTable, ZKind, norm_sf
 from .registry import OutcomeRank, Phase
 from .selection import (
@@ -35,7 +34,6 @@ from .selection import (
     build_design,
     design_rows,
     fit_logit,
-    link_labels,
     predict,
 )
 
@@ -85,7 +83,11 @@ def censored_aware_share(
     Censored rows count at their ``zvals`` entry: the censor bound for
     D1/D2 rows, the imputed value for other censors.
     """
-    precise = kinds == ZKind.PRECISE.value
+    return _share(kinds == ZKind.PRECISE.value, zvals, weights, cutoff, bandwidth)
+
+
+def _share(precise, zvals, weights, cutoff: float, bandwidth: float) -> float:
+    """:func:`censored_aware_share` given the row mask of the precise rows."""
     w_p = float(weights[precise].sum())
     above = 0.0
     if w_p > 0:
@@ -148,11 +150,14 @@ class _PhaseSample:
     counts as often as its trial was drawn."""
 
     def __init__(self, design: SelectionDesign):
-        self.kind = design.kind
         self.share_z = design.share_z
-        self.trial_code = np.unique(design.trial_id.astype(str), return_inverse=True)[1]
-        self.n_trials = int(self.trial_code.max()) + 1
-        precise = np.flatnonzero(design.kind == ZKind.PRECISE.value)
+        # trial i of a rep's draw is the sample's i-th smallest trial code,
+        # and codes ascend with the trial ids, whatever the registry order
+        present = np.bincount(design.trial_code) > 0
+        self.trial = (np.cumsum(present) - 1)[design.trial_code]
+        self.n_trials = int(np.count_nonzero(present))
+        self.is_precise = design.kind == ZKind.PRECISE.value
+        precise = np.flatnonzero(self.is_precise)
         order = np.argsort(design.z[precise], kind="stable")
         self.precise = precise[order]
         self.z_sorted = design.z[self.precise]
@@ -160,7 +165,7 @@ class _PhaseSample:
     def counts(self, rng: np.random.Generator) -> np.ndarray:
         """Draw counts per row of ``n_trials`` trials drawn with replacement."""
         drawn = rng.integers(0, self.n_trials, size=self.n_trials)
-        return np.bincount(drawn, minlength=self.n_trials)[self.trial_code]
+        return np.bincount(drawn, minlength=self.n_trials)[self.trial]
 
     def bandwidth(self, counts: np.ndarray | None = None) -> float:
         return _auto_bandwidth(
@@ -168,12 +173,12 @@ class _PhaseSample:
         )
 
     def share(self, weights: np.ndarray, cutoff: float, bandwidth: float) -> float:
-        return censored_aware_share(self.kind, self.share_z, weights, cutoff, bandwidth)
+        return _share(self.is_precise, self.share_z, weights, cutoff, bandwidth)
 
 
 def decompose(
     table: OutcomeTable,
-    link_results: Sequence[LinkResult],
+    links: Links,
     model: SelectionModel | None = None,
     bootstrap_reps: int = 500,
     seed: int | None = None,
@@ -187,7 +192,7 @@ def decompose(
     counts; the refit, the bandwidths and the shares reweight the pinned
     phase samples by them."""
     if model is None:
-        model = fit_logit(build_design(table, link_results, outcome_rank=outcome_rank))
+        model = fit_logit(build_design(table, links, outcome_rank=outcome_rank))
     ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)
     ph3_design = phase_scores(table, Phase.PHASE3, outcome_rank)
     ph2, ph3 = _PhaseSample(ph2_design), _PhaseSample(ph3_design)
@@ -208,7 +213,7 @@ def decompose(
     dropped = 0
     if bootstrap_reps > 0:
         pinned = PinnedDesign(
-            ph2_design, link_labels(ph2_design.trial_id, link_results), model
+            ph2_design, links.labels(table.trials.ids)[ph2_design.trial_code], model
         )
         streams = np.random.SeedSequence(seed).spawn(bootstrap_reps)
         draws = np.full((bootstrap_reps, 6), np.nan)
@@ -254,7 +259,7 @@ def decompose(
 
 def sponsor_split_sweep(
     table: OutcomeTable,
-    link_results: Sequence[LinkResult],
+    links: Links,
     splits,
     cutoff: float = Z_SIG,
     outcome_rank: OutcomeRank = OutcomeRank.PRIMARY,
@@ -264,39 +269,29 @@ def sponsor_split_sweep(
     groups under every sponsor-split definition; degenerate or failing
     cells are flagged with a reason.  A cell's links are cut down to the
     cell's trials."""
+    links.check(table.trials.ids)
     rows: list[dict] = []
     cache: dict[tuple, dict] = {}
-    sponsors = frozenset(table.industry_sponsor.values())
     for split in splits:
-        # the Large sponsors present fix both cells of a split
-        large = sponsors.intersection(
-            k for k, g in split.classification.items() if g == "Large"
-        )
-        for group, members in table.sponsor_groups(split):
-            key = (group, large)
+        for group in ("Large", "Small"):
+            trials = table.group_mask(split, group)
+            key = (group, trials.tobytes())
             if key not in cache:
-                cell: dict = {}
                 try:
-                    links = restrict_links(link_results, table.group_trials(split, group))
                     rep = decompose(
-                        table.subset(members), links, bootstrap_reps=0,
-                        cutoff=cutoff, outcome_rank=outcome_rank,
+                        table.subset(trials[table.trial_code]), links.within(trials),
+                        bootstrap_reps=0, cutoff=cutoff, outcome_rank=outcome_rank,
                     )
-                    gap = rep.diffs["ph3_minus_ph2"]
-                    cell["ph2"] = rep.shares["ph2"]
-                    cell["ph3"] = rep.shares["ph3"]
-                    cell["ph2_sc"] = rep.shares["ph2_sc"]
-                    if abs(gap) < min_gap:
-                        cell["explained_fraction"] = None
-                        cell["error"] = "degenerate: phase gap below threshold"
-                    else:
-                        cell["explained_fraction"] = rep.diffs["ph2_sc_minus_ph2"] / gap
-                        cell["error"] = ""
-                except (ValueError, RuntimeError) as exc:
+                    gap, explained = rep.diffs["ph3_minus_ph2"], rep.diffs["ph2_sc_minus_ph2"]
+                    flat = abs(gap) < min_gap
                     cell = {
-                        "ph2": None, "ph3": None, "ph2_sc": None,
-                        "explained_fraction": None, "error": str(exc),
+                        **{k: rep.shares[k] for k in SHARE_KEYS},
+                        "explained_fraction": None if flat else explained / gap,
+                        "error": "degenerate: phase gap below threshold" if flat else "",
                     }
+                except (ValueError, RuntimeError) as exc:
+                    cell = {**dict.fromkeys(SHARE_KEYS), "explained_fraction": None,
+                            "error": str(exc)}
                 cache[key] = cell
             rows.append(
                 {"criterion": split.criterion, "k": split.k, "group": group, **cache[key]}

@@ -16,18 +16,19 @@ import re
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from .registry import Phase, Registry, TrialRecord
 
 __all__ = [
-    "LinkResult",
+    "Links",
     "LinkSummary",
     "canonical_drug",
     "load_synonyms",
     "build_synonym_map",
     "link_all",
-    "restrict_links",
     "DEFAULT_MESH_STOPLIST",
     "LINK_COMPLETION_CUTOFF",
 ]
@@ -106,32 +107,61 @@ def canonical_drug(name: str, synonyms: Mapping[str, str] | None = None) -> str:
     return norm
 
 
-@dataclass(frozen=True)
-class LinkResult:
-    phase2_id: str
-    matched_phase3_ids: frozenset[str]
-    skip_reason: str = ""  # empty when the trial was eligible for linking
+@dataclass(frozen=True, eq=False)
+class Links:
+    """The links of the phase II trials of a registry, on trial codes:
+    indices into ``ids``, the registry's trial ids in sorted order.
+
+    ``phase2`` holds the codes of the phase II trials in registry order and
+    ``skip_reason`` why each was not eligible for linking ("" when it was).
+    The codes of the phase III trials matched to ``phase2[i]`` are
+    ``matched[offsets[i]:offsets[i + 1]]``, ascending.
+    """
+
+    ids: np.ndarray
+    phase2: np.ndarray
+    skip_reason: np.ndarray
+    offsets: np.ndarray
+    matched: np.ndarray
 
     @property
-    def continued(self) -> bool:
-        return len(self.matched_phase3_ids) >= 1
+    def n_matches(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
-    @property
-    def eligible(self) -> bool:
-        return self.skip_reason == ""
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The phase II and phase III codes of each matched pair, in
+        ``phase2`` order and by ascending phase III code within a trial."""
+        return np.repeat(self.phase2, self.n_matches), self.matched
 
+    def check(self, ids: np.ndarray) -> None:
+        """Raise ValueError unless ``ids`` codes the trials these links code
+        (by identity for the shared :attr:`Registry.trial_ids` array)."""
+        if not (ids is self.ids or np.array_equal(ids, self.ids)):
+            raise ValueError("the links code the trials of another registry")
 
-def restrict_links(
-    link_results: Iterable[LinkResult], trial_ids: frozenset[str] | set[str]
-) -> list[LinkResult]:
-    """The links of the phase II trials in ``trial_ids``, each match set cut
-    down to the phase III trials in ``trial_ids``.  Matching is pairwise,
-    so this equals linking those trials alone."""
-    return [
-        r if r.matched_phase3_ids <= trial_ids
-        else replace(r, matched_phase3_ids=r.matched_phase3_ids & trial_ids)
-        for r in link_results if r.phase2_id in trial_ids
-    ]
+    def labels(self, ids: np.ndarray) -> np.ndarray:
+        """Continuation label per trial of the coding ``ids``: 1.0 or 0.0 for
+        phase II trials eligible for linking, NaN elsewhere."""
+        self.check(ids)
+        out = np.full(len(ids), np.nan)
+        eligible = self.skip_reason == ""
+        out[self.phase2[eligible]] = self.n_matches[eligible] > 0
+        return out
+
+    def within(self, trials: np.ndarray) -> "Links":
+        """The links of the phase II trials in the trial mask ``trials``,
+        each match list cut down to the trials in the mask.  Matching is
+        pairwise, so this equals linking those trials alone."""
+        if len(trials) != len(self.ids):
+            raise ValueError("the trial mask codes the trials of another registry")
+        keep = trials[self.phase2]
+        owner = np.repeat(np.arange(len(self.phase2)), self.n_matches)
+        hit = keep[owner] & trials[self.matched]
+        counts = np.bincount(owner[hit], minlength=len(self.phase2))[keep]
+        return replace(
+            self, phase2=self.phase2[keep], skip_reason=self.skip_reason[keep],
+            offsets=np.concatenate(([0], np.cumsum(counts))), matched=self.matched[hit],
+        )
 
 
 @dataclass
@@ -158,27 +188,28 @@ def _clean_mesh(terms: frozenset[str], stoplist: frozenset[str]) -> frozenset[st
 
 def _link_indexed(
     phase2: TrialRecord,
-    pool_feats: list[tuple],
+    pool: Mapping[int, tuple],
     drug_index: Mapping[str, list[int]],
     synonyms: Mapping[str, str] | None,
     stop: frozenset[str],
     completion_cutoff: date,
-) -> LinkResult:
-    """Match one phase II trial against a pre-indexed phase III pool:
+) -> tuple[str, list[int]]:
+    """Skip reason ("" when eligible) and ascending matched phase III codes
+    of one phase II trial, matched against a pre-indexed phase III pool:
     candidate phase III trials are narrowed through an inverted drug index
     first.  Ineligible phase II trials (no curated intervention, missing or
-    late completion) come back with a skip reason and no matches."""
+    late completion) have no matches."""
     if not phase2.interventions:
-        return LinkResult(phase2.trial_id, frozenset(), "no_intervention")
+        return "no_intervention", []
     if phase2.completion_date is None:
-        return LinkResult(phase2.trial_id, frozenset(), "no_completion_date")
+        return "no_completion_date", []
     if phase2.completion_date > completion_cutoff:
-        return LinkResult(phase2.trial_id, frozenset(), "completed_after_cutoff")
+        return "completed_after_cutoff", []
     if phase2.start_date is None:
-        return LinkResult(phase2.trial_id, frozenset())
+        return "", []
 
     mesh2 = _clean_mesh(phase2.mesh_conditions, stop)
-    matched: set[str] = set()
+    matched: set[int] = set()
     for combo in phase2.interventions:
         drugs = [canonical_drug(d, synonyms) for d in combo]
         if not drugs:
@@ -190,13 +221,13 @@ def _link_indexed(
         cand = set(min(cand_lists, key=len))
         for c in cand_lists:
             cand &= set(c)
-        for idx in cand:
-            tid, start3, mesh3 = pool_feats[idx]
+        for code in cand:
+            start3, mesh3 = pool[code]
             if start3 is None or not phase2.start_date < start3:
                 continue
             if mesh2 <= mesh3:
-                matched.add(tid)
-    return LinkResult(phase2.trial_id, frozenset(matched))
+                matched.add(code)
+    return "", sorted(matched)
 
 
 def link_all(
@@ -204,65 +235,43 @@ def link_all(
     synonyms: Mapping[str, str] | None = None,
     mesh_stoplist: frozenset[str] = DEFAULT_MESH_STOPLIST,
     completion_cutoff: date = LINK_COMPLETION_CUTOFF,
-) -> tuple[list[LinkResult], LinkSummary]:
+) -> tuple[Links, LinkSummary]:
     """Link every phase II trial in the registry; summary reports
     continuation rates overall and by sponsor class (eligible trials only)."""
     stop = frozenset(_basic_norm(s) for s in mesh_stoplist)
-    pool_feats: list[tuple] = []
+    codes = reg.trial_codes()
+    pool: dict[int, tuple] = {}  # phase III code -> start date, cleaned MeSH terms
     drug_index: dict[str, list[int]] = {}
     for t in reg.trials.values():
         if t.phase is not Phase.PHASE3:
             continue
-        idx = len(pool_feats)
-        pool_feats.append(
-            (t.trial_id, t.start_date, _clean_mesh(t.mesh_conditions, stop))
-        )
+        code = codes[t.trial_id]
+        pool[code] = (t.start_date, _clean_mesh(t.mesh_conditions, stop))
         for d in t.listed_drugs():
-            drug_index.setdefault(canonical_drug(d, synonyms), []).append(idx)
+            drug_index.setdefault(canonical_drug(d, synonyms), []).append(code)
 
-    results: list[LinkResult] = []
+    phase2, reasons, offsets, matched = [], [], [0], []
     summary = LinkSummary()
     for t in reg.trials.values():
         if t.phase is not Phase.PHASE2:
             continue
-        res = _link_indexed(
-            t, pool_feats, drug_index, synonyms, stop, completion_cutoff
+        reason, found = _link_indexed(
+            t, pool, drug_index, synonyms, stop, completion_cutoff
         )
-        results.append(res)
+        phase2.append(codes[t.trial_id])
+        reasons.append(reason)
+        matched.extend(found)
+        offsets.append(len(matched))
         summary.n_phase2 += 1
-        if not res.eligible:
-            summary.skip_counts[res.skip_reason] = (
-                summary.skip_counts.get(res.skip_reason, 0) + 1
-            )
+        if reason:
+            summary.skip_counts[reason] = summary.skip_counts.get(reason, 0) + 1
             continue
         summary.n_eligible += 1
-        summary.n_continued += res.continued
+        summary.n_continued += bool(found)
         cls = t.sponsor_class.value
         n_el, n_cont = summary.by_sponsor_class.get(cls, (0, 0))
-        summary.by_sponsor_class[cls] = (n_el + 1, n_cont + int(res.continued))
-    return results, summary
-
-
-def write_links_csv(results: Sequence[LinkResult], path: str | Path) -> None:
-    """One row per matched (phase II, phase III) pair."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phase2_id", "phase3_id"])
-        for r in results:
-            for p3 in sorted(r.matched_phase3_ids):
-                w.writerow([r.phase2_id, p3])
-
-
-def write_links_summary_csv(results: Sequence[LinkResult], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["phase2_id", "continued", "n_matches", "skip_reason"])
-        for r in results:
-            w.writerow(
-                [
-                    r.phase2_id,
-                    "true" if r.continued else "false",
-                    len(r.matched_phase3_ids),
-                    r.skip_reason,
-                ]
-            )
+        summary.by_sponsor_class[cls] = (n_el + 1, n_cont + int(bool(found)))
+    links = Links(reg.trial_ids, np.array(phase2, dtype=np.int32),
+                  np.array(reasons, dtype=str), np.array(offsets),
+                  np.array(matched, dtype=np.int32))
+    return links, summary

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 # scipy's erfc, not math.erfc: the two differ by a few units in the last
@@ -35,6 +35,7 @@ __all__ = [
     "ZKind",
     "ZScore",
     "OutcomeTable",
+    "TrialColumns",
     "Z_D1",
     "Z_D2",
     "Z_SIG",
@@ -322,6 +323,18 @@ def impute_other_censors(scores: Sequence[ZScore]) -> list[ZScore]:
 
 
 @dataclass(frozen=True, eq=False)
+class TrialColumns:
+    """The per-trial columns of a registry, every trial coded by its index
+    in ``ids``, the trial ids in sorted order.  ``sponsor`` codes each
+    trial's canonical sponsor key in ``sponsor_keys``, the distinct keys."""
+
+    ids: np.ndarray
+    industry: np.ndarray
+    sponsor: np.ndarray
+    sponsor_keys: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class OutcomeTable:
     """The outcomes of a registry as columns, one row per outcome in
     registry order, transformed once under ``side``.
@@ -329,15 +342,15 @@ class OutcomeTable:
     ``kind`` holds ZKind values, ``z`` the precise z (NaN on censored rows),
     ``bound`` the censor bound on the z scale (NaN on precise rows) and
     ``below`` marks "p>t" censors.  Stages select their samples as boolean
-    row masks.  The trial-level columns (phase, industry flag, canonical
-    sponsor key and the selection regressors) repeat on each row of a trial.
+    row masks.  ``trial_code`` is each row's trial in ``trials``, the
+    registry's trials with or without outcomes, which subsets share; the
+    trial-level selection regressors repeat on each row of a trial.
     """
 
     side: Sidedness
-    trial_id: np.ndarray
+    trials: TrialColumns
+    trial_code: np.ndarray
     phase: np.ndarray  # Phase values
-    industry: np.ndarray
-    sponsor: np.ndarray
     rank: np.ndarray  # OutcomeRank values
     kind: np.ndarray
     z: np.ndarray
@@ -348,59 +361,60 @@ class OutcomeTable:
     placebo: np.ndarray
     condition: np.ndarray
     year: np.ndarray
-    # canonical sponsor key of every industry trial of the registry,
-    # with or without outcomes
-    industry_sponsor: Mapping[str, str]
 
     @classmethod
     def of(cls, reg: Registry, side: Sidedness, kind, z, bound) -> "OutcomeTable":
         """Table of ``reg`` given the transformed columns of its outcomes."""
-        trial_cols = {
-            tid: (
-                t.phase.value,
-                t.sponsor_class is SponsorClass.INDUSTRY,
-                canonical_sponsor(t.sponsor_name),
-                math.sqrt(t.enrollment),
-                int(t.placebo_comparator),
-                t.condition_category,
-                str(t.completion_date.year) if t.completion_date is not None else "unknown",
-            )
-            for tid, t in reg.trials.items()
-        }
-        per_row = [trial_cols[o.trial_id] for o in reg.outcomes]
+        codes = reg.trial_codes()
+        trials = [reg.trials[tid] for tid in codes]
+        key_of = {name: canonical_sponsor(name) for name in {t.sponsor_name for t in trials}}
+        keys, sponsor = np.unique(np.array([key_of[t.sponsor_name] for t in trials], dtype=str),
+                                  return_inverse=True)
+        code = np.array([codes[o.trial_id] for o in reg.outcomes], dtype=np.int32)
 
-        def col(j: int, dtype) -> np.ndarray:
-            return np.array([r[j] for r in per_row], dtype=dtype)
+        def col(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype)[code]
 
         return cls(
             side=side,
-            trial_id=np.array([o.trial_id for o in reg.outcomes], dtype=str),
-            phase=col(0, str),
-            industry=col(1, bool),
-            sponsor=col(2, str),
+            trials=TrialColumns(
+                reg.trial_ids,
+                np.array([t.sponsor_class is SponsorClass.INDUSTRY for t in trials], dtype=bool),
+                sponsor, keys,
+            ),
+            trial_code=code,
+            phase=col([t.phase.value for t in trials], str),
             rank=np.array([o.outcome_rank.value for o in reg.outcomes], dtype=str),
             kind=np.asarray(kind, dtype=str),
             z=np.asarray(z, dtype=float),
             bound=np.asarray(bound, dtype=float),
             below=np.array([o.raw_p.kind == "gt" for o in reg.outcomes], dtype=bool),
             mht=np.array([o.mht_adjusted for o in reg.outcomes], dtype=int),
-            sqrt_enroll=col(3, float),
-            placebo=col(4, int),
-            condition=col(5, str),
-            year=col(6, str),
-            industry_sponsor={tid: c[2] for tid, c in trial_cols.items() if c[1]},
+            sqrt_enroll=col([math.sqrt(t.enrollment) for t in trials], float),
+            placebo=col([int(t.placebo_comparator) for t in trials], int),
+            condition=col([t.condition_category for t in trials], str),
+            year=col([str(t.completion_date.year) if t.completion_date is not None
+                      else "unknown" for t in trials], str),
         )
 
     def subset(self, rows: np.ndarray) -> "OutcomeTable":
         """The rows selected by a mask or index array, in table order."""
+        # one index array gathers every column faster than a mask each
+        idx = np.flatnonzero(rows) if rows.dtype == bool else rows
         return replace(self, **{
-            f.name: getattr(self, f.name)[rows]
-            for f in fields(self) if f.name not in ("side", "industry_sponsor")
+            f.name: getattr(self, f.name)[idx]
+            for f in fields(self) if f.name not in ("side", "trials")
         })
 
-    def isin(self, column: str, values) -> np.ndarray:
-        """Row mask: the value of ``column`` is one of ``values``."""
-        return np.isin(getattr(self, column), np.array(list(values), dtype=str))
+    @property
+    def trial_id(self) -> np.ndarray:
+        """The trial id of each row."""
+        return self.trials.ids[self.trial_code]
+
+    @property
+    def industry(self) -> np.ndarray:
+        """Row mask of the outcomes of industry trials."""
+        return self.trials.industry[self.trial_code]
 
     @property
     def precise(self) -> np.ndarray:
@@ -411,19 +425,16 @@ class OutcomeTable:
         """Row mask of the outcomes of one rank in trials of one phase."""
         return (self.phase == phase.value) & (self.rank == outcome_rank.value)
 
+    def group_mask(self, split: SponsorSplit, group: str) -> np.ndarray:
+        """Trial mask of the industry trials, outcomes or not, in one group
+        ("Large" or "Small") of a sponsor split."""
+        large = np.array([split.classification.get(k) == "Large"
+                          for k in self.trials.sponsor_keys.tolist()], dtype=bool)
+        return self.trials.industry & (large == (group == "Large"))[self.trials.sponsor]
+
     def sponsor_groups(self, split: SponsorSplit) -> tuple[tuple[str, np.ndarray], ...]:
         """Industry row masks of the Large and Small groups of a sponsor split."""
-        large = self.isin("sponsor", (k for k, g in split.classification.items() if g == "Large"))
-        return ("Large", self.industry & large), ("Small", self.industry & ~large)
-
-    def group_trials(self, split: SponsorSplit, group: str) -> frozenset[str]:
-        """The industry trials of the registry, outcomes or not, in one group
-        ("Large" or "Small") of a sponsor split."""
-        large = group == "Large"
-        return frozenset(
-            tid for tid, key in self.industry_sponsor.items()
-            if (split.classification.get(key) == "Large") == large
-        )
+        return tuple((g, self.group_mask(split, g)[self.trial_code]) for g in ("Large", "Small"))
 
 
 def outcome_table(reg: Registry, side: Sidedness = Sidedness.TWO_SIDED) -> OutcomeTable:

@@ -13,9 +13,12 @@ import enum
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 __all__ = [
     "Phase",
@@ -176,6 +179,16 @@ class Registry:
 
     def n_trials(self) -> int:
         return len(self.trials)
+
+    @cached_property
+    def trial_ids(self) -> np.ndarray:
+        """The trial ids in sorted order, shared by the registry's tables
+        and links as their trial coding."""
+        return np.array(sorted(self.trials), dtype=str)
+
+    def trial_codes(self) -> dict[str, int]:
+        """The code of each trial: its index in :attr:`trial_ids`."""
+        return {tid: i for i, tid in enumerate(self.trial_ids.tolist())}
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ small-sample factor, clustered at the condition-category level.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .linker import LinkResult
+from .linker import Links
 from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
 from .registry import OutcomeRank, Phase, Registry
 
@@ -26,7 +26,6 @@ __all__ = [
     "SeparationError",
     "build_design",
     "design_rows",
-    "link_labels",
     "fit_logit",
     "wald_equality",
     "predict",
@@ -55,16 +54,15 @@ class SelectionDesign:
     mht: np.ndarray
     condition: np.ndarray
     year: np.ndarray
-    trial_id: np.ndarray
+    trial_code: np.ndarray  # the trial of each row, coded as in its table
     kind: np.ndarray  # z-score kind code per row ("precise", "above_d1", ...)
     bound: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.y)
-        for name in ("z", "d1", "d2", "sqrt_enroll", "placebo", "mht",
-                     "condition", "year", "trial_id", "kind", "bound"):
-            if len(getattr(self, name)) != n:
-                raise ValueError(f"column {name} has wrong length")
+        for f in fields(self):
+            if len(getattr(self, f.name)) != n:
+                raise ValueError(f"column {f.name} has wrong length")
         if np.any(self.d1 * self.d2 != 0):
             raise ValueError("d1 and d2 are mutually exclusive")
         if np.any((self.z != 0) & ((self.d1 == 1) | (self.d2 == 1))):
@@ -76,7 +74,7 @@ class SelectionDesign:
 
     @property
     def n_trials(self) -> int:
-        return len(np.unique(self.trial_id))
+        return int(np.count_nonzero(np.bincount(self.trial_code)))
 
     @property
     def share_z(self) -> np.ndarray:
@@ -84,12 +82,7 @@ class SelectionDesign:
         return np.where((self.d1 == 1) | (self.d2 == 1), self.bound, self.z)
 
     def subset(self, idx: np.ndarray) -> "SelectionDesign":
-        return SelectionDesign(
-            y=self.y[idx], z=self.z[idx], d1=self.d1[idx], d2=self.d2[idx],
-            sqrt_enroll=self.sqrt_enroll[idx], placebo=self.placebo[idx],
-            mht=self.mht[idx], condition=self.condition[idx], year=self.year[idx],
-            trial_id=self.trial_id[idx], kind=self.kind[idx], bound=self.bound[idx],
-        )
+        return replace(self, **{f.name: getattr(self, f.name)[idx] for f in fields(self)})
 
 
 _DESIGN_COLUMNS = frozenset(f.name for f in fields(SelectionDesign))
@@ -120,18 +113,6 @@ class SelectionModel:
 # ---------------------------------------------------------------------------
 # Design construction
 
-def link_labels(trial_id: np.ndarray, link_results: Sequence[LinkResult]) -> np.ndarray:
-    """Continuation label per row: 1.0 or 0.0 for rows of trials eligible
-    for linking, NaN elsewhere."""
-    eligible = [r.phase2_id for r in link_results if r.eligible]
-    continued = [r.phase2_id for r in link_results if r.eligible and r.continued]
-    return np.where(
-        np.isin(trial_id, np.array(eligible, dtype=str)),
-        np.isin(trial_id, np.array(continued, dtype=str)).astype(float),
-        np.nan,
-    )
-
-
 def design_rows(table: OutcomeTable, rows: np.ndarray, y: np.ndarray) -> SelectionDesign:
     """Design over the table rows selected by a mask, with labels ``y``.
     Other censors are imputed within these rows."""
@@ -144,14 +125,14 @@ def design_rows(table: OutcomeTable, rows: np.ndarray, y: np.ndarray) -> Selecti
     return SelectionDesign(
         y=y, z=np.where((d1 == 1) | (d2 == 1), 0.0, z), d1=d1, d2=d2,
         sqrt_enroll=t.sqrt_enroll, placebo=t.placebo, mht=t.mht,
-        condition=t.condition, year=t.year, trial_id=t.trial_id, kind=t.kind,
+        condition=t.condition, year=t.year, trial_code=t.trial_code, kind=t.kind,
         bound=t.bound,
     )
 
 
 def build_design(
     table: OutcomeTable | Registry,
-    link_results: Sequence[LinkResult],
+    links: Links,
     outcome_rank: OutcomeRank = OutcomeRank.PRIMARY,
 ) -> SelectionDesign:
     """One row per industry phase II trial-outcome with a linked
@@ -169,21 +150,29 @@ def build_design(
             [s.z if s.is_precise else np.nan for s in scores],
             [np.nan if s.is_precise else s.bound for s in scores],
         )
-    labels = link_labels(table.trial_id, link_results)
+    labels = links.labels(table.trials.ids)[table.trial_code]
     rows = table.industry & table.sample(Phase.PHASE2, outcome_rank) & ~np.isnan(labels)
     return design_rows(table, rows, labels[rows])
 
 
-def _dummy_levels(values: np.ndarray, fixed: tuple | None) -> tuple[str, list[str]]:
-    """Reference level (most frequent) and remaining levels, or the fixed
-    assignment when refitting/predicting with an existing layout."""
-    if fixed is not None:
-        return fixed
-    vals, counts = np.unique(values.astype(str), return_counts=True)
-    order = np.lexsort((vals, -counts))
-    ref = vals[order[0]]
-    others = sorted(v for v in vals if v != ref)
-    return str(ref), [str(v) for v in others]
+def _dummies(
+    values: np.ndarray, fixed: tuple | None, label: str, warn_unseen: bool
+) -> tuple[tuple[str, list[str]], list[np.ndarray]]:
+    """The layout of a categorical column, its reference (most frequent)
+    level and remaining levels or the ``fixed`` layout of an existing fit,
+    and a 0/1 column per remaining level.  Values outside the layout fold
+    into the reference."""
+    vals, inv = np.unique(values.astype(str), return_inverse=True)
+    if fixed is None:
+        counts = np.bincount(inv, minlength=len(vals))
+        ref = str(vals[np.lexsort((vals, -counts))[0]])
+        fixed = (ref, [v for v in vals.tolist() if v != ref])
+    ref, levels = fixed
+    at = {v: j for j, v in enumerate(vals.tolist())}
+    unseen = set(at) - set(levels) - {ref}
+    if warn_unseen and unseen:
+        warnings.warn(f"unseen {label} levels {sorted(unseen)} folded into reference {ref!r}")
+    return fixed, [(inv == at.get(lv, -1)).astype(float) for lv in levels]
 
 
 def build_matrix(
@@ -198,34 +187,17 @@ def build_matrix(
     into the reference.
     """
     fixed = levels or {}
-    cond_ref, cond_levels = _dummy_levels(design.condition, fixed.get("condition"))
-    year_ref, year_levels = _dummy_levels(design.year, fixed.get("year"))
-
     cols = [np.ones(design.n_obs), design.z, design.d1, design.d2,
             design.sqrt_enroll, design.placebo, design.mht]
     names = ["const", "z_ph2", "d1", "d2", "sqrt_enroll", "placebo", "mht_adjusted"]
-    cond = design.condition.astype(str)
-    year = design.year.astype(str)
-    if warn_unseen:
-        for label, vals, known, ref in (
-            ("condition", cond, cond_levels, cond_ref),
-            ("year", year, year_levels, year_ref),
-        ):
-            unseen = set(np.unique(vals)) - set(known) - {ref}
-            if unseen:
-                warnings.warn(
-                    f"unseen {label} levels {sorted(unseen)} folded into "
-                    f"reference {ref!r}"
-                )
-    for lv in cond_levels:
-        cols.append((cond == lv).astype(float))
-        names.append(f"cond:{lv}")
-    for lv in year_levels:
-        cols.append((year == lv).astype(float))
-        names.append(f"year:{lv}")
-    X = np.column_stack(cols)
-    out_levels = {"condition": (cond_ref, cond_levels), "year": (year_ref, year_levels)}
-    return X, names, out_levels
+    out_levels = {}
+    for label, prefix in (("condition", "cond"), ("year", "year")):
+        layout, dummies = _dummies(getattr(design, label), fixed.get(label), label, warn_unseen)
+        out_levels[label] = layout
+        cols += dummies
+        names += [f"{prefix}:{lv}" for lv in layout[1]]
+    # one (k, n) block transposed into place: much faster than np.column_stack
+    return np.array(cols, dtype=float).T.copy(), names, out_levels
 
 
 def _drop_collinear(

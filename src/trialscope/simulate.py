@@ -433,7 +433,7 @@ def end_to_end_truth_check(
     synonyms = build_synonym_map(truth.synonym_pairs)
     links, summary = link_all(reg, synonyms=synonyms)
 
-    recovered = {r.phase2_id for r in links if r.continued}
+    recovered = set(links.ids[links.pairs()[0]].tolist())
     expected = truth.continued_ids()
     if recovered != expected:
         missing = sorted(expected - recovered)[:5]

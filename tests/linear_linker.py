@@ -10,7 +10,6 @@ from typing import Mapping, Sequence
 from trialscope.linker import (
     DEFAULT_MESH_STOPLIST,
     LINK_COMPLETION_CUTOFF,
-    LinkResult,
     _basic_norm,
     _clean_mesh,
     canonical_drug,
@@ -24,18 +23,19 @@ def link(
     synonyms: Mapping[str, str] | None = None,
     mesh_stoplist: frozenset[str] = DEFAULT_MESH_STOPLIST,
     completion_cutoff: date = LINK_COMPLETION_CUTOFF,
-) -> LinkResult:
-    """Match one phase II trial against a pool of phase III trials.
+) -> tuple[str, frozenset[str]]:
+    """Match one phase II trial against a pool of phase III trials: the
+    skip reason ("" when eligible) and the ids of the matched trials.
 
     Ineligible phase II trials (no curated intervention, missing or late
     completion) come back with a skip reason and no matches.
     """
     if not phase2.interventions:
-        return LinkResult(phase2.trial_id, frozenset(), "no_intervention")
+        return "no_intervention", frozenset()
     if phase2.completion_date is None:
-        return LinkResult(phase2.trial_id, frozenset(), "no_completion_date")
+        return "no_completion_date", frozenset()
     if phase2.completion_date > completion_cutoff:
-        return LinkResult(phase2.trial_id, frozenset(), "completed_after_cutoff")
+        return "completed_after_cutoff", frozenset()
 
     stop = frozenset(_basic_norm(s) for s in mesh_stoplist)
     main_sets = [
@@ -59,4 +59,4 @@ def link(
         listed = frozenset(canonical_drug(d, synonyms) for d in cand.listed_drugs())
         if any(s <= listed for s in main_sets):
             matched.add(cand.trial_id)
-    return LinkResult(phase2.trial_id, frozenset(matched))
+    return "", frozenset(matched)

@@ -293,7 +293,10 @@ def test_criterion_7_real_data_replication():
     from trialscope.registry import SponsorClass, default_rankings, all_sponsor_splits
 
     industry = reg.filter_trials(lambda t: t.sponsor_class is SponsorClass.INDUSTRY)
-    design = build_design(outcome_table(industry), links)
+    # the links code the trials of ``reg``, so the groups are row masks of
+    # its table; the labels read the full registry's matches
+    table = outcome_table(reg)
+    design = build_design(table.subset(table.industry), links)
     model = fit_logit(design)
     c = model.coefficients
     assert c["z_ph2"] == pytest.approx(0.331, abs=0.005)
@@ -301,7 +304,7 @@ def test_criterion_7_real_data_replication():
     assert c["d2"] == pytest.approx(1.232, abs=0.005)
     assert model.mean_dep == pytest.approx(0.296, abs=0.005)
 
-    rep = decompose(outcome_table(industry), links, model=model, bootstrap_reps=500, seed=0)
+    rep = decompose(table.subset(table.industry), links, model=model, bootstrap_reps=500, seed=0)
     assert rep.shares["ph2"] == pytest.approx(0.481, abs=0.005)
     assert rep.shares["ph3"] == pytest.approx(0.721, abs=0.005)
     assert rep.shares["ph2_sc"] == pytest.approx(0.604, abs=0.005)
@@ -320,9 +323,10 @@ def test_criterion_7_real_data_replication():
     disc = cjm_test(zs, cutoff=1.96)
     assert disc.p_value == pytest.approx(0.032, abs=0.01)
 
-    top = industry.filter_trials(lambda t: split.group_of(t.sponsor_name) == "Large")
-    m_small = fit_logit(build_design(outcome_table(small), links))
-    m_top = fit_logit(build_design(outcome_table(top), links))
+    m_small, m_top = (
+        fit_logit(build_design(table.subset(table.group_mask(split, g)[table.trial_code]), links))
+        for g in ("Small", "Large")
+    )
     assert wald_equality(m_small, m_top) == pytest.approx(0.00480, abs=0.002)
     report(7, True, "real-data replication targets met")
 

@@ -23,7 +23,6 @@ from trialscope.selection import (
     build_design,
     build_matrix,
     fit_logit,
-    link_labels,
 )
 from trialscope.simulate import Misreporting, SimConfig, generate
 
@@ -137,13 +136,12 @@ class TestDecompose:
         assert rep.stars("d") == "***"
 
 
-def resample_rows(trial_id, rng):
+def resample_rows(trial_code, rng):
     """The rows of as many trials as there are, drawn with replacement,
     trial by trial in draw order: the gather path of a rep, and the
     reference for its draw counts."""
-    tid = trial_id.astype(str)
-    order = np.argsort(tid, kind="stable")
-    _, starts, sizes = np.unique(tid[order], return_index=True, return_counts=True)
+    order = np.argsort(trial_code, kind="stable")
+    _, starts, sizes = np.unique(trial_code[order], return_index=True, return_counts=True)
     drawn = rng.integers(0, len(starts), size=len(starts))
     return np.concatenate([order[starts[j]:starts[j] + sizes[j]] for j in drawn])
 
@@ -214,7 +212,7 @@ class TestPinnedDesign:
         model = fit_logit(build_design(table, links))
         ph2 = phase_scores(table, Phase.PHASE2)
         ph3 = phase_scores(table, Phase.PHASE3)
-        labels = link_labels(ph2.trial_id, links)
+        labels = links.labels(table.trials.ids)[ph2.trial_code]
         return table, links, model, ph2, ph3, labels
 
     def test_reps_match_subset_refits(self, setup):
@@ -226,7 +224,7 @@ class TestPinnedDesign:
             rng = np.random.default_rng(stream)
             counts2, counts3 = s2.counts(rng), s3.counts(rng)
             rng = np.random.default_rng(stream)
-            rows2, rows3 = resample_rows(ph2.trial_id, rng), resample_rows(ph3.trial_id, rng)
+            rows2, rows3 = resample_rows(ph2.trial_code, rng), resample_rows(ph3.trial_code, rng)
             (a, b, c), w_ref, b2 = subset_shares(ph2, ph3, labels, model.coefficients,
                                                  rows2, rows3)
             p, _, draw = count_rep(pinned, s2, s3, counts2, counts3)
@@ -247,8 +245,8 @@ class TestPinnedDesign:
         for stream in np.random.SeedSequence(17).spawn(20):
             counts_rng, rows_rng = np.random.default_rng(stream), np.random.default_rng(stream)
             counts2, counts3 = s2.counts(counts_rng), s3.counts(counts_rng)
-            rows2 = resample_rows(ph2.trial_id, rows_rng)
-            rows3 = resample_rows(ph3.trial_id, rows_rng)
+            rows2 = resample_rows(ph2.trial_code, rows_rng)
+            rows3 = resample_rows(ph3.trial_code, rows_rng)
             w_ref, h_ref, draw_ref = gather_rep(pinned, ph2, ph3, labels, rows2, rows3)
             p, h, draw = count_rep(pinned, s2, s3, counts2, counts3)
             assert np.max(np.abs(p[rows2] - w_ref)) < 1e-12
@@ -285,22 +283,23 @@ class TestPinnedDesign:
 
     def test_resample_rows_matches_concatenation(self):
         rng = np.random.default_rng(0)
-        tid = rng.choice([f"T{i:03d}" for i in range(40)], 200)  # ~5 outcomes per trial
-        order = np.argsort(tid, kind="stable")
-        _, starts = np.unique(tid[order], return_index=True)
-        bounds = np.append(starts, len(tid))
+        # 40 trials with sparse codes, ~5 outcomes per trial
+        code = rng.choice(np.arange(0, 400, 10), 200)
+        order = np.argsort(code, kind="stable")
+        _, starts = np.unique(code[order], return_index=True)
+        bounds = np.append(starts, len(code))
         groups = [order[bounds[i]:bounds[i + 1]] for i in range(len(starts))]
         sample = _PhaseSample(SimpleNamespace(
-            kind=np.full(len(tid), "precise", dtype=object), share_z=np.zeros(len(tid)),
-            z=np.zeros(len(tid)), trial_id=tid,
+            kind=np.full(len(code), "precise", dtype=object), share_z=np.zeros(len(code)),
+            z=np.zeros(len(code)), trial_code=code,
         ))
         for seed in range(5):
             drawn = np.random.default_rng(seed).integers(0, len(groups), size=len(groups))
             expected = np.concatenate([groups[j] for j in drawn])
-            assert np.array_equal(resample_rows(tid, np.random.default_rng(seed)), expected)
+            assert np.array_equal(resample_rows(code, np.random.default_rng(seed)), expected)
             # a rep's draw counts are the bincount of its concatenated rows
             counts = sample.counts(np.random.default_rng(seed))
-            assert np.array_equal(counts, np.bincount(expected, minlength=len(tid)))
+            assert np.array_equal(counts, np.bincount(expected, minlength=len(code)))
 
     def test_failed_checks_are_dropped_reps(self, setup, monkeypatch):
         table, links, model, ph2, ph3, labels = setup
@@ -359,14 +358,17 @@ class TestSweep:
         table = outcome_table(reg)
         split = all_sponsor_splits(reg.rankings, k_range=[10])[0]
         large_rows = table.sponsor_groups(split)[0][1]
-        fitted = set(build_design(table.subset(large_rows), links).trial_id)
-        target = next(r for r in links if r.phase2_id in fitted and not r.continued)
-        small_ph3 = min(t for t in table.group_trials(split, "Small")
-                        if reg.trials[t].phase is Phase.PHASE3)
-        crossed = [
-            replace(r, matched_phase3_ids=frozenset({small_ph3})) if r is target else r
-            for r in links
-        ]
+        fitted = set(build_design(table.subset(large_rows), links).trial_code.tolist())
+        target = next(i for i, code in enumerate(links.phase2.tolist())
+                      if code in fitted and links.n_matches[i] == 0)
+        small_ph3 = min(c for c in np.flatnonzero(table.group_mask(split, "Small"))
+                        if reg.trials[table.trials.ids[c]].phase is Phase.PHASE3)
+        at = links.offsets[target]
+        crossed = replace(
+            links, offsets=np.r_[links.offsets[:target + 1], links.offsets[target + 1:] + 1],
+            matched=np.insert(links.matched, at, small_ph3),
+        )
+        assert crossed.labels(table.trials.ids)[links.phase2[target]] == 1.0
         assert sponsor_split_sweep(table, crossed, [split]) == sponsor_split_sweep(
             table, links, [split]
         )

@@ -1,18 +1,19 @@
 from datetime import date
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trialscope.cli import main
 from trialscope.linker import (
     DEFAULT_MESH_STOPLIST,
-    LinkResult,
     build_synonym_map,
     canonical_drug,
     link_all,
     load_synonyms,
-    restrict_links,
 )
+from trialscope.pz import outcome_table
 from trialscope.registry import (
     Phase,
     Registry,
@@ -20,7 +21,10 @@ from trialscope.registry import (
     StudyType,
     TrialRecord,
     assign_condition_category,
+    write_outcomes_csv,
+    write_trials_csv,
 )
+from trialscope.selection import build_design
 
 from linear_linker import link
 
@@ -52,6 +56,17 @@ def make_trial(
     )
 
 
+def by_phase2_id(links):
+    """(skip reason, matched ids) of each phase II trial of ``links``, keyed
+    by its id in registry order, as the linear linker reports them."""
+    ids = links.ids.tolist()
+    matched = {ids[c]: frozenset() for c in links.phase2.tolist()}
+    for p2, p3 in zip(*(codes.tolist() for codes in links.pairs())):
+        matched[ids[p2]] |= {ids[p3]}
+    return {ids[c]: (reason, matched[ids[c]])
+            for c, reason in zip(links.phase2.tolist(), links.skip_reason.tolist())}
+
+
 PH2 = make_trial(
     "P2", Phase.PHASE2, [{"druga", "drugb"}], {"C14:Hypertension"},
     date(2012, 1, 1), date(2014, 6, 30),
@@ -62,74 +77,72 @@ class TestCriteria:
     def test_superset_interventions_match(self):
         p3 = make_trial("P3", Phase.PHASE3, [{"druga"}, {"drugb"}, {"drugc"}],
                         {"C14:Hypertension", "C10:Migraine"}, date(2015, 1, 1))
-        res = link(PH2, [p3])
-        assert res.continued and res.matched_phase3_ids == {"P3"}
+        assert link(PH2, [p3]) == ("", {"P3"})
 
     def test_synonym_resolution(self):
         p2 = make_trial("P2", Phase.PHASE2, [{"druga"}], {"C14:X"},
                         date(2012, 1, 1), date(2014, 1, 1))
         p3 = make_trial("P3", Phase.PHASE3, [{"brandname"}], {"C14:X"}, date(2015, 1, 1))
         synonyms = build_synonym_map([("druga", "brandname")])
-        assert not link(p2, [p3]).continued
-        assert link(p2, [p3], synonyms=synonyms).continued
+        assert not link(p2, [p3])[1]
+        assert link(p2, [p3], synonyms=synonyms)[1]
 
     def test_equal_start_dates_do_not_match(self):
         p3 = make_trial("P3", Phase.PHASE3, [{"druga", "drugb"}],
                         {"C14:Hypertension"}, PH2.start_date)
-        assert not link(PH2, [p3]).continued
+        assert not link(PH2, [p3])[1]
 
     def test_mesh_subset_required(self):
         p3 = make_trial("P3", Phase.PHASE3, [{"druga", "drugb"}],
                         {"C10:Migraine"}, date(2015, 1, 1))
-        assert not link(PH2, [p3]).continued
+        assert not link(PH2, [p3])[1]
 
     def test_stoplist_ignores_generic_terms(self):
         p2 = make_trial("P2", Phase.PHASE2, [{"druga"}],
                         {"C14:Hypertension", "Disease"}, date(2012, 1, 1), date(2014, 1, 1))
         p3 = make_trial("P3", Phase.PHASE3, [{"druga"}], {"C14:Hypertension"},
                         date(2015, 1, 1))
-        assert link(p2, [p3]).continued
+        assert link(p2, [p3])[1]
         # without the stoplist the generic term blocks the match
-        assert not link(p2, [p3], mesh_stoplist=frozenset()).continued
+        assert not link(p2, [p3], mesh_stoplist=frozenset())[1]
 
     def test_partial_combination_does_not_match(self):
         p3 = make_trial("P3", Phase.PHASE3, [{"druga"}], {"C14:Hypertension"},
                         date(2015, 1, 1))
-        assert not link(PH2, [p3]).continued
+        assert not link(PH2, [p3])[1]
 
     def test_any_main_set_suffices(self):
         p2 = make_trial("P2", Phase.PHASE2, [{"druga", "drugb"}, {"drugz"}],
                         {"C14:X"}, date(2012, 1, 1), date(2014, 1, 1))
         p3 = make_trial("P3", Phase.PHASE3, [{"drugz"}], {"C14:X"}, date(2015, 1, 1))
-        assert link(p2, [p3]).continued
+        assert link(p2, [p3])[1]
 
     def test_results_reporting_irrelevant(self):
         # matching is purely on protocol fields; no outcome data involved
         p3 = make_trial("P3", Phase.PHASE3, [{"druga", "drugb"}],
                         {"C14:Hypertension"}, date(2015, 1, 1))
-        assert link(PH2, [p3]).continued
+        assert link(PH2, [p3])[1]
 
 
 class TestSkips:
     def test_no_intervention(self):
         p2 = make_trial("P2", Phase.PHASE2, [], {"C14:X"},
                         date(2012, 1, 1), date(2014, 1, 1))
-        res = link(p2, [])
-        assert res.skip_reason == "no_intervention" and not res.eligible
+        assert link(p2, []) == ("no_intervention", frozenset())
 
     def test_no_completion_date(self):
         p2 = make_trial("P2", Phase.PHASE2, [{"a"}], {"C14:X"}, date(2012, 1, 1), None)
-        assert link(p2, []).skip_reason == "no_completion_date"
+        assert link(p2, [])[0] == "no_completion_date"
 
     def test_completed_after_cutoff(self):
         p2 = make_trial("P2", Phase.PHASE2, [{"a"}], {"C14:X"},
                         date(2018, 1, 1), date(2019, 6, 1))
-        assert link(p2, []).skip_reason == "completed_after_cutoff"
+        assert link(p2, [])[0] == "completed_after_cutoff"
 
     def test_boundary_completion_date_eligible(self):
         p2 = make_trial("P2", Phase.PHASE2, [{"a"}], {"C14:X"},
                         date(2016, 1, 1), date(2018, 12, 31))
-        assert link(p2, []).eligible
+        assert link(p2, [])[0] == ""
 
 
 class TestCanonicalization:
@@ -181,17 +194,17 @@ class TestLinkAll:
                          {"C14:Hypertension"}, date(2015, 1, 1))
         p3b = make_trial("P3B", Phase.PHASE3, [{"druga", "drugb", "drugc"}],
                          {"C14:Hypertension"}, date(2016, 1, 1))
-        small = link(PH2, [p3a])
-        big = link(PH2, [p3a, p3b])
-        assert small.continued
-        assert big.continued
-        assert small.matched_phase3_ids <= big.matched_phase3_ids
+        _, small = link(PH2, [p3a])
+        _, big = link(PH2, [p3a, p3b])
+        assert small
+        assert big
+        assert small <= big
 
     def test_zero_pool_all_false(self, sim_small):
         reg, truth, links, summary = sim_small
         only_ph2 = reg.filter_trials(lambda t: t.phase is Phase.PHASE2)
-        results, s = link_all(only_ph2)
-        assert all(not r.continued for r in results)
+        links, s = link_all(only_ph2)
+        assert len(links.phase2) == only_ph2.n_trials() and links.matched.size == 0
         assert s.n_continued == 0
 
     def test_pool_order_invariance(self):
@@ -202,22 +215,18 @@ class TestLinkAll:
         ]
         a = link(PH2, pool)
         b = link(PH2, list(reversed(pool)))
-        assert a.matched_phase3_ids == b.matched_phase3_ids
+        assert a[1] == b[1]
 
     def test_indexed_matches_reference(self, sim_small):
         reg, truth, links, summary = sim_small
         synonyms = build_synonym_map(truth.synonym_pairs)
         pool = [t for t in reg.trials.values() if t.phase is Phase.PHASE3]
-        by_id = {r.phase2_id: r for r in links}
+        by_id = by_phase2_id(links)
         checked = 0
         for t in list(reg.trials.values())[:150]:
             if t.phase is not Phase.PHASE2:
                 continue
-            ref = link(t, pool, synonyms)
-            got = by_id[t.trial_id]
-            assert (ref.matched_phase3_ids, ref.skip_reason) == (
-                got.matched_phase3_ids, got.skip_reason
-            )
+            assert link(t, pool, synonyms) == by_id[t.trial_id]
             checked += 1
         assert checked > 50
 
@@ -226,12 +235,11 @@ class TestLinkAll:
         ids = frozenset(list(reg.trials)[::2])
         alone, _ = link_all(reg.filter_trials(lambda t: t.trial_id in ids),
                             synonyms=build_synonym_map(truth.synonym_pairs))
-        cut = restrict_links(links, ids)
-        assert sum(r.matched_phase3_ids != c.matched_phase3_ids
-                   for r, c in zip([r for r in links if r.phase2_id in ids], cut)) > 0
-        assert {r.phase2_id: (r.matched_phase3_ids, r.skip_reason) for r in cut} == {
-            r.phase2_id: (r.matched_phase3_ids, r.skip_reason) for r in alone
-        }
+        cut = by_phase2_id(links.within(np.isin(links.ids, list(ids))))
+        full = by_phase2_id(links)
+        assert sum(full[tid] != got for tid, got in cut.items()) > 0
+        assert cut == by_phase2_id(alone)
+        assert list(cut) == list(by_phase2_id(alone))  # registry order kept
 
     def test_summary_rates(self, sim_small):
         reg, truth, links, summary = sim_small
@@ -240,3 +248,51 @@ class TestLinkAll:
         ne, nc = summary.by_sponsor_class["industry"]
         assert ne == summary.n_eligible and nc == summary.n_continued
         assert 0.0 < summary.continuation_rate() < 1.0
+
+
+class TestLinks:
+    def test_links_of_another_registry_raise(self, sim_small):
+        reg, truth, links, summary = sim_small
+        half = reg.filter_trials(lambda t: t.trial_id in set(list(reg.trials)[::2]))
+        half_links, _ = link_all(half, synonyms=build_synonym_map(truth.synonym_pairs))
+        table = outcome_table(reg)
+        for bad in (lambda: build_design(table, half_links),
+                    lambda: build_design(outcome_table(half), links),
+                    lambda: half_links.labels(table.trials.ids),
+                    lambda: links.within(np.ones(half.n_trials(), dtype=bool))):
+            with pytest.raises(ValueError, match="another registry"):
+                bad()
+        assert build_design(outcome_table(half), half_links).n_obs > 0
+        # a registry's table and links hold its one coding array
+        assert table.trials.ids is links.ids is reg.trial_ids
+
+    def test_link_csv_bytes(self, tmp_path):
+        # registry order is not id order, and P2-B matches two phase III
+        # trials, listed in registry order Z before A
+        d = date
+        trials = [
+            make_trial("P2-B", Phase.PHASE2, [{"druga"}], {"C14:X"}, d(2012, 1, 1), d(2014, 1, 1)),
+            make_trial("P3-Z", Phase.PHASE3, [{"druga"}], {"C14:X"}, d(2016, 1, 1)),
+            make_trial("P2-A", Phase.PHASE2, [], {"C14:X"}, d(2012, 1, 1), d(2014, 1, 1)),
+            make_trial("P3-A", Phase.PHASE3, [{"druga"}, {"drugb"}], {"C14:X"}, d(2015, 1, 1)),
+            make_trial("P2-C", Phase.PHASE2, [{"drugb"}], {"C14:X"}, d(2012, 1, 1), d(2014, 1, 1)),
+            make_trial("P2-D", Phase.PHASE2, [{"drugq"}], {"C14:X"}, d(2012, 1, 1), d(2014, 1, 1)),
+        ]
+        reg = Registry(trials={t.trial_id: t for t in trials}, outcomes=(), rankings={})
+        write_trials_csv(reg, tmp_path / "trials.csv")
+        write_outcomes_csv(reg, tmp_path / "outcomes.csv")
+        assert main(["link", "--trials", str(tmp_path / "trials.csv"),
+                     "--outcomes", str(tmp_path / "outcomes.csv"), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "links.csv").read_bytes() == (
+            b"phase2_id,phase3_id\r\n"
+            b"P2-B,P3-A\r\n"
+            b"P2-B,P3-Z\r\n"
+            b"P2-C,P3-A\r\n"
+        )
+        assert (tmp_path / "links_summary.csv").read_bytes() == (
+            b"phase2_id,continued,n_matches,skip_reason\r\n"
+            b"P2-B,true,2,\r\n"
+            b"P2-A,false,0,no_intervention\r\n"
+            b"P2-C,true,1,\r\n"
+            b"P2-D,false,0,\r\n"
+        )

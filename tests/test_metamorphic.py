@@ -91,6 +91,25 @@ def test_row_order_invariance(sim_csvs, baseline, tmp_path):
     assert_close(baseline, results(*shuffled, rankings, synonyms, tmp_path))
 
 
+def test_bootstrap_row_order_invariance(sim_csvs, tmp_path):
+    # trials are coded in sorted id order, so a rep draws the same trials
+    # whatever the order of the input rows
+    trials, outcomes, rankings, synonyms = sim_csvs
+    rng = np.random.default_rng(8)
+    shuffled = (
+        rewrite(trials, tmp_path / "trials.csv", order=rng.permutation),
+        rewrite(outcomes, tmp_path / "outcomes.csv", order=rng.permutation),
+    )
+    reports = []
+    for t, o in ((trials, outcomes), shuffled):
+        reg, _ = apply_sample_filters(ingest(t, o, rankings))
+        links, _ = link_all(reg, synonyms=load_synonyms(synonyms))
+        reports.append(decompose(outcome_table(reg), links, bootstrap_reps=20, seed=6))
+    base, moved = reports
+    assert moved.dropped_reps == base.dropped_reps
+    assert_close(base.std_errs, moved.std_errs)
+
+
 def test_trial_relabel_invariance(sim_csvs, baseline, tmp_path):
     trials, outcomes, rankings, synonyms = sim_csvs
     with open(trials, newline="", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from trialscope.linker import link_all
 from trialscope.pz import Z_D1, Z_D2, outcome_table
 from trialscope.registry import OutcomeRank
 from trialscope.selection import (
@@ -43,12 +44,12 @@ def synthetic_design(rng, n, beta=None, n_cond=12, n_years=8, rows_per_trial=1):
            + beta["mht_adjusted"] * mht)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     kind = np.where(d1 == 1, "above_d1", np.where(d2 == 1, "above_d2", "precise"))
-    tid = np.array([f"T{i // rows_per_trial:05d}" for i in range(n)], dtype=object)
+    code = np.arange(n) // rows_per_trial
     bound = np.where(d1 == 1, Z_D1, np.where(d2 == 1, Z_D2, np.nan))
     return SelectionDesign(
         y=y, z=z, d1=d1, d2=d2, sqrt_enroll=sqrt_enroll,
         placebo=placebo.astype(int), mht=mht, condition=cond.astype(object),
-        year=year.astype(object), trial_id=tid, kind=kind.astype(object), bound=bound,
+        year=year.astype(object), trial_code=code, kind=kind.astype(object), bound=bound,
     ), beta
 
 
@@ -71,7 +72,7 @@ class TestDesign:
         reg, truth, links, _ = sim_small
         empty = reg.filter_trials(lambda t: False)
         with pytest.raises(ValueError, match="empty"):
-            build_design(outcome_table(empty), links)
+            build_design(outcome_table(empty), link_all(empty)[0])
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
@@ -81,7 +82,7 @@ class TestDesign:
                 placebo=np.array([0]), mht=np.array([0]),
                 condition=np.array(["A"], dtype=object),
                 year=np.array(["2010"], dtype=object),
-                trial_id=np.array(["T"], dtype=object),
+                trial_code=np.array([0]),
                 kind=np.array(["above_d1"], dtype=object),
                 bound=np.array([Z_D1]),
             )
@@ -93,7 +94,7 @@ class TestDesign:
         a = build_design(reg, links)
         b = build_design(outcome_table(reg), links)
         for name in ("y", "z", "d1", "d2", "sqrt_enroll", "placebo", "mht",
-                     "condition", "year", "trial_id", "kind", "bound"):
+                     "condition", "year", "trial_code", "kind", "bound"):
             col_a, col_b = getattr(a, name), getattr(b, name)
             assert col_a.dtype.kind == col_b.dtype.kind, name
             assert np.array_equal(col_a, col_b, equal_nan=col_a.dtype.kind == "f"), name
@@ -161,7 +162,7 @@ class TestFit:
             sqrt_enroll=design.sqrt_enroll, placebo=design.placebo,
             mht=design.mht, condition=design.condition,
             year=np.array([str(int(v) + 1000) for v in design.year], dtype=object),
-            trial_id=design.trial_id, kind=design.kind, bound=design.bound,
+            trial_code=design.trial_code, kind=design.kind, bound=design.bound,
         )
         m2 = fit_logit(shifted)
         p2 = predict(m2, shifted)
@@ -265,9 +266,9 @@ class TestWald:
                 np.random.default_rng(100 + s), 2000, rows_per_trial=2
             )
             half = design.n_obs // 2
-            ma = fit_logit(design.subset(np.arange(half)), cluster_by="trial_id")
+            ma = fit_logit(design.subset(np.arange(half)), cluster_by="trial_code")
             mb = fit_logit(design.subset(np.arange(half, design.n_obs)),
-                           cluster_by="trial_id")
+                           cluster_by="trial_code")
             ps.append(wald_equality(ma, mb))
         stat = kstest(ps, "uniform")
         assert stat.pvalue > 0.01
@@ -275,7 +276,7 @@ class TestWald:
     def test_cluster_by_any_column(self):
         design, _ = synthetic_design(np.random.default_rng(14), 600)
         assert fit_logit(design, cluster_by="year").n_clusters == len(np.unique(design.year))
-        assert fit_logit(design, cluster_by="trial_id").n_clusters == design.n_trials
+        assert fit_logit(design, cluster_by="trial_code").n_clusters == design.n_trials
 
     def test_unknown_cluster_column(self):
         design, _ = synthetic_design(np.random.default_rng(15), 300)
@@ -315,7 +316,7 @@ class TestPredict:
             sqrt_enroll=design.sqrt_enroll[:5], placebo=design.placebo[:5],
             mht=design.mht[:5],
             condition=np.array(["NEVER_SEEN"] * 5, dtype=object),
-            year=design.year[:5], trial_id=design.trial_id[:5], kind=design.kind[:5],
+            year=design.year[:5], trial_code=design.trial_code[:5], kind=design.kind[:5],
             bound=design.bound[:5],
         )
         with pytest.warns(UserWarning, match="unseen"):
@@ -325,7 +326,7 @@ class TestPredict:
             sqrt_enroll=design.sqrt_enroll[:5], placebo=design.placebo[:5],
             mht=design.mht[:5],
             condition=np.array([m.levels["condition"][0]] * 5, dtype=object),
-            year=design.year[:5], trial_id=design.trial_id[:5], kind=design.kind[:5],
+            year=design.year[:5], trial_code=design.trial_code[:5], kind=design.kind[:5],
             bound=design.bound[:5],
         )
         assert np.allclose(p, predict(m, ref))
