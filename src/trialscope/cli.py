@@ -28,6 +28,7 @@ from .linker import (
     load_synonyms,
 )
 from .registry import (
+    RANK_CRITERIA,
     Phase,
     Registry,
     all_sponsor_splits,
@@ -102,6 +103,9 @@ class PipelineConfig(dict):
             )
         if not 7 <= int(cfg["split_k"]) <= 20:
             raise ValueError(f"split_k must lie in [7,20], got {cfg['split_k']}")
+        if cfg["split_criterion"] not in RANK_CRITERIA:
+            raise ValueError(f"split_criterion must be one of {RANK_CRITERIA}, "
+                             f"got {cfg['split_criterion']!r}")
         return cfg
 
     def side(self) -> pz.Sidedness:

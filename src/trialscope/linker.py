@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .registry import Phase, Registry, TrialRecord
+from .registry import NO_DATE, Phase, Registry, SponsorClass
 
 __all__ = [
     "Links",
@@ -135,7 +135,7 @@ class Links:
 
     def check(self, ids: np.ndarray) -> None:
         """Raise ValueError unless ``ids`` codes the trials these links code
-        (by identity for the shared :attr:`Registry.trial_ids` array)."""
+        (by identity for the shared ``Registry.trials.ids`` array)."""
         if not (ids is self.ids or np.array_equal(ids, self.ids)):
             raise ValueError("the links code the trials of another registry")
 
@@ -176,44 +176,27 @@ class LinkSummary:
         return self.n_continued / self.n_eligible if self.n_eligible else float("nan")
 
 
-def _clean_mesh(terms: frozenset[str], stoplist: frozenset[str]) -> frozenset[str]:
-    out = set()
-    for t in terms:
-        name = t.split(":", 1)[-1] if ":" in t else t
-        if _basic_norm(name) in stoplist:
-            continue
-        out.add(_WS.sub(" ", t.strip()).casefold())
-    return frozenset(out)
+def _clean_term(term: str, stoplist: frozenset[str]) -> str | None:
+    """The matching key of a MeSH term, None for a stoplisted one."""
+    name = term.split(":", 1)[-1] if ":" in term else term
+    if _basic_norm(name) in stoplist:
+        return None
+    return _WS.sub(" ", term.strip()).casefold()
 
 
 def _link_indexed(
-    phase2: TrialRecord,
-    pool: Mapping[int, tuple],
+    drug_sets: list[frozenset[str]],
+    code: int,
+    start: list[int],
+    mesh: list[frozenset[str]],
     drug_index: Mapping[str, list[int]],
-    synonyms: Mapping[str, str] | None,
-    stop: frozenset[str],
-    completion_cutoff: date,
-) -> tuple[str, list[int]]:
-    """Skip reason ("" when eligible) and ascending matched phase III codes
-    of one phase II trial, matched against a pre-indexed phase III pool:
-    candidate phase III trials are narrowed through an inverted drug index
-    first.  Ineligible phase II trials (no curated intervention, missing or
-    late completion) have no matches."""
-    if not phase2.interventions:
-        return "no_intervention", []
-    if phase2.completion_date is None:
-        return "no_completion_date", []
-    if phase2.completion_date > completion_cutoff:
-        return "completed_after_cutoff", []
-    if phase2.start_date is None:
-        return "", []
-
-    mesh2 = _clean_mesh(phase2.mesh_conditions, stop)
+) -> list[int]:
+    """Ascending phase III codes matched to the phase II trial ``code``,
+    eligible and with a start date, given its canonical drug combinations
+    and every trial's start date and cleaned MeSH terms: candidate phase III
+    trials are narrowed through an inverted drug index first."""
     matched: set[int] = set()
-    for combo in phase2.interventions:
-        drugs = [canonical_drug(d, synonyms) for d in combo]
-        if not drugs:
-            continue
+    for drugs in drug_sets:
         # candidates must list every drug; start from the rarest
         cand_lists = [drug_index.get(d) for d in drugs]
         if any(c is None for c in cand_lists):
@@ -221,13 +204,10 @@ def _link_indexed(
         cand = set(min(cand_lists, key=len))
         for c in cand_lists:
             cand &= set(c)
-        for code in cand:
-            start3, mesh3 = pool[code]
-            if start3 is None or not phase2.start_date < start3:
-                continue
-            if mesh2 <= mesh3:
-                matched.add(code)
-    return "", sorted(matched)
+        for c in cand:
+            if start[c] != NO_DATE and start[code] < start[c] and mesh[code] <= mesh[c]:
+                matched.add(c)
+    return sorted(matched)
 
 
 def link_all(
@@ -237,28 +217,46 @@ def link_all(
     completion_cutoff: date = LINK_COMPLETION_CUTOFF,
 ) -> tuple[Links, LinkSummary]:
     """Link every phase II trial in the registry; summary reports
-    continuation rates overall and by sponsor class (eligible trials only)."""
-    stop = frozenset(_basic_norm(s) for s in mesh_stoplist)
-    codes = reg.trial_codes()
-    pool: dict[int, tuple] = {}  # phase III code -> start date, cleaned MeSH terms
-    drug_index: dict[str, list[int]] = {}
-    for t in reg.trials.values():
-        if t.phase is not Phase.PHASE3:
-            continue
-        code = codes[t.trial_id]
-        pool[code] = (t.start_date, _clean_mesh(t.mesh_conditions, stop))
-        for d in t.listed_drugs():
-            drug_index.setdefault(canonical_drug(d, synonyms), []).append(code)
+    continuation rates overall and by sponsor class (eligible trials only).
 
+    A phase II trial with no curated intervention, no completion date or a
+    completion after ``completion_cutoff`` is skipped with that reason; one
+    with no start date is eligible and matches nothing."""
+    t = reg.trials
+    stop = frozenset(_basic_norm(s) for s in mesh_stoplist)
+    drug = [canonical_drug(d, synonyms) for d in t.drug_names.tolist()]
+    combos = [frozenset(drug[d] for d in row) for row in t.combos.rows()]
+    term = [_clean_term(m, stop) for m in t.mesh_terms.tolist()]
+    mesh_sets = [frozenset(term[m] for m in row) - {None} for row in t.mesh_sets.rows()]
+    mesh = [mesh_sets[m] for m in t.mesh.tolist()]
+    interventions = t.interventions.rows()
+    phase, start, completion = t.phase.tolist(), t.start.tolist(), t.completion.tolist()
+
+    drug_index: dict[str, list[int]] = {}  # canonical drug -> listing phase III codes
+    for code in np.flatnonzero(t.phase == Phase.PHASE3.value).tolist():
+        for d in frozenset().union(*(combos[c] for c in interventions[code])):
+            drug_index.setdefault(d, []).append(code)
+
+    cutoff = completion_cutoff.toordinal()
     phase2, reasons, offsets, matched = [], [], [0], []
     summary = LinkSummary()
-    for t in reg.trials.values():
-        if t.phase is not Phase.PHASE2:
+    industry = t.industry.tolist()
+    for code in t.order.tolist():
+        if phase[code] != Phase.PHASE2.value:
             continue
-        reason, found = _link_indexed(
-            t, pool, drug_index, synonyms, stop, completion_cutoff
-        )
-        phase2.append(codes[t.trial_id])
+        found: list[int] = []
+        if not interventions[code]:
+            reason = "no_intervention"
+        elif completion[code] == NO_DATE:
+            reason = "no_completion_date"
+        elif completion[code] > cutoff:
+            reason = "completed_after_cutoff"
+        else:
+            reason = ""
+            if start[code] != NO_DATE:
+                found = _link_indexed([combos[c] for c in interventions[code]], code,
+                                      start, mesh, drug_index)
+        phase2.append(code)
         reasons.append(reason)
         matched.extend(found)
         offsets.append(len(matched))
@@ -268,10 +266,10 @@ def link_all(
             continue
         summary.n_eligible += 1
         summary.n_continued += bool(found)
-        cls = t.sponsor_class.value
+        cls = (SponsorClass.INDUSTRY if industry[code] else SponsorClass.NON_INDUSTRY).value
         n_el, n_cont = summary.by_sponsor_class.get(cls, (0, 0))
         summary.by_sponsor_class[cls] = (n_el + 1, n_cont + int(bool(found)))
-    links = Links(reg.trial_ids, np.array(phase2, dtype=np.int32),
+    links = Links(t.ids, np.array(phase2, dtype=np.int32),
                   np.array(reasons, dtype=str), np.array(offsets),
                   np.array(matched, dtype=np.int32))
     return links, summary

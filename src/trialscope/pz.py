@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
+from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -21,13 +22,13 @@ import numpy as np
 from scipy.special import erfc
 
 from .registry import (
+    NO_DATE,
     OutcomeRank,
     Phase,
     Registry,
     ReportedP,
-    SponsorClass,
     SponsorSplit,
-    canonical_sponsor,
+    Trials,
 )
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "ZKind",
     "ZScore",
     "OutcomeTable",
-    "TrialColumns",
     "Z_D1",
     "Z_D2",
     "Z_SIG",
@@ -158,6 +158,7 @@ _ACKLAM_D = (
 _ACKLAM_SPLIT = 0.02425
 
 _SQRT2 = math.sqrt(2.0)
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -323,18 +324,6 @@ def impute_other_censors(scores: Sequence[ZScore]) -> list[ZScore]:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialColumns:
-    """The per-trial columns of a registry, every trial coded by its index
-    in ``ids``, the trial ids in sorted order.  ``sponsor`` codes each
-    trial's canonical sponsor key in ``sponsor_keys``, the distinct keys."""
-
-    ids: np.ndarray
-    industry: np.ndarray
-    sponsor: np.ndarray
-    sponsor_keys: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class OutcomeTable:
     """The outcomes of a registry as columns, one row per outcome in
     registry order, transformed once under ``side``.
@@ -343,12 +332,12 @@ class OutcomeTable:
     ``bound`` the censor bound on the z scale (NaN on precise rows) and
     ``below`` marks "p>t" censors.  Stages select their samples as boolean
     row masks.  ``trial_code`` is each row's trial in ``trials``, the
-    registry's trials with or without outcomes, which subsets share; the
-    trial-level selection regressors repeat on each row of a trial.
+    registry's trial columns, which subsets share; the trial-level
+    selection regressors repeat on each row of a trial.
     """
 
     side: Sidedness
-    trials: TrialColumns
+    trials: Trials
     trial_code: np.ndarray
     phase: np.ndarray  # Phase values
     rank: np.ndarray  # OutcomeRank values
@@ -365,36 +354,29 @@ class OutcomeTable:
     @classmethod
     def of(cls, reg: Registry, side: Sidedness, kind, z, bound) -> "OutcomeTable":
         """Table of ``reg`` given the transformed columns of its outcomes."""
-        codes = reg.trial_codes()
-        trials = [reg.trials[tid] for tid in codes]
-        key_of = {name: canonical_sponsor(name) for name in {t.sponsor_name for t in trials}}
-        keys, sponsor = np.unique(np.array([key_of[t.sponsor_name] for t in trials], dtype=str),
-                                  return_inverse=True)
-        code = np.array([codes[o.trial_id] for o in reg.outcomes], dtype=np.int32)
-
-        def col(values, dtype) -> np.ndarray:
-            return np.array(values, dtype=dtype)[code]
-
+        t, o = reg.trials, reg.outcomes
+        code = o.trial
+        # completion years from the date ordinals, through numpy's day count
+        days = (t.completion - _EPOCH_ORDINAL).astype("datetime64[D]")
+        year = np.char.mod("%d", days.astype("datetime64[Y]").astype(int) + 1970)
+        missing = t.completion == NO_DATE
+        if missing.any():  # "unknown" widens the strings the fits sort
+            year = np.where(missing, "unknown", year)
         return cls(
             side=side,
-            trials=TrialColumns(
-                reg.trial_ids,
-                np.array([t.sponsor_class is SponsorClass.INDUSTRY for t in trials], dtype=bool),
-                sponsor, keys,
-            ),
+            trials=t,
             trial_code=code,
-            phase=col([t.phase.value for t in trials], str),
-            rank=np.array([o.outcome_rank.value for o in reg.outcomes], dtype=str),
+            phase=t.phase[code],
+            rank=o.rank,
             kind=np.asarray(kind, dtype=str),
             z=np.asarray(z, dtype=float),
             bound=np.asarray(bound, dtype=float),
-            below=np.array([o.raw_p.kind == "gt" for o in reg.outcomes], dtype=bool),
-            mht=np.array([o.mht_adjusted for o in reg.outcomes], dtype=int),
-            sqrt_enroll=col([math.sqrt(t.enrollment) for t in trials], float),
-            placebo=col([int(t.placebo_comparator) for t in trials], int),
-            condition=col([t.condition_category for t in trials], str),
-            year=col([str(t.completion_date.year) if t.completion_date is not None
-                      else "unknown" for t in trials], str),
+            below=o.p_kind == "gt",
+            mht=o.mht.astype(int),
+            sqrt_enroll=np.sqrt(t.enrollment)[code],
+            placebo=t.placebo.astype(int)[code],
+            condition=t.condition[code],
+            year=year[code],
         )
 
     def subset(self, rows: np.ndarray) -> "OutcomeTable":
@@ -439,7 +421,6 @@ class OutcomeTable:
 
 def outcome_table(reg: Registry, side: Sidedness = Sidedness.TWO_SIDED) -> OutcomeTable:
     """Transform every outcome of ``reg`` at once into an :class:`OutcomeTable`."""
-    raw = [o.raw_p for o in reg.outcomes]
     return OutcomeTable.of(
-        reg, side, *transform_arrays([p.kind for p in raw], [p.value for p in raw], side)
+        reg, side, *transform_arrays(reg.outcomes.p_kind, reg.outcomes.p_value, side)
     )

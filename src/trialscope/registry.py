@@ -1,7 +1,7 @@
 """Domain types, CSV ingestion, and sample-restriction filters.
 
 The registry is an immutable snapshot of a trial-registry extract: trial
-protocol records, reported outcome p-values, and sponsor size rankings.
+protocol columns, reported outcome p-values, and sponsor size rankings.
 Everything downstream (transforms, linking, selection fitting) reads from
 it concurrently without locks.
 """
@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from datetime import date
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,14 +26,16 @@ __all__ = [
     "StudyType",
     "OutcomeRank",
     "ReportedP",
-    "TrialRecord",
-    "OutcomeResult",
+    "Ragged",
+    "Trials",
+    "Outcomes",
     "Registry",
+    "RegistryBuilder",
     "SponsorSplit",
     "FilterAudit",
     "SchemaError",
     "RANK_CRITERIA",
-    "CONDITION_CATEGORIES",
+    "NO_DATE",
     "EXCLUDED_SPONSOR",
     "EXCLUDED_TRIAL_ID",
     "canonical_sponsor",
@@ -52,6 +54,9 @@ EXCLUDED_SPONSOR = "Colgate Palmolive"
 EXCLUDED_TRIAL_ID = "NCT02799472"
 
 OTHER_CATEGORY = "Other"
+
+# the date ordinal of a missing date; real ordinals start at 1
+NO_DATE = 0
 
 
 class Phase(enum.Enum):
@@ -112,83 +117,118 @@ class ReportedP:
         return cls("gt", float(p))
 
 
-@dataclass(frozen=True)
-class TrialRecord:
-    trial_id: str
-    phase: Phase
-    sponsor_name: str
-    sponsor_class: SponsorClass
-    # criterion -> rank; nonempty only for industry sponsors
-    industry_rank_keys: Mapping[str, int]
-    # each entry is one drug combination; phase II entries are curated
-    # main-intervention sets, phase III entries are listed interventions
-    interventions: tuple[frozenset[str], ...]
-    mesh_conditions: frozenset[str]
-    condition_category: str
-    start_date: date | None
-    completion_date: date | None
-    enrollment: int
-    placebo_comparator: bool
-    study_type: StudyType
+@dataclass(frozen=True, eq=False)
+class Ragged:
+    """Rows of varying length in compressed form: row ``i`` is
+    ``values[offsets[i]:offsets[i + 1]]``."""
 
-    def __post_init__(self) -> None:
-        if self.enrollment < 0:
-            raise ValueError(f"{self.trial_id}: negative enrollment")
-        if (
-            self.start_date is not None
-            and self.completion_date is not None
-            and self.start_date > self.completion_date
-        ):
-            raise ValueError(f"{self.trial_id}: start date after completion date")
-        if self.industry_rank_keys and self.sponsor_class is not SponsorClass.INDUSTRY:
-            raise ValueError(f"{self.trial_id}: rank keys on a non-industry sponsor")
+    offsets: np.ndarray
+    values: np.ndarray
 
-    def listed_drugs(self) -> frozenset[str]:
-        """Union of all intervention entries (the phase III match target)."""
-        out: set[str] = set()
-        for combo in self.interventions:
-            out |= combo
-        return frozenset(out)
+    @classmethod
+    def of(cls, rows: Sequence[Sequence[int]]) -> "Ragged":
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(r) for r in rows], out=offsets[1:])
+        values = np.fromiter((v for r in rows for v in r), dtype=np.int32, count=offsets[-1])
+        return cls(offsets, values)
+
+    def rows(self) -> list[list[int]]:
+        """Every row as a list."""
+        vals, off = self.values.tolist(), self.offsets.tolist()
+        return [vals[a:b] for a, b in zip(off[:-1], off[1:])]
+
+    def take(self, idx: np.ndarray) -> "Ragged":
+        """The rows at the positions ``idx``, in that order."""
+        counts = np.diff(self.offsets)[idx]
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        at = np.repeat(self.offsets[:-1][idx] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return Ragged(offsets, self.values[at])
 
 
-@dataclass(frozen=True)
-class OutcomeResult:
-    trial_id: str
-    outcome_rank: OutcomeRank
-    raw_p: ReportedP
-    mht_adjusted: bool
+@dataclass(frozen=True, eq=False)
+class Trials:
+    """The trials of a registry as columns, indexed by trial code: a
+    trial's code is the index of its id in ``ids``, the trial ids in sorted
+    order.  ``order`` lists the codes in registry order.
+
+    ``sponsor`` codes each trial's canonical sponsor key in
+    ``sponsor_keys``, the distinct keys in sorted order.  Each trial lists
+    its drug combinations in ``interventions`` as codes into ``combos``,
+    whose rows hold codes into ``drug_names``, by name; ``mesh`` codes its
+    set of MeSH terms into ``mesh_sets``, whose rows hold codes into
+    ``mesh_terms``, by term.  Dates are ordinals, NO_DATE when missing.
+    The vocabularies (``sponsor_keys``, ``combos``, ``drug_names``,
+    ``mesh_sets``, ``mesh_terms``) may hold entries no trial uses.
+    """
+
+    ids: np.ndarray
+    order: np.ndarray
+    phase: np.ndarray  # Phase values
+    sponsor_name: np.ndarray
+    sponsor: np.ndarray
+    industry: np.ndarray
+    interventions: Ragged
+    mesh: np.ndarray
+    condition: np.ndarray  # condition category
+    start: np.ndarray
+    completion: np.ndarray
+    enrollment: np.ndarray
+    placebo: np.ndarray
+    superiority: np.ndarray  # interventional superiority study
+    sponsor_keys: np.ndarray
+    combos: Ragged
+    drug_names: np.ndarray
+    mesh_sets: Ragged
+    mesh_terms: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-@dataclass(frozen=True)
+_VOCABULARIES = ("sponsor_keys", "combos", "drug_names", "mesh_sets", "mesh_terms")
+
+
+@dataclass(frozen=True, eq=False)
+class Outcomes:
+    """The reported outcomes of a registry as columns, in registry order;
+    ``trial`` holds each outcome's trial code."""
+
+    trial: np.ndarray
+    rank: np.ndarray  # OutcomeRank values
+    p_kind: np.ndarray
+    p_value: np.ndarray
+    mht: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.trial)
+
+
+@dataclass(frozen=True, eq=False)
 class Registry:
     """Immutable collection of trials, outcomes, and sponsor rankings."""
 
-    trials: Mapping[str, TrialRecord]
-    outcomes: tuple[OutcomeResult, ...]
+    trials: Trials
+    outcomes: Outcomes
     rankings: Mapping[str, Mapping[str, int]]  # criterion -> canonical name -> rank
-
-    def trial(self, trial_id: str) -> TrialRecord:
-        return self.trials[trial_id]
-
-    def filter_trials(self, keep: Callable[[TrialRecord], bool]) -> "Registry":
-        """New registry with only the trials passing ``keep`` (and their
-        outcomes)."""
-        trials = {tid: t for tid, t in self.trials.items() if keep(t)}
-        outcomes = tuple(o for o in self.outcomes if o.trial_id in trials)
-        return Registry(trials=trials, outcomes=outcomes, rankings=self.rankings)
 
     def n_trials(self) -> int:
         return len(self.trials)
 
-    @cached_property
-    def trial_ids(self) -> np.ndarray:
-        """The trial ids in sorted order, shared by the registry's tables
-        and links as their trial coding."""
-        return np.array(sorted(self.trials), dtype=str)
-
-    def trial_codes(self) -> dict[str, int]:
-        """The code of each trial: its index in :attr:`trial_ids`."""
-        return {tid: i for i, tid in enumerate(self.trial_ids.tolist())}
+    def subset(self, keep: np.ndarray) -> "Registry":
+        """The registry of the trials in the trial mask ``keep`` and their
+        outcomes, coded by the sorted ids of the trials kept."""
+        t, o = self.trials, self.outcomes
+        code = np.cumsum(keep) - 1
+        kept = np.flatnonzero(keep)
+        trials = replace(t, order=code[t.order[keep[t.order]]],
+                         interventions=t.interventions.take(kept), **{
+                             f.name: getattr(t, f.name)[kept] for f in fields(t)
+                             if f.name not in ("order", "interventions", *_VOCABULARIES)})
+        rows = np.flatnonzero(keep[o.trial])
+        outcomes = Outcomes(code[o.trial[rows]].astype(np.int32),
+                            *(getattr(o, f.name)[rows] for f in fields(o)[1:]))
+        return Registry(trials, outcomes, self.rankings)
 
 
 @dataclass(frozen=True)
@@ -230,99 +270,64 @@ class FilterAudit:
 
 
 # ---------------------------------------------------------------------------
-# Sponsor-name handling
+# Bundled reference tables, read-only
 
 _WS = re.compile(r"\s+")
-
-_parent_map: dict[str, str] | None = None
 
 
 def _data_path(name: str):
     return resources.files("trialscope._data").joinpath(name)
 
 
-def _load_parent_map() -> dict[str, str]:
-    global _parent_map
-    if _parent_map is None:
-        m: dict[str, str] = {}
-        with _data_path("sponsor_parents.csv").open(encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                m[_normalize_name(row["subsidiary"])] = row["parent"].strip()
-        _parent_map = m
-    return _parent_map
-
-
 def _normalize_name(name: str) -> str:
     return _WS.sub(" ", name.strip()).casefold()
 
 
-def canonical_sponsor(name: str, parents: Mapping[str, str] | None = None) -> str:
+def _read_table(name: str) -> list[dict]:
+    with _data_path(name).open(encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+_PARENTS: Mapping[str, str] = MappingProxyType({
+    _normalize_name(row["subsidiary"]): row["parent"].strip()
+    for row in _read_table("sponsor_parents.csv")
+})
+
+_CATEGORY_SPENDING: Mapping[str, float] = MappingProxyType({
+    row["code"].strip(): float(row["medicare_d_spending_bn"])
+    for row in _read_table("condition_categories.csv")
+})
+
+
+def _load_term_codes() -> Mapping[str, frozenset[str]]:
+    term_codes: dict[str, set[str]] = {}
+    for row in _read_table("mesh_terms.csv"):
+        term_codes.setdefault(_normalize_name(row["term"]), set()).add(row["code"].strip())
+    return MappingProxyType({term: frozenset(codes) for term, codes in term_codes.items()})
+
+
+_TERM_CODES = _load_term_codes()
+
+
+# ---------------------------------------------------------------------------
+# Sponsor-name handling
+
+def canonical_sponsor(name: str) -> str:
     """Case-insensitive, whitespace-collapsed sponsor key, with known
     subsidiaries folded into their parent."""
     norm = _normalize_name(name)
-    table = _load_parent_map() if parents is None else {
-        _normalize_name(k): v for k, v in parents.items()
-    }
-    parent = table.get(norm)
+    parent = _PARENTS.get(norm)
     return _normalize_name(parent) if parent is not None else norm
+
+
+# the key of the excluded sponsor, a constant of the bundled tables
+_EXCLUDED_KEY = canonical_sponsor(EXCLUDED_SPONSOR)
 
 
 # ---------------------------------------------------------------------------
 # Condition categories
 
 _CODE_PREFIX = re.compile(r"^([A-Z]\d{2})\s*:")
-
-
-def _load_categories() -> tuple[dict[str, float], dict[str, set[str]]]:
-    spending: dict[str, float] = {}
-    with _data_path("condition_categories.csv").open(encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            spending[row["code"].strip()] = float(row["medicare_d_spending_bn"])
-    term_codes: dict[str, set[str]] = {}
-    with _data_path("mesh_terms.csv").open(encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            term_codes.setdefault(_normalize_name(row["term"]), set()).add(
-                row["code"].strip()
-            )
-    return spending, term_codes
-
-
-_CATEGORY_SPENDING, _TERM_CODES = _load_categories()
-
-CONDITION_CATEGORIES: Mapping[str, float] = dict(_CATEGORY_SPENDING)
-
-
-def use_category_tables(
-    categories_csv: str | Path | None = None,
-    terms_csv: str | Path | None = None,
-) -> None:
-    """Replace the bundled condition-category tables with user-supplied
-    CSVs (same columns as the packaged files); None leaves a table as is."""
-    global _CATEGORY_SPENDING, _TERM_CODES
-    if categories_csv is not None:
-        spending: dict[str, float] = {}
-        with open(categories_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                spending[row["code"].strip()] = float(row["medicare_d_spending_bn"])
-        _CATEGORY_SPENDING = spending
-    if terms_csv is not None:
-        term_codes: dict[str, set[str]] = {}
-        with open(terms_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                term_codes.setdefault(_normalize_name(row["term"]), set()).add(
-                    row["code"].strip()
-                )
-        _TERM_CODES = term_codes
-
-
-def use_sponsor_parents(path: str | Path) -> None:
-    """Replace the bundled subsidiary-to-parent sponsor map."""
-    global _parent_map
-    m: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            m[_normalize_name(row["subsidiary"])] = row["parent"].strip()
-    _parent_map = m
 
 # single tree codes folded into the merged category groups
 _MERGED = {"C08": "C08/C09", "C09": "C08/C09", "C12": "C12/C13", "C13": "C12/C13"}
@@ -340,10 +345,7 @@ def _codes_for_term(term: str) -> set[str]:
     }
 
 
-def assign_condition_category(
-    mesh_conditions: Iterable[str],
-    spending_override: Mapping[str, float] | None = None,
-) -> str:
+def assign_condition_category(mesh_conditions: Iterable[str]) -> str:
     """Assign a trial to one condition category from its MeSH terms.
 
     Terms may carry an explicit tree-code prefix ("C14:Hypertension") or be
@@ -351,15 +353,102 @@ def assign_condition_category(
     categories the one with the largest Medicare D spending wins; no match
     returns "Other".
     """
-    spending = dict(_CATEGORY_SPENDING)
-    if spending_override:
-        spending.update(spending_override)
     candidates: set[str] = set()
     for term in mesh_conditions:
         candidates |= _codes_for_term(term)
     if not candidates:
         return OTHER_CATEGORY
-    return max(candidates, key=lambda c: (spending.get(c, 0.0), c))
+    return max(candidates, key=lambda c: (_CATEGORY_SPENDING.get(c, 0.0), c))
+
+
+# ---------------------------------------------------------------------------
+# Building the columns
+
+class RegistryBuilder:
+    """The columns of a registry under construction, one trial and one
+    outcome at a time in registry order.  Drug names, combinations, MeSH
+    terms and MeSH sets are interned as they first appear; each distinct
+    sponsor name is canonicalised once and each distinct MeSH set
+    categorised once."""
+
+    def __init__(self) -> None:
+        self.row_of: dict[str, int] = {}  # trial id -> registry row
+        self._trials: list[tuple] = []
+        self._interventions: list[list[int]] = []
+        self._outcomes: list[tuple] = []
+        self._keys: dict[str, str] = {}
+        self._drugs: dict[str, int] = {}
+        self._combos: dict[tuple[str, ...], int] = {}
+        self._terms: dict[str, int] = {}
+        self._mesh_sets: dict[frozenset[str], int] = {}
+        self._categories: list[str] = []
+
+    def sponsor_key(self, name: str) -> str:
+        """The canonical key of a sponsor name."""
+        key = self._keys.get(name)
+        if key is None:
+            key = self._keys[name] = canonical_sponsor(name)
+        return key
+
+    def add_trial(
+        self, trial_id: str, phase: Phase, sponsor_name: str, industry: bool,
+        interventions: Iterable[Iterable[str]], mesh: Iterable[str], start: int,
+        completion: int, enrollment: int, placebo: bool, superiority: bool,
+    ) -> int:
+        """Append one trial and return its registry row.  Each entry of
+        ``interventions`` is one drug combination; empty ones are dropped.
+        Dates are ordinals, NO_DATE when missing."""
+        combos = (tuple(sorted(set(combo))) for combo in interventions)
+        terms = frozenset(mesh)
+        if terms not in self._mesh_sets:
+            self._categories.append(assign_condition_category(terms))
+        self.sponsor_key(sponsor_name)
+        row = self.row_of[trial_id] = len(self._trials)
+        self._trials.append((trial_id, phase.value, sponsor_name, industry,
+                             self._mesh_sets.setdefault(terms, len(self._mesh_sets)), start,
+                             completion, enrollment, placebo, superiority))
+        self._interventions.append(
+            [self._combos.setdefault(c, len(self._combos)) for c in combos if c])
+        return row
+
+    def add_outcome(self, row: int, rank: OutcomeRank, p: ReportedP, mht: bool) -> None:
+        """Append one outcome of the trial at registry row ``row``."""
+        self._outcomes.append((row, rank.value, p.kind, p.value, mht))
+
+    def build(self, rankings: Mapping[str, Mapping[str, int]]) -> Registry:
+        (ids, phase, names, industry, mesh, start, completion, enrollment, placebo,
+         superiority) = zip(*self._trials) if self._trials else ((),) * 10
+        ids = np.array(ids, dtype=str)
+        by_code = np.argsort(ids, kind="stable")  # the registry row of each code
+        code = np.empty(len(ids), dtype=np.int32)
+        code[by_code] = np.arange(len(ids))
+
+        def col(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype)[by_code]
+
+        names = col(names, str)
+        sponsor_keys, sponsor = np.unique(
+            np.array([self._keys[n] for n in names.tolist()], dtype=str), return_inverse=True)
+        mesh = col(mesh, np.int32)
+        combos = [[self._drugs.setdefault(d, len(self._drugs)) for d in c] for c in self._combos]
+        mesh_sets = [[self._terms.setdefault(t, len(self._terms)) for t in sorted(s)]
+                     for s in self._mesh_sets]
+        trials = Trials(
+            ids=ids[by_code], order=code, phase=col(phase, str), sponsor_name=names,
+            sponsor=sponsor, industry=col(industry, bool),
+            interventions=Ragged.of([self._interventions[r] for r in by_code.tolist()]),
+            mesh=mesh, condition=np.array(self._categories, dtype=str)[mesh],
+            start=col(start, np.int64), completion=col(completion, np.int64),
+            enrollment=col(enrollment, np.int64), placebo=col(placebo, bool),
+            superiority=col(superiority, bool), sponsor_keys=sponsor_keys,
+            combos=Ragged.of(combos), drug_names=np.array(list(self._drugs), dtype=str),
+            mesh_sets=Ragged.of(mesh_sets), mesh_terms=np.array(list(self._terms), dtype=str),
+        )
+        rows, rank, kind, value, mht = zip(*self._outcomes) if self._outcomes else ((),) * 5
+        outcomes = Outcomes(code[np.array(rows, dtype=np.int64)], np.array(rank, dtype=str),
+                            np.array(kind, dtype=str), np.array(value, dtype=float),
+                            np.array(mht, dtype=bool))
+        return Registry(trials, outcomes, rankings)
 
 
 # ---------------------------------------------------------------------------
@@ -384,26 +473,18 @@ def _parse_bool(raw: str, file: str, line: int, column: str) -> bool:
         raise SchemaError(file, line, column, f"expected true/false, got {raw!r}") from None
 
 
-def _parse_date(raw: str, file: str, line: int, column: str) -> date | None:
+def _parse_date(raw: str, file: str, line: int, column: str) -> int:
     raw = raw.strip()
     if not raw:
-        return None
+        return NO_DATE
     try:
-        return date.fromisoformat(raw)
+        return date.fromisoformat(raw).toordinal()
     except ValueError:
         raise SchemaError(file, line, column, f"expected ISO date, got {raw!r}") from None
 
 
-def _parse_interventions(raw: str) -> tuple[frozenset[str], ...]:
-    entries = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        combo = frozenset(d.strip() for d in chunk.split("+") if d.strip())
-        if combo:
-            entries.append(combo)
-    return tuple(entries)
+def _parse_interventions(raw: str) -> list[list[str]]:
+    return [[d.strip() for d in chunk.split("+") if d.strip()] for chunk in raw.split(";")]
 
 
 def _check_header(reader: csv.DictReader, expected: Sequence[str], file: str) -> None:
@@ -432,6 +513,7 @@ def ingest(
     ValueError listing offenders when outcomes reference absent trials.
     """
     trials_csv, outcomes_csv = Path(trials_csv), Path(outcomes_csv)
+    cols = RegistryBuilder()
 
     rankings: dict[str, dict[str, int]] = {c: {} for c in RANK_CRITERIA}
     if rankings_csv is not None:
@@ -451,21 +533,21 @@ def ingest(
                 ) from None
             if rank < 1:
                 raise SchemaError(str(rankings_csv), line, "rank", "rank must be >= 1")
-            key = canonical_sponsor(row["sponsor_name"])
+            key = cols.sponsor_key(row["sponsor_name"])
             if key in rankings[crit]:
                 raise SchemaError(
                     str(rankings_csv), line, "sponsor_name",
                     f"duplicate rank entry for {row['sponsor_name']!r} under {crit}",
                 )
             rankings[crit][key] = rank
+    ranked = {key for table in rankings.values() for key in table}
 
-    trials: dict[str, TrialRecord] = {}
     fname = str(trials_csv)
     for line, row in _read_rows(trials_csv, TRIALS_COLUMNS):
         tid = row["trial_id"].strip()
         if not tid:
             raise SchemaError(fname, line, "trial_id", "empty trial id")
-        if tid in trials:
+        if tid in cols.row_of:
             raise SchemaError(fname, line, "trial_id", f"duplicate trial id {tid!r}")
         sponsor = row["sponsor_name"].strip()
         if ";" in sponsor:
@@ -481,13 +563,6 @@ def ingest(
                 fname, line, "sponsor_class",
                 f"expected industry/non_industry, got {row['sponsor_class']!r}",
             ) from None
-        phase = _PHASES.get(row["phase"].strip().casefold(), Phase.OTHER)
-        raw_type = row["study_type"].strip().casefold()
-        study_type = (
-            StudyType.INTERVENTIONAL_SUPERIORITY
-            if raw_type == "interventional_superiority"
-            else StudyType.OTHER
-        )
         try:
             enrollment = int(row["enrollment"])
         except ValueError:
@@ -498,44 +573,34 @@ def ingest(
             raise SchemaError(fname, line, "enrollment", "enrollment must be >= 0")
         start = _parse_date(row["start_date"], fname, line, "start_date")
         completion = _parse_date(row["completion_date"], fname, line, "completion_date")
-        if start is not None and completion is not None and start > completion:
+        if start != NO_DATE and completion != NO_DATE and start > completion:
             raise SchemaError(fname, line, "completion_date", "completion before start")
-        mesh = frozenset(
-            t.strip() for t in row["mesh_conditions"].split(";") if t.strip()
-        )
-        key = canonical_sponsor(sponsor)
-        ranks = {
-            crit: table[key] for crit, table in rankings.items() if key in table
-        }
-        if ranks and sclass is not SponsorClass.INDUSTRY:
+        if sclass is not SponsorClass.INDUSTRY and cols.sponsor_key(sponsor) in ranked:
             raise SchemaError(
                 fname, line, "sponsor_class",
                 f"sponsor {sponsor!r} is ranked but classed non_industry",
             )
-        trials[tid] = TrialRecord(
-            trial_id=tid,
-            phase=phase,
+        cols.add_trial(
+            tid,
+            phase=_PHASES.get(row["phase"].strip().casefold(), Phase.OTHER),
             sponsor_name=sponsor,
-            sponsor_class=sclass,
-            industry_rank_keys=ranks,
+            industry=sclass is SponsorClass.INDUSTRY,
             interventions=_parse_interventions(row["interventions"]),
-            mesh_conditions=mesh,
-            condition_category=assign_condition_category(mesh),
-            start_date=start,
-            completion_date=completion,
+            mesh=(t.strip() for t in row["mesh_conditions"].split(";") if t.strip()),
+            start=start,
+            completion=completion,
             enrollment=enrollment,
-            placebo_comparator=_parse_bool(
-                row["placebo_comparator"], fname, line, "placebo_comparator"
-            ),
-            study_type=study_type,
+            placebo=_parse_bool(row["placebo_comparator"], fname, line, "placebo_comparator"),
+            superiority=(row["study_type"].strip().casefold()
+                         == StudyType.INTERVENTIONAL_SUPERIORITY.value),
         )
 
-    outcomes: list[OutcomeResult] = []
     dangling: list[str] = []
     fname = str(outcomes_csv)
     for line, row in _read_rows(outcomes_csv, OUTCOMES_COLUMNS):
         tid = row["trial_id"].strip()
-        if tid not in trials:
+        trial = cols.row_of.get(tid)
+        if trial is None:
             dangling.append(f"{fname}:{line} -> {tid!r}")
             continue
         raw_rank = row["outcome_rank"].strip().casefold()
@@ -561,20 +626,15 @@ def ingest(
             rp = ReportedP(kind, pval)
         except ValueError as exc:
             raise SchemaError(fname, line, "p_value", str(exc)) from None
-        outcomes.append(
-            OutcomeResult(
-                trial_id=tid,
-                outcome_rank=rank,
-                raw_p=rp,
-                mht_adjusted=_parse_bool(row["mht_adjusted"], fname, line, "mht_adjusted"),
-            )
+        cols.add_outcome(
+            trial, rank, rp, _parse_bool(row["mht_adjusted"], fname, line, "mht_adjusted")
         )
     if dangling:
         raise ValueError(
             "outcome rows reference absent trials:\n  " + "\n  ".join(dangling)
         )
 
-    return Registry(trials=trials, outcomes=tuple(outcomes), rankings=rankings)
+    return cols.build(rankings)
 
 
 # ---------------------------------------------------------------------------
@@ -594,40 +654,26 @@ def apply_sample_filters(reg: Registry) -> tuple[Registry, FilterAudit]:
 
     Idempotent; returns the filtered registry and a per-rule audit.
     """
+    t, of = reg.trials, reg.outcomes.trial
+    rules = (
+        ("drop_anomalous_sponsor", (t.sponsor_keys != _EXCLUDED_KEY)[t.sponsor], _COLGATE_NOTE),
+        ("drop_outlier_trial", t.ids != EXCLUDED_TRIAL_ID, _OUTLIER_NOTE),
+        ("keep_interventional_superiority", t.superiority, "study type restriction"),
+        ("keep_phase_2_3", np.isin(t.phase, (Phase.PHASE2.value, Phase.PHASE3.value)),
+         "phase restriction"),
+    )
     audit = FilterAudit()
-    excluded_key = canonical_sponsor(EXCLUDED_SPONSOR)
-
-    def run_rule(r: Registry, rule: str, keep: Callable[[TrialRecord], bool], note: str) -> Registry:
-        out = r.filter_trials(keep)
+    keep = np.ones(len(t), dtype=bool)
+    for rule, mask, note in rules:
+        kept = keep & mask
         audit.add(
             rule,
-            trials_removed=r.n_trials() - out.n_trials(),
-            outcomes_removed=len(r.outcomes) - len(out.outcomes),
+            trials_removed=int(keep.sum() - kept.sum()),
+            outcomes_removed=int(keep[of].sum() - kept[of].sum()),
             note=note,
         )
-        return out
-
-    reg = run_rule(
-        reg, "drop_anomalous_sponsor",
-        lambda t: canonical_sponsor(t.sponsor_name) != excluded_key,
-        _COLGATE_NOTE,
-    )
-    reg = run_rule(
-        reg, "drop_outlier_trial",
-        lambda t: t.trial_id != EXCLUDED_TRIAL_ID,
-        _OUTLIER_NOTE,
-    )
-    reg = run_rule(
-        reg, "keep_interventional_superiority",
-        lambda t: t.study_type is StudyType.INTERVENTIONAL_SUPERIORITY,
-        "study type restriction",
-    )
-    reg = run_rule(
-        reg, "keep_phase_2_3",
-        lambda t: t.phase in (Phase.PHASE2, Phase.PHASE3),
-        "phase restriction",
-    )
-    return reg, audit
+        keep = kept
+    return reg.subset(keep), audit
 
 
 # ---------------------------------------------------------------------------
@@ -653,9 +699,8 @@ def all_sponsor_splits(
 def default_rankings() -> dict[str, dict[str, int]]:
     """Bundled top-20 sponsor rankings for the four criteria."""
     rankings: dict[str, dict[str, int]] = {c: {} for c in RANK_CRITERIA}
-    with _data_path("sponsor_rankings.csv").open(encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            rankings[row["criterion"]][canonical_sponsor(row["sponsor_name"])] = int(row["rank"])
+    for row in _read_table("sponsor_rankings.csv"):
+        rankings[row["criterion"]][canonical_sponsor(row["sponsor_name"])] = int(row["rank"])
     return rankings
 
 
@@ -666,50 +711,50 @@ def _format_bool(v: bool) -> str:
     return "true" if v else "false"
 
 
-def _format_interventions(entries: tuple[frozenset[str], ...]) -> str:
-    return ";".join("+".join(sorted(combo)) for combo in entries)
+def _format_date(ordinal: int) -> str:
+    return "" if ordinal == NO_DATE else date.fromordinal(ordinal).isoformat()
 
 
 def _format_float(x: float) -> str:
     return repr(float(x))
 
 
+def _joined(rows: Ragged, names: np.ndarray, sep: str) -> list[str]:
+    names = names.tolist()
+    return [sep.join(names[v] for v in row) for row in rows.rows()]
+
+
 def write_trials_csv(reg: Registry, path: str | Path) -> None:
+    t = reg.trials
+    combos = _joined(t.combos, t.drug_names, "+")
+    mesh = _joined(t.mesh_sets, t.mesh_terms, ";")
+    interventions = [";".join(combos[c] for c in row) for row in t.interventions.rows()]
+    sponsor_class = {True: SponsorClass.INDUSTRY.value, False: SponsorClass.NON_INDUSTRY.value}
+    study_type = {True: StudyType.INTERVENTIONAL_SUPERIORITY.value, False: StudyType.OTHER.value}
+    cols = [c.tolist() for c in (t.ids, t.phase, t.sponsor_name, t.industry, t.mesh, t.start,
+                                 t.completion, t.enrollment, t.placebo, t.superiority)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(TRIALS_COLUMNS)
-        for t in reg.trials.values():
-            w.writerow(
-                [
-                    t.trial_id,
-                    t.phase.value,
-                    t.sponsor_name,
-                    t.sponsor_class.value,
-                    _format_interventions(t.interventions),
-                    ";".join(sorted(t.mesh_conditions)),
-                    t.start_date.isoformat() if t.start_date else "",
-                    t.completion_date.isoformat() if t.completion_date else "",
-                    t.enrollment,
-                    _format_bool(t.placebo_comparator),
-                    t.study_type.value,
-                ]
-            )
+        for c in t.order.tolist():
+            tid, phase, name, industry, m, start, completion, enroll, placebo, sup = (
+                col[c] for col in cols)
+            w.writerow([
+                tid, phase, name, sponsor_class[industry], interventions[c], mesh[m],
+                _format_date(start), _format_date(completion), enroll,
+                _format_bool(placebo), study_type[sup],
+            ])
 
 
 def write_outcomes_csv(reg: Registry, path: str | Path) -> None:
+    o = reg.outcomes
+    ids = reg.trials.ids[o.trial].tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(OUTCOMES_COLUMNS)
-        for o in reg.outcomes:
-            w.writerow(
-                [
-                    o.trial_id,
-                    o.outcome_rank.value,
-                    o.raw_p.kind,
-                    _format_float(o.raw_p.value),
-                    _format_bool(o.mht_adjusted),
-                ]
-            )
+        for tid, rank, kind, value, mht in zip(ids, o.rank.tolist(), o.p_kind.tolist(),
+                                               o.p_value.tolist(), o.mht.tolist()):
+            w.writerow([tid, rank, kind, _format_float(value), _format_bool(mht)])
 
 
 def write_rankings_csv(reg: Registry, path: str | Path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linker import Links
 from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
-from .registry import OutcomeRank, Phase, Registry
+from .registry import OutcomeRank, Phase, Registry, ReportedP
 
 __all__ = [
     "PinnedDesign",
@@ -144,7 +144,8 @@ def build_design(
     :func:`~trialscope.pz.outcome_table`, built once.
     """
     if isinstance(table, Registry):
-        scores = [transform(o.raw_p) for o in table.outcomes]
+        o = table.outcomes
+        scores = [transform(ReportedP(k, v)) for k, v in zip(o.p_kind.tolist(), o.p_value.tolist())]
         table = OutcomeTable.of(
             table, Sidedness.TWO_SIDED, [s.kind.value for s in scores],
             [s.z if s.is_precise else np.nan for s in scores],

@@ -24,14 +24,12 @@ import numpy as np
 
 from . import pz
 from .registry import (
+    RANK_CRITERIA,
     OutcomeRank,
     Phase,
     Registry,
+    RegistryBuilder,
     ReportedP,
-    SponsorClass,
-    StudyType,
-    TrialRecord,
-    assign_condition_category,
 )
 
 __all__ = [
@@ -293,39 +291,26 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
             inflated, sig + mr.window * s_misreport.random(n), z3_rep
         )
 
-    trials: dict[str, TrialRecord] = {}
-    outcomes = []
+    cols = RegistryBuilder()
     truth_rows: list[TrialTruth] = []
     synonym_pairs: list[tuple[str, str]] = []
 
     for i in range(n):
         tid = f"SIM2-{i + 1:05d}"
         drug = f"drug-{i + 1:05d}"
-        mesh = frozenset({f"{cond_codes[i]}:Condition {cond_codes[i]}"})
+        mesh = [f"{cond_codes[i]}:Condition {cond_codes[i]}"]
         start = date(int(start_year[i]), int(start_month[i]), 1)
-        completion = start + timedelta(days=730)
-        trials[tid] = TrialRecord(
-            trial_id=tid,
-            phase=Phase.PHASE2,
-            sponsor_name=str(sponsors[i]),
-            sponsor_class=SponsorClass.INDUSTRY,
-            industry_rank_keys={},
-            interventions=(frozenset({drug}),),
-            mesh_conditions=mesh,
-            condition_category=assign_condition_category(mesh),
-            start_date=start,
-            completion_date=completion,
-            enrollment=int(enroll2[i]),
-            placebo_comparator=bool(placebo[i]),
-            study_type=StudyType.INTERVENTIONAL_SUPERIORITY,
+        sponsor = str(sponsors[i])
+        row = cols.add_trial(
+            tid, Phase.PHASE2, sponsor, industry=True, interventions=[[drug]], mesh=mesh,
+            start=start.toordinal(), completion=(start + timedelta(days=730)).toordinal(),
+            enrollment=int(enroll2[i]), placebo=bool(placebo[i]), superiority=True,
         )
-        outcomes.append(
-            (tid, OutcomeRank.PRIMARY, _report_p(float(z2[i])), bool(mht[i]))
-        )
+        cols.add_outcome(row, OutcomeRank.PRIMARY, _report_p(float(z2[i])), bool(mht[i]))
         for j in range(cfg.secondary_outcomes_per_trial):
             theta_s = s_second.normal(cfg.effect_mean, cfg.effect_sd)
             z_s = abs(s2[i] * theta_s + s_second.normal())
-            outcomes.append((tid, OutcomeRank.SECONDARY, _report_p(float(z_s)), False))
+            cols.add_outcome(row, OutcomeRank.SECONDARY, _report_p(float(z_s)), False)
 
         tt = TrialTruth(
             trial_id=tid,
@@ -342,20 +327,12 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
                 listed_drug = f"{drug}-alt"
                 synonym_pairs.append((drug, listed_drug))
             p3_start = start + timedelta(days=int(gap_days[i]))
-            trials[p3id] = TrialRecord(
-                trial_id=p3id,
-                phase=Phase.PHASE3,
-                sponsor_name=str(sponsors[i]),
-                sponsor_class=SponsorClass.INDUSTRY,
-                industry_rank_keys={},
-                interventions=(frozenset({listed_drug}),),
-                mesh_conditions=mesh,
-                condition_category=assign_condition_category(mesh),
-                start_date=p3_start,
-                completion_date=p3_start + timedelta(days=900),
+            row = cols.add_trial(
+                p3id, Phase.PHASE3, sponsor, industry=True, interventions=[[listed_drug]],
+                mesh=mesh, start=p3_start.toordinal(),
+                completion=(p3_start + timedelta(days=900)).toordinal(),
                 enrollment=int(enroll2[i] * max(cfg.phase3_enroll_mult, 1.0)),
-                placebo_comparator=bool(placebo[i]),
-                study_type=StudyType.INTERVENTIONAL_SUPERIORITY,
+                placebo=bool(placebo[i]), superiority=True,
             )
             tt.phase3_id = p3id
             tt.z3_true = float(z3[i])
@@ -363,31 +340,18 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
             tt.inflated = bool(inflated[i])
             tt.z3_reported = float(z3_rep[i])
             if not suppressed[i]:
-                outcomes.append(
-                    (p3id, OutcomeRank.PRIMARY, _report_p(float(z3_rep[i])), False)
-                )
+                cols.add_outcome(row, OutcomeRank.PRIMARY, _report_p(float(z3_rep[i])), False)
         truth_rows.append(tt)
 
     # seeded sponsor rankings for split-based analyses
     rankings: dict[str, dict[str, int]] = {}
     rank_rng = np.random.default_rng(ss.spawn(1)[0])
     names = [f"sponsor {i + 1:02d}" for i in range(cfg.n_sponsors)]
-    from .registry import RANK_CRITERIA
-
     for crit in RANK_CRITERIA:
         order = rank_rng.permutation(cfg.n_sponsors)
         rankings[crit] = {names[j]: int(r + 1) for r, j in enumerate(order)}
 
-    from .registry import OutcomeResult
-
-    reg = Registry(
-        trials=trials,
-        outcomes=tuple(
-            OutcomeResult(trial_id=t, outcome_rank=r, raw_p=p, mht_adjusted=m)
-            for t, r, p, m in outcomes
-        ),
-        rankings=rankings,
-    )
+    reg = cols.build(rankings)
     truth = SimTruth(trials=truth_rows, config=cfg, synonym_pairs=synonym_pairs)
     return reg, truth
 

@@ -11,15 +11,21 @@ from trialscope.linker import (
     DEFAULT_MESH_STOPLIST,
     LINK_COMPLETION_CUTOFF,
     _basic_norm,
-    _clean_mesh,
+    _clean_term,
     canonical_drug,
 )
-from trialscope.registry import Phase, TrialRecord
+from trialscope.registry import Phase
+
+from records import Trial
+
+
+def _clean_mesh(terms: frozenset[str], stop: frozenset[str]) -> frozenset[str]:
+    return frozenset(_clean_term(t, stop) for t in terms) - {None}
 
 
 def link(
-    phase2: TrialRecord,
-    phase3_pool: Sequence[TrialRecord],
+    phase2: Trial,
+    phase3_pool: Sequence[Trial],
     synonyms: Mapping[str, str] | None = None,
     mesh_stoplist: frozenset[str] = DEFAULT_MESH_STOPLIST,
     completion_cutoff: date = LINK_COMPLETION_CUTOFF,

@@ -290,9 +290,8 @@ def test_criterion_7_real_data_replication():
     synonyms = load_synonyms(d / "synonyms.csv")
     links, _ = link_all(reg, synonyms=synonyms)
 
-    from trialscope.registry import SponsorClass, default_rankings, all_sponsor_splits
+    from trialscope.registry import default_rankings, all_sponsor_splits
 
-    industry = reg.filter_trials(lambda t: t.sponsor_class is SponsorClass.INDUSTRY)
     # the links code the trials of ``reg``, so the groups are row masks of
     # its table; the labels read the full registry's matches
     table = outcome_table(reg)
@@ -312,12 +311,15 @@ def test_criterion_7_real_data_replication():
     rankings = reg.rankings if any(reg.rankings.values()) else default_rankings()
     split = [s for s in all_sponsor_splits(rankings, k_range=[10])
              if s.criterion == "revenue2018"][0]
-    small = industry.filter_trials(lambda t: split.group_of(t.sponsor_name) == "Small")
+    small = reg.subset(reg.trials.industry & np.array(
+        [split.group_of(n) == "Small" for n in reg.trials.sponsor_name.tolist()], dtype=bool))
     from trialscope.registry import Phase
     zs = []
-    for o in small.outcomes:
-        if o.outcome_rank is OutcomeRank.PRIMARY and small.trials[o.trial_id].phase is Phase.PHASE3:
-            s = transform(o.raw_p)
+    o = small.outcomes
+    for kind, p, rank, trial in zip(o.p_kind.tolist(), o.p_value.tolist(), o.rank.tolist(),
+                                    o.trial.tolist()):
+        if rank == OutcomeRank.PRIMARY.value and small.trials.phase[trial] == Phase.PHASE3.value:
+            s = transform(ReportedP(kind, p))
             if s.is_precise:
                 zs.append(s.z)
     disc = cjm_test(zs, cutoff=1.96)

@@ -54,6 +54,17 @@ class TestConfig:
             PipelineConfig.load(str(cfg_file), {})
 
 
+    def test_unknown_split_criterion_rejected(self, sim_dir, tmp_path, capsys):
+        cfg_file = tmp_path / "c.cfg"
+        cfg_file.write_text("split_criterion=Revenue2018\n")
+        inputs = ["--trials", sim_dir / "trials.csv", "--outcomes", sim_dir / "outcomes.csv"]
+        for args in (["--split-criterion", "Revenue2018"], ["--config", cfg_file]):
+            assert run(["transform", *inputs, *args, "--out", tmp_path / "o"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "split_criterion" in err
+            assert "Traceback" not in err
+
+
 class TestExitCodes:
     def test_missing_input_exits_one_and_names_path(self, tmp_path, capsys):
         code = run(["transform", "--trials", "/nope/t.csv",

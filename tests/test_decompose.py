@@ -362,7 +362,7 @@ class TestSweep:
         target = next(i for i, code in enumerate(links.phase2.tolist())
                       if code in fitted and links.n_matches[i] == 0)
         small_ph3 = min(c for c in np.flatnonzero(table.group_mask(split, "Small"))
-                        if reg.trials[table.trials.ids[c]].phase is Phase.PHASE3)
+                        if table.trials.phase[c] == Phase.PHASE3.value)
         at = links.offsets[target]
         crossed = replace(
             links, offsets=np.r_[links.offsets[:target + 1], links.offsets[target + 1:] + 1],

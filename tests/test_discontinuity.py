@@ -184,7 +184,7 @@ class TestSponsorSweep:
         # keep only two sponsors so the Large cell goes empty for k where
         # neither is ranked in the top group
         splits = all_sponsor_splits(sim_reg.rankings, k_range=[7])
-        few = sim_reg.filter_trials(lambda t: t.sponsor_name in ("Sponsor 01",))
+        few = sim_reg.subset(sim_reg.trials.sponsor_name == "Sponsor 01")
         rows = sponsor_sweep(outcome_table(few), splits[:1], Phase.PHASE3)
         errs = [r for r in rows if r["error"]]
         assert errs, "expected at least one failed cell"

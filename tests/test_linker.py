@@ -14,19 +14,11 @@ from trialscope.linker import (
     load_synonyms,
 )
 from trialscope.pz import outcome_table
-from trialscope.registry import (
-    Phase,
-    Registry,
-    SponsorClass,
-    StudyType,
-    TrialRecord,
-    assign_condition_category,
-    write_outcomes_csv,
-    write_trials_csv,
-)
+from trialscope.registry import Phase, write_outcomes_csv, write_trials_csv
 from trialscope.selection import build_design
 
 from linear_linker import link
+from records import Trial, records, registry_of
 
 
 def make_trial(
@@ -38,21 +30,14 @@ def make_trial(
     completion=None,
     sponsor="Acme Pharma",
 ):
-    mesh = frozenset(mesh)
-    return TrialRecord(
+    return Trial(
         trial_id=trial_id,
         phase=phase,
-        sponsor_name=sponsor,
-        sponsor_class=SponsorClass.INDUSTRY,
-        industry_rank_keys={},
         interventions=tuple(frozenset(c) for c in interventions),
-        mesh_conditions=mesh,
-        condition_category=assign_condition_category(mesh),
+        mesh_conditions=frozenset(mesh),
         start_date=start,
         completion_date=completion,
-        enrollment=100,
-        placebo_comparator=True,
-        study_type=StudyType.INTERVENTIONAL_SUPERIORITY,
+        sponsor_name=sponsor,
     )
 
 
@@ -202,7 +187,7 @@ class TestLinkAll:
 
     def test_zero_pool_all_false(self, sim_small):
         reg, truth, links, summary = sim_small
-        only_ph2 = reg.filter_trials(lambda t: t.phase is Phase.PHASE2)
+        only_ph2 = reg.subset(reg.trials.phase == Phase.PHASE2.value)
         links, s = link_all(only_ph2)
         assert len(links.phase2) == only_ph2.n_trials() and links.matched.size == 0
         assert s.n_continued == 0
@@ -220,10 +205,11 @@ class TestLinkAll:
     def test_indexed_matches_reference(self, sim_small):
         reg, truth, links, summary = sim_small
         synonyms = build_synonym_map(truth.synonym_pairs)
-        pool = [t for t in reg.trials.values() if t.phase is Phase.PHASE3]
+        trials = list(records(reg).values())
+        pool = [t for t in trials if t.phase is Phase.PHASE3]
         by_id = by_phase2_id(links)
         checked = 0
-        for t in list(reg.trials.values())[:150]:
+        for t in trials[:150]:
             if t.phase is not Phase.PHASE2:
                 continue
             assert link(t, pool, synonyms) == by_id[t.trial_id]
@@ -232,8 +218,8 @@ class TestLinkAll:
 
     def test_restricted_links_equal_linking_the_subset(self, sim_small):
         reg, truth, links, summary = sim_small
-        ids = frozenset(list(reg.trials)[::2])
-        alone, _ = link_all(reg.filter_trials(lambda t: t.trial_id in ids),
+        ids = frozenset(list(records(reg))[::2])
+        alone, _ = link_all(reg.subset(np.isin(reg.trials.ids, list(ids))),
                             synonyms=build_synonym_map(truth.synonym_pairs))
         cut = by_phase2_id(links.within(np.isin(links.ids, list(ids))))
         full = by_phase2_id(links)
@@ -253,7 +239,7 @@ class TestLinkAll:
 class TestLinks:
     def test_links_of_another_registry_raise(self, sim_small):
         reg, truth, links, summary = sim_small
-        half = reg.filter_trials(lambda t: t.trial_id in set(list(reg.trials)[::2]))
+        half = reg.subset(np.isin(reg.trials.ids, list(records(reg))[::2]))
         half_links, _ = link_all(half, synonyms=build_synonym_map(truth.synonym_pairs))
         table = outcome_table(reg)
         for bad in (lambda: build_design(table, half_links),
@@ -264,7 +250,7 @@ class TestLinks:
                 bad()
         assert build_design(outcome_table(half), half_links).n_obs > 0
         # a registry's table and links hold its one coding array
-        assert table.trials.ids is links.ids is reg.trial_ids
+        assert table.trials.ids is links.ids is reg.trials.ids
 
     def test_link_csv_bytes(self, tmp_path):
         # registry order is not id order, and P2-B matches two phase III
@@ -278,7 +264,7 @@ class TestLinks:
             make_trial("P2-C", Phase.PHASE2, [{"drugb"}], {"C14:X"}, d(2012, 1, 1), d(2014, 1, 1)),
             make_trial("P2-D", Phase.PHASE2, [{"drugq"}], {"C14:X"}, d(2012, 1, 1), d(2014, 1, 1)),
         ]
-        reg = Registry(trials={t.trial_id: t for t in trials}, outcomes=(), rankings={})
+        reg = registry_of(trials)
         write_trials_csv(reg, tmp_path / "trials.csv")
         write_outcomes_csv(reg, tmp_path / "outcomes.csv")
         assert main(["link", "--trials", str(tmp_path / "trials.csv"),

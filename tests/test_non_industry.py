@@ -3,12 +3,13 @@ trials only, so these tests read a simulated registry with a third of its
 trials rewritten to academic sponsors (the ``mixed_csvs`` fixture)."""
 
 import csv
+import sys
 
 import trialscope.registry as registry
 from trialscope import cli
 from trialscope.cli import PipelineConfig, main
 from trialscope.linker import link_all, load_synonyms
-from trialscope.registry import Phase, SponsorClass, all_sponsor_splits
+from trialscope.registry import Phase, all_sponsor_splits
 
 
 def read_rows(path):
@@ -72,34 +73,42 @@ def test_decompose_unchanged_by_non_industry_trials(mixed_csvs, tmp_path):
 
 def test_sponsor_groups_read_the_table_keys(mixed_csvs, monkeypatch):
     trials, outcomes, rankings, synonyms = mixed_csvs
+    # count the calls through every binding of the function in the package
+    calls = []
+    real = registry.canonical_sponsor
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "trialscope" or name.startswith("trialscope.")):
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr,
+                                        lambda *a, **k: calls.append(a) or real(*a, **k))
     cfg = PipelineConfig.load(None, {"trials": str(trials), "outcomes": str(outcomes),
                                      "rankings": str(rankings), "synonyms": str(synonyms)})
     inp = cli._Inputs(cfg)
     reg = inp.registry
     _ = inp.table
+    # ingest and the table canonicalise each distinct sponsor string once
+    distinct = {r["sponsor_name"] for path in (trials, rankings) for r in read_rows(path)}
+    assert 0 < len(calls) <= len(distinct)
     # the rule the groups followed before: each trial's sponsor classified
     # through SponsorSplit.group_of
-    industry = {t for t, r in reg.trials.items() if r.sponsor_class is SponsorClass.INDUSTRY}
+    t = reg.trials
+    ids, names = t.ids.tolist(), t.sponsor_name.tolist()
+    industry = set(t.ids[t.industry].tolist())
     split = [s for s in all_sponsor_splits(cli._rankings(reg), k_range=[cfg["split_k"]])
              if s.criterion == cfg["split_criterion"]][0]
     expected = {
-        "all": set(reg.trials),
-        "non_industry": set(reg.trials) - industry,
+        "all": set(ids),
+        "non_industry": set(ids) - industry,
         "all_industry": industry,
-        "top_industry": {t for t in industry
-                         if split.group_of(reg.trials[t].sponsor_name) == "Large"},
-        "small_industry": {t for t in industry
-                           if split.group_of(reg.trials[t].sponsor_name) == "Small"},
+        "top_industry": {i for i, n in zip(ids, names)
+                         if i in industry and split.group_of(n) == "Large"},
+        "small_industry": {i for i, n in zip(ids, names)
+                           if i in industry and split.group_of(n) == "Small"},
     }
     assert all(expected.values())
-    calls = []
-    real = registry.canonical_sponsor
-    monkeypatch.setattr(registry, "canonical_sponsor",
-                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    calls.clear()
     for group in cli._GROUPS:
         assert set(inp.table.trials.ids[inp.group_mask(group)]) == expected[group], group
-    assert calls == []  # the table's keys were canonicalised once, when it was built
-    assert {reg.trials[t].phase for t in expected["non_industry"]} >= {
-        Phase.PHASE2, Phase.PHASE3
-    }
-
+    assert calls == []  # the table's keys were canonicalised once, at ingest
+    assert set(t.phase[~t.industry].tolist()) >= {Phase.PHASE2.value, Phase.PHASE3.value}

@@ -19,9 +19,11 @@ from trialscope.registry import (
     write_rankings_csv,
     write_trials_csv,
 )
+from trialscope.pz import outcome_table
 from trialscope.simulate import SimConfig, generate
 
 from conftest import write
+from records import assert_same_registry, records
 
 
 class TestIngest:
@@ -29,15 +31,32 @@ class TestIngest:
         reg = ingest(*toy_csvs)
         assert reg.n_trials() == 2
         assert len(reg.outcomes) == 3
-        t1 = reg.trial("NCT001")
+        trials = records(reg)
+        t1 = trials["NCT001"]
         assert t1.phase is Phase.PHASE2
         assert t1.interventions == (frozenset({"drugx"}),)
-        assert t1.condition_category == "C14"
-        t2 = reg.trial("NCT002")
+        t2 = trials["NCT002"]
         assert t2.interventions == (frozenset({"drugx"}), frozenset({"drugy", "drugz"}))
         assert t2.listed_drugs() == frozenset({"drugx", "drugy", "drugz"})
-        assert t2.industry_rank_keys == {"revenue2018": 4}
-        assert t2.condition_category == "C14"  # 13.215 bn beats C10
+        t = reg.trials
+        assert t.ids.tolist() == ["NCT001", "NCT002"]
+        assert t.sponsor_keys[t.sponsor].tolist() == ["sponsor a", "pfizer"]
+        assert reg.rankings["revenue2018"] == {"pfizer": 4}
+        assert t.condition.tolist() == ["C14", "C14"]  # 13.215 bn beats C10
+        assert reg.outcomes.trial.tolist() == [0, 0, 1]
+
+    def test_completion_years(self, tmp_path, toy_csvs):
+        _, outcomes, rankings = toy_csvs
+        trials = write(
+            tmp_path / "years.csv",
+            f"""
+            {_TRIALS_HEADER}
+            NCT001,phase2,Sponsor A,industry,drugx,C14:X,0999-03-01,,120,true,other
+            NCT002,phase3,Pfizer,industry,drugx,C14:X,,1969-12-31,900,false,other
+            """,
+        )
+        table = outcome_table(ingest(trials, outcomes, rankings))
+        assert table.year.tolist() == ["unknown", "unknown", "1969"]
 
     def test_dangling_outcome(self, tmp_path, toy_csvs):
         trials, _, rankings = toy_csvs
@@ -110,7 +129,70 @@ class TestIngest:
             bom = tmp_path / f"bom_{path.name}"
             bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
             boms.append(bom)
-        assert ingest(*boms) == ingest(*toy_csvs)
+        assert_same_registry(ingest(*boms), ingest(*toy_csvs))
+
+
+_TRIALS_HEADER = (
+    "trial_id,phase,sponsor_name,sponsor_class,interventions,mesh_conditions,"
+    "start_date,completion_date,enrollment,placebo_comparator,study_type"
+)
+_GOOD_TRIAL = ("NCT001,phase2,Sponsor A,industry,drugx,C14:X,2010-03-01,2012-06-30,120,true,"
+               "interventional_superiority")
+
+
+def _trial(**cells):
+    """The good toy trial row with some cells replaced."""
+    row = dict(zip(_TRIALS_HEADER.split(","), _GOOD_TRIAL.split(",")))
+    row.update(cells)
+    return ",".join(row.values())
+
+
+# (file of the toy fixture to replace, its rows after the header or a whole
+# file with its own header, expected line and column)
+_SCHEMA_CASES = {
+    "header": ("trials", "trial_id,phase\nNCT001,phase2", 1, "<header>"),
+    "empty_trial_id": ("trials", _trial(trial_id=""), 2, "trial_id"),
+    "duplicate_trial_id": ("trials", _GOOD_TRIAL + "\n" + _GOOD_TRIAL, 3, "trial_id"),
+    "sponsor_class": ("trials", _trial(sponsor_class="pharma"), 2, "sponsor_class"),
+    "enrollment_not_int": ("trials", _trial(enrollment="many"), 2, "enrollment"),
+    "start_date": ("trials", _trial(start_date="2010-13-01"), 2, "start_date"),
+    "completion_date": ("trials", _trial(completion_date="June 2012"), 2, "completion_date"),
+    "completion_before_start": (
+        "trials", _trial(start_date="2012-07-01"), 2, "completion_date"),
+    "ranked_non_industry": (
+        "trials", _GOOD_TRIAL + "\n" + _trial(trial_id="NCT002", sponsor_name="PFIZER ",
+                                              sponsor_class="non_industry"),
+        3, "sponsor_class"),
+    "placebo_bool": ("trials", _trial(placebo_comparator="yes"), 2, "placebo_comparator"),
+    "outcome_rank": ("outcomes", "NCT001,tertiary,exact,0.2,false", 2, "outcome_rank"),
+    "p_kind": ("outcomes", "NCT001,primary,le,0.2,false", 2, "p_kind"),
+    "p_not_numeric": ("outcomes", "NCT001,primary,exact,n/a,false", 2, "p_value"),
+    "mht_bool": ("outcomes", "NCT001,primary,exact,0.2,maybe", 2, "mht_adjusted"),
+    "criterion": ("rankings", "Pfizer,revenue2019,4", 2, "criterion"),
+    "rank_not_int": ("rankings", "Pfizer,revenue2018,fourth", 2, "rank"),
+    "rank_zero": ("rankings", "Pfizer,revenue2018,0", 2, "rank"),
+    "rank_duplicate": (
+        "rankings", "Pfizer,revenue2018,4\n pfizer,revenue2018,5", 3, "sponsor_name"),
+}
+
+_HEADERS = {
+    "trials": _TRIALS_HEADER,
+    "outcomes": "trial_id,outcome_rank,p_kind,p_value,mht_adjusted",
+    "rankings": "sponsor_name,criterion,rank",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SCHEMA_CASES))
+def test_schema_error_sites(tmp_path, toy_csvs, case):
+    which, rows, line, column = _SCHEMA_CASES[case]
+    files = dict(zip(("trials", "outcomes", "rankings"), toy_csvs))
+    bad = tmp_path / f"bad_{which}.csv"
+    text = rows if case == "header" else f"{_HEADERS[which]}\n{rows}"
+    bad.write_text(text + "\n", encoding="utf-8")
+    files[which] = bad
+    with pytest.raises(SchemaError) as exc:
+        ingest(files["trials"], files["outcomes"], files["rankings"])
+    assert (exc.value.file, exc.value.line, exc.value.column) == (str(bad), line, column)
 
 
 class TestFilters:
@@ -142,7 +224,7 @@ class TestFilters:
     def test_all_rules_fire(self, tmp_path):
         reg = self._with_extra_rows(tmp_path)
         filtered, audit = apply_sample_filters(reg)
-        assert set(filtered.trials) == {"KEEP1"}
+        assert filtered.trials.ids.tolist() == ["KEEP1"]
         by_rule = {e["rule"]: e for e in audit.entries}
         assert by_rule["drop_anomalous_sponsor"]["trials_removed"] == 1
         assert "0.05" in by_rule["drop_anomalous_sponsor"]["note"]
@@ -154,14 +236,14 @@ class TestFilters:
     def test_no_offenders_unchanged(self, toy_csvs):
         reg = ingest(*toy_csvs)
         filtered, audit = apply_sample_filters(reg)
-        assert set(filtered.trials) == set(reg.trials)
+        assert_same_registry(filtered, reg)
         assert audit.total_trials_removed() == 0
 
     def test_idempotent(self, tmp_path):
         reg = self._with_extra_rows(tmp_path)
         once, _ = apply_sample_filters(reg)
         twice, audit2 = apply_sample_filters(once)
-        assert set(twice.trials) == set(once.trials)
+        assert_same_registry(twice, once)
         assert audit2.total_trials_removed() == 0
 
     def test_empty_input(self, tmp_path):
@@ -201,12 +283,6 @@ class TestConditionCategories:
     def test_merged_codes(self):
         assert assign_condition_category(["C09:Rhinitis"]) == "C08/C09"
         assert assign_condition_category(["C13:Endometriosis"]) == "C12/C13"
-
-    def test_spending_override(self):
-        got = assign_condition_category(
-            ["C14:A", "C17:B"], spending_override={"C17": 99.0}
-        )
-        assert got == "C17"
 
     @given(st.lists(st.sampled_from(
         ["C14:A", "C04:B", "Hypertension", "Asthma", "totally unknown", ""]), max_size=6))
@@ -274,39 +350,19 @@ def test_simulated_registry_round_trips(tmp_path):
     write_outcomes_csv(reg, o)
     write_rankings_csv(reg, r)
     reg2 = ingest(t, o, r)
-    assert set(reg2.trials) == set(reg.trials)
+    assert set(reg2.trials.ids) == set(reg.trials.ids)
     assert len(reg2.outcomes) == len(reg.outcomes)
     t2 = tmp_path / "t2.csv"
     write_trials_csv(reg2, t2)
     assert t.read_bytes() == t2.read_bytes()
 
 
-def test_user_overridable_tables(tmp_path):
-    from trialscope.registry import (
-        use_category_tables,
-        use_sponsor_parents,
-        _data_path,
-    )
-
-    cats = tmp_path / "cats.csv"
-    cats.write_text(
-        "code,name,medicare_d_spending_bn\nC14,Heart,1.0\nC17,Skin,50.0\n",
-        encoding="utf-8",
-    )
-    terms = tmp_path / "terms.csv"
-    terms.write_text("term,code\nMadeUpTerm,C17\n", encoding="utf-8")
-    try:
-        use_category_tables(cats, terms)
-        # the override flips the tie-break and adds a new term
-        assert assign_condition_category(["C14:A", "C17:B"]) == "C17"
-        assert assign_condition_category(["MadeUpTerm"]) == "C17"
-
-        parents = tmp_path / "parents.csv"
-        parents.write_text("subsidiary,parent\nTiny Labs,Mega Corp\n", encoding="utf-8")
-        use_sponsor_parents(parents)
-        assert canonical_sponsor("tiny  labs") == "mega corp"
-        assert canonical_sponsor("Janssen Research & Development") != "johnson & johnson"
-    finally:
-        use_category_tables(_data_path("condition_categories.csv"),
-                            _data_path("mesh_terms.csv"))
-        use_sponsor_parents(_data_path("sponsor_parents.csv"))
+@pytest.mark.parametrize("cfg", [SimConfig(), SimConfig(n_trials=300, seed=4,
+                                                        secondary_outcomes_per_trial=2)])
+def test_simulated_registry_equals_its_ingest(tmp_path, cfg):
+    # one representation: the simulator and ingest build the same columns
+    reg, _ = generate(cfg)
+    paths = tmp_path / "t.csv", tmp_path / "o.csv", tmp_path / "r.csv"
+    for write_csv, path in zip((write_trials_csv, write_outcomes_csv, write_rankings_csv), paths):
+        write_csv(reg, path)
+    assert_same_registry(ingest(*paths), reg)

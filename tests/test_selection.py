@@ -57,9 +57,10 @@ class TestDesign:
     def test_censored_rows(self, sim_small):
         reg, truth, links, _ = sim_small
         design = build_design(outcome_table(reg), links)
-        assert design.n_obs == sum(
-            1 for o in reg.outcomes
-            if o.outcome_rank is OutcomeRank.PRIMARY and o.trial_id.startswith("SIM2")
+        o = reg.outcomes
+        assert design.n_obs == np.sum(
+            (o.rank == OutcomeRank.PRIMARY.value)
+            & np.char.startswith(reg.trials.ids[o.trial], "SIM2")
         )
         d2_rows = design.kind == "above_d2"
         assert np.all(design.z[d2_rows] == 0.0)
@@ -70,7 +71,7 @@ class TestDesign:
 
     def test_empty_design_raises(self, sim_small):
         reg, truth, links, _ = sim_small
-        empty = reg.filter_trials(lambda t: False)
+        empty = reg.subset(np.zeros(reg.n_trials(), dtype=bool))
         with pytest.raises(ValueError, match="empty"):
             build_design(outcome_table(empty), link_all(empty)[0])
 

@@ -15,6 +15,8 @@ from trialscope.simulate import (
     generate,
 )
 
+from records import records
+
 
 def registry_bytes(reg, tmp_path, tag):
     t = tmp_path / f"t{tag}.csv"
@@ -99,10 +101,11 @@ class TestGenerate:
 
     def test_registry_consistency(self, sim_small):
         reg, truth, _, _ = sim_small
+        trials = records(reg)
         for t in truth.trials:
             if t.continued:
-                p3 = reg.trials[t.phase3_id]
-                p2 = reg.trials[t.trial_id]
+                p3 = trials[t.phase3_id]
+                p2 = trials[t.trial_id]
                 assert p2.start_date < p3.start_date
                 assert p2.mesh_conditions <= p3.mesh_conditions
 
@@ -126,12 +129,12 @@ class TestMisreporting:
         sig = [t for t in truth.trials if t.continued and t.z3_true >= Z_SIG]
         assert not any(t.suppressed for t in sig)
         # suppressed results leave no outcome rows
-        reported_p3 = {o.trial_id for o in reg.outcomes if o.trial_id.startswith("SIM3")}
+        reported_p3 = {t for t in reg.trials.ids[reg.outcomes.trial] if t.startswith("SIM3")}
         for t in suppressed:
             assert t.phase3_id not in reported_p3
         # but the phase III registration itself remains for linking
         for t in suppressed:
-            assert t.phase3_id in reg.trials
+            assert t.phase3_id in reg.trials.ids
 
     def test_suppression_effect_sign(self):
         cfg = SimConfig(n_trials=6000, seed=11, misreporting=Misreporting.suppress_share(0.5))
