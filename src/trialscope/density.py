@@ -81,18 +81,6 @@ class DensityCurve:
     def integral(self) -> float:
         return float(np.trapezoid(self.values, self.grid))
 
-    def mass_above(self, cutoff: float) -> float:
-        """Trapezoid mass of the curve at or above ``cutoff``."""
-        g, v = self.grid, self.values
-        if cutoff <= g[0]:
-            return self.integral()
-        if cutoff >= g[-1]:
-            return 0.0
-        i = int(np.searchsorted(g, cutoff))
-        v_c = float(np.interp(cutoff, g, v))
-        partial = 0.5 * (v_c + v[i]) * (g[i] - cutoff)
-        return partial + float(np.trapezoid(v[i:], g[i:]))
-
 
 def _draws(sample, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The drawn values of a sample in increasing order, with how often each

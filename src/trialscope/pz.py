@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from datetime import date
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +21,6 @@ import numpy as np
 from scipy.special import erfc
 
 from .registry import (
-    NO_DATE,
     OutcomeRank,
     Phase,
     Registry,
@@ -158,7 +156,6 @@ _ACKLAM_D = (
 _ACKLAM_SPLIT = 0.02425
 
 _SQRT2 = math.sqrt(2.0)
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
@@ -332,8 +329,8 @@ class OutcomeTable:
     ``bound`` the censor bound on the z scale (NaN on precise rows) and
     ``below`` marks "p>t" censors.  Stages select their samples as boolean
     row masks.  ``trial_code`` is each row's trial in ``trials``, the
-    registry's trial columns, which subsets share; the trial-level
-    selection regressors repeat on each row of a trial.
+    registry's trial columns, which subsets share; trial-level columns
+    are read through it.
     """
 
     side: Sidedness
@@ -346,37 +343,22 @@ class OutcomeTable:
     bound: np.ndarray
     below: np.ndarray
     mht: np.ndarray
-    sqrt_enroll: np.ndarray
-    placebo: np.ndarray
-    condition: np.ndarray
-    year: np.ndarray
 
     @classmethod
     def of(cls, reg: Registry, side: Sidedness, kind, z, bound) -> "OutcomeTable":
         """Table of ``reg`` given the transformed columns of its outcomes."""
         t, o = reg.trials, reg.outcomes
-        code = o.trial
-        # completion years from the date ordinals, through numpy's day count
-        days = (t.completion - _EPOCH_ORDINAL).astype("datetime64[D]")
-        year = np.char.mod("%d", days.astype("datetime64[Y]").astype(int) + 1970)
-        missing = t.completion == NO_DATE
-        if missing.any():  # "unknown" widens the strings the fits sort
-            year = np.where(missing, "unknown", year)
         return cls(
             side=side,
             trials=t,
-            trial_code=code,
-            phase=t.phase[code],
+            trial_code=o.trial,
+            phase=t.phase[o.trial],
             rank=o.rank,
             kind=np.asarray(kind, dtype=str),
             z=np.asarray(z, dtype=float),
             bound=np.asarray(bound, dtype=float),
             below=o.p_kind == "gt",
             mht=o.mht.astype(int),
-            sqrt_enroll=np.sqrt(t.enrollment)[code],
-            placebo=t.placebo.astype(int)[code],
-            condition=t.condition[code],
-            year=year[code],
         )
 
     def subset(self, rows: np.ndarray) -> "OutcomeTable":

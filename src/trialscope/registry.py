@@ -157,9 +157,10 @@ class Trials:
     its drug combinations in ``interventions`` as codes into ``combos``,
     whose rows hold codes into ``drug_names``, by name; ``mesh`` codes its
     set of MeSH terms into ``mesh_sets``, whose rows hold codes into
-    ``mesh_terms``, by term.  Dates are ordinals, NO_DATE when missing.
-    The vocabularies (``sponsor_keys``, ``combos``, ``drug_names``,
-    ``mesh_sets``, ``mesh_terms``) may hold entries no trial uses.
+    ``mesh_terms``, by term.  ``condition`` and ``year`` code the condition
+    category and the completion year ("%d", "unknown" when missing) into
+    the sorted ``conditions`` and ``years``.  Dates are ordinals, NO_DATE
+    when missing.  The vocabularies may hold entries no trial uses.
     """
 
     ids: np.ndarray
@@ -170,7 +171,8 @@ class Trials:
     industry: np.ndarray
     interventions: Ragged
     mesh: np.ndarray
-    condition: np.ndarray  # condition category
+    condition: np.ndarray
+    year: np.ndarray
     start: np.ndarray
     completion: np.ndarray
     enrollment: np.ndarray
@@ -181,12 +183,15 @@ class Trials:
     drug_names: np.ndarray
     mesh_sets: Ragged
     mesh_terms: np.ndarray
+    conditions: np.ndarray
+    years: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
 
 
-_VOCABULARIES = ("sponsor_keys", "combos", "drug_names", "mesh_sets", "mesh_terms")
+_VOCABULARIES = (
+    "sponsor_keys", "combos", "drug_names", "mesh_sets", "mesh_terms", "conditions", "years")
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,6 +435,11 @@ class RegistryBuilder:
         sponsor_keys, sponsor = np.unique(
             np.array([self._keys[n] for n in names.tolist()], dtype=str), return_inverse=True)
         mesh = col(mesh, np.int32)
+        conditions, condition = _coded(self._categories, mesh)
+        completion = col(completion, np.int64)
+        days, day = np.unique(completion, return_inverse=True)
+        years, year = _coded(["unknown" if d == NO_DATE else "%d" % date.fromordinal(d).year
+                              for d in days.tolist()], day)
         combos = [[self._drugs.setdefault(d, len(self._drugs)) for d in c] for c in self._combos]
         mesh_sets = [[self._terms.setdefault(t, len(self._terms)) for t in sorted(s)]
                      for s in self._mesh_sets]
@@ -437,18 +447,25 @@ class RegistryBuilder:
             ids=ids[by_code], order=code, phase=col(phase, str), sponsor_name=names,
             sponsor=sponsor, industry=col(industry, bool),
             interventions=Ragged.of([self._interventions[r] for r in by_code.tolist()]),
-            mesh=mesh, condition=np.array(self._categories, dtype=str)[mesh],
-            start=col(start, np.int64), completion=col(completion, np.int64),
+            mesh=mesh, condition=condition, year=year,
+            start=col(start, np.int64), completion=completion,
             enrollment=col(enrollment, np.int64), placebo=col(placebo, bool),
             superiority=col(superiority, bool), sponsor_keys=sponsor_keys,
             combos=Ragged.of(combos), drug_names=np.array(list(self._drugs), dtype=str),
             mesh_sets=Ragged.of(mesh_sets), mesh_terms=np.array(list(self._terms), dtype=str),
+            conditions=conditions, years=years,
         )
         rows, rank, kind, value, mht = zip(*self._outcomes) if self._outcomes else ((),) * 5
         outcomes = Outcomes(code[np.array(rows, dtype=np.int64)], np.array(rank, dtype=str),
                             np.array(kind, dtype=str), np.array(value, dtype=float),
                             np.array(mht, dtype=bool))
         return Registry(trials, outcomes, rankings)
+
+
+def _coded(labels: Sequence[str], code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``labels`` sorted, and ``code`` into ``labels`` recoded into them."""
+    vocabulary, recode = np.unique(np.array(labels, dtype=str), return_inverse=True)
+    return vocabulary, recode.astype(np.int32)[code]
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +504,23 @@ def _parse_interventions(raw: str) -> list[list[str]]:
     return [[d.strip() for d in chunk.split("+") if d.strip()] for chunk in raw.split(";")]
 
 
-def _check_header(reader: csv.DictReader, expected: Sequence[str], file: str) -> None:
-    got = reader.fieldnames or []
-    if list(got) != list(expected):
-        raise SchemaError(file, 1, "<header>", f"expected columns {expected}, got {got}")
-
-
 def _read_rows(path: Path, expected: Sequence[str]):
+    """Each record after a header of the ``expected`` columns, by column,
+    with the line it starts on; blank lines are skipped."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        _check_header(reader, expected, str(path))
-        for i, row in enumerate(reader, start=2):
-            yield i, row
+        reader = csv.reader(fh)
+        got = next(reader, [])
+        if got != list(expected):
+            raise SchemaError(str(path), 1, "<header>", f"expected columns {expected}, got {got}")
+        line = reader.line_num + 1
+        for values in reader:
+            if len(values) not in (0, len(expected)):
+                raise SchemaError(str(path), line, "<row>",
+                                  f"expected {len(expected)} fields, got {len(values)}")
+            if values:
+                yield line, dict(zip(expected, values))
+            line = reader.line_num + 1
 
 
 def ingest(

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linker import Links
 from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
-from .registry import OutcomeRank, Phase, Registry, ReportedP
+from .registry import OutcomeRank, Phase, Registry, ReportedP, Trials
 
 __all__ = [
     "PinnedDesign",
@@ -43,24 +43,22 @@ class SeparationError(RuntimeError):
 class SelectionDesign:
     """Columnar trial-outcome design.  ``bound`` is each row's censor bound
     on the z scale (NaN on precise rows); ``z`` is the regressor, zero on
-    D1/D2 rows."""
+    D1/D2 rows.  ``trial_code`` is each row's trial in ``trials``, through
+    which the trial-level regressors are read."""
 
+    trials: Trials
     y: np.ndarray
     z: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    sqrt_enroll: np.ndarray
-    placebo: np.ndarray
     mht: np.ndarray
-    condition: np.ndarray
-    year: np.ndarray
-    trial_code: np.ndarray  # the trial of each row, coded as in its table
+    trial_code: np.ndarray
     kind: np.ndarray  # z-score kind code per row ("precise", "above_d1", ...)
     bound: np.ndarray
 
     def __post_init__(self) -> None:
         n = len(self.y)
-        for f in fields(self):
+        for f in fields(self)[1:]:
             if len(getattr(self, f.name)) != n:
                 raise ValueError(f"column {f.name} has wrong length")
         if np.any(self.d1 * self.d2 != 0):
@@ -77,15 +75,28 @@ class SelectionDesign:
         return int(np.count_nonzero(np.bincount(self.trial_code)))
 
     @property
+    def sqrt_enroll(self) -> np.ndarray:
+        return np.sqrt(self.trials.enrollment[self.trial_code])
+
+    @property
+    def placebo(self) -> np.ndarray:
+        return self.trials.placebo[self.trial_code].astype(int)
+
+    @property
+    def condition(self) -> np.ndarray:  # codes into trials.conditions
+        return self.trials.condition[self.trial_code]
+
+    @property
+    def year(self) -> np.ndarray:  # codes into trials.years
+        return self.trials.year[self.trial_code]
+
+    @property
     def share_z(self) -> np.ndarray:
         """The z at which each row enters a share: D1/D2 rows at their bound."""
         return np.where((self.d1 == 1) | (self.d2 == 1), self.bound, self.z)
 
     def subset(self, idx: np.ndarray) -> "SelectionDesign":
-        return replace(self, **{f.name: getattr(self, f.name)[idx] for f in fields(self)})
-
-
-_DESIGN_COLUMNS = frozenset(f.name for f in fields(SelectionDesign))
+        return replace(self, **{f.name: getattr(self, f.name)[idx] for f in fields(self)[1:]})
 
 
 @dataclass
@@ -123,10 +134,8 @@ def design_rows(table: OutcomeTable, rows: np.ndarray, y: np.ndarray) -> Selecti
     d2 = (t.kind == ZKind.ABOVE_D2.value).astype(int)
     z = impute_arrays(t.kind, t.z, t.bound, t.below)
     return SelectionDesign(
-        y=y, z=np.where((d1 == 1) | (d2 == 1), 0.0, z), d1=d1, d2=d2,
-        sqrt_enroll=t.sqrt_enroll, placebo=t.placebo, mht=t.mht,
-        condition=t.condition, year=t.year, trial_code=t.trial_code, kind=t.kind,
-        bound=t.bound,
+        trials=t.trials, y=y, z=np.where((d1 == 1) | (d2 == 1), 0.0, z), d1=d1, d2=d2,
+        mht=t.mht, trial_code=t.trial_code, kind=t.kind, bound=t.bound,
     )
 
 
@@ -157,23 +166,25 @@ def build_design(
 
 
 def _dummies(
-    values: np.ndarray, fixed: tuple | None, label: str, warn_unseen: bool
+    codes: np.ndarray, names: np.ndarray, fixed: tuple | None, label: str, warn_unseen: bool
 ) -> tuple[tuple[str, list[str]], list[np.ndarray]]:
-    """The layout of a categorical column, its reference (most frequent)
-    level and remaining levels or the ``fixed`` layout of an existing fit,
-    and a 0/1 column per remaining level.  Values outside the layout fold
-    into the reference."""
-    vals, inv = np.unique(values.astype(str), return_inverse=True)
+    """The layout of a categorical column coded into the sorted level
+    ``names``: its reference level (the most frequent, the smallest name
+    among ties) and the remaining levels present, or the ``fixed`` layout
+    of an existing fit, by name; and a 0/1 column per remaining level.
+    Values outside the layout fold into the reference."""
+    counts = np.bincount(codes, minlength=len(names))
+    names = names.tolist()
+    present = [names[j] for j in np.flatnonzero(counts).tolist()]
     if fixed is None:
-        counts = np.bincount(inv, minlength=len(vals))
-        ref = str(vals[np.lexsort((vals, -counts))[0]])
-        fixed = (ref, [v for v in vals.tolist() if v != ref])
+        ref = names[int(np.argmax(counts))]
+        fixed = (ref, [v for v in present if v != ref])
     ref, levels = fixed
-    at = {v: j for j, v in enumerate(vals.tolist())}
-    unseen = set(at) - set(levels) - {ref}
+    unseen = set(present) - set(levels) - {ref}
     if warn_unseen and unseen:
         warnings.warn(f"unseen {label} levels {sorted(unseen)} folded into reference {ref!r}")
-    return fixed, [(inv == at.get(lv, -1)).astype(float) for lv in levels]
+    at = {v: j for j, v in enumerate(names)}
+    return fixed, [(codes == at.get(lv, -1)).astype(float) for lv in levels]
 
 
 def build_matrix(
@@ -193,7 +204,8 @@ def build_matrix(
     names = ["const", "z_ph2", "d1", "d2", "sqrt_enroll", "placebo", "mht_adjusted"]
     out_levels = {}
     for label, prefix in (("condition", "cond"), ("year", "year")):
-        layout, dummies = _dummies(getattr(design, label), fixed.get(label), label, warn_unseen)
+        layout, dummies = _dummies(getattr(design, label), getattr(design.trials, f"{label}s"),
+                                   fixed.get(label), label, warn_unseen)
         out_levels[label] = layout
         cols += dummies
         names += [f"{prefix}:{lv}" for lv in layout[1]]
@@ -375,14 +387,14 @@ def fit_logit(
 
     Convergence when the largest score component falls below ``score_tol``
     or the relative log-likelihood change falls below ``ll_tol``.
-    Clusters are the values of the design column ``cluster_by``, by
-    default the condition category; the sandwich carries the
-    G/(G-1) * (N-1)/(N-K) small-sample factor.  ``warm_start`` seeds named
-    coefficients (bootstrap refits converge in a few steps).
+    Clusters are the codes of the design column ``cluster_by``:
+    "condition" (the default), "year" or "trial_code".  The sandwich
+    carries the G/(G-1) * (N-1)/(N-K) small-sample factor.  ``warm_start``
+    seeds named coefficients (bootstrap refits converge in a few steps).
     """
-    if cluster_by not in _DESIGN_COLUMNS:
+    if cluster_by not in ("condition", "year", "trial_code"):
         raise ValueError(f"unknown cluster column {cluster_by!r}")
-    clusters = np.unique(getattr(design, cluster_by).astype(str), return_inverse=True)[1]
+    clusters = getattr(design, cluster_by)
     y = design.y.astype(float)
     X_full, names_full, levels = build_matrix(design)
     cols, dropped = _drop_collinear(X_full, names_full)
@@ -417,7 +429,7 @@ class PinnedDesign:
 
     def __init__(self, design: SelectionDesign, labels: np.ndarray, start: SelectionModel):
         self.X, self.names, _ = build_matrix(design)
-        clusters = np.unique(design.condition.astype(str), return_inverse=True)[1]
+        clusters = design.condition
         # fitting rows in cluster order, so a refit's cluster sums need no sort
         fitting = np.flatnonzero(~np.isnan(labels))
         self.fitting = fitting[np.argsort(clusters[fitting], kind="stable")]

@@ -1,15 +1,16 @@
 """Per-trial record views of the columnar registry, for tests: trials built
-by hand, the trials of a registry one at a time, and registry equality."""
+by hand, the trials of a registry one at a time, trial columns with given
+selection regressors, and registry equality."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import date
 from typing import Sequence
 
 import numpy as np
 
-from trialscope.registry import NO_DATE, Phase, Ragged, Registry, RegistryBuilder
+from trialscope.registry import NO_DATE, Phase, Ragged, Registry, RegistryBuilder, Trials
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,22 @@ def registry_of(trials: Sequence[Trial]) -> Registry:
             enrollment=100, placebo=True, superiority=True,
         )
     return cols.build({})
+
+
+def coded_trials(enrollment, placebo, condition, year) -> Trials:
+    """Industry phase II trials coded 0, 1, ... with the given enrollment,
+    placebo flag, condition category and completion year names, one each."""
+    cols = RegistryBuilder()
+    for i, (e, p) in enumerate(zip(np.asarray(enrollment).tolist(), np.asarray(placebo).tolist())):
+        cols.add_trial(
+            f"T{i:07d}", Phase.PHASE2, "Acme Pharma", industry=True, interventions=(),
+            mesh=(), start=NO_DATE, completion=NO_DATE, enrollment=e, placebo=bool(p),
+            superiority=True,
+        )
+    conditions, cond = np.unique(np.asarray(condition, dtype=str), return_inverse=True)
+    years, yr = np.unique(np.asarray(year, dtype=str), return_inverse=True)
+    return replace(cols.build({}).trials, condition=cond.astype(np.int32), conditions=conditions,
+                   year=yr.astype(np.int32), years=years)
 
 
 def columns(reg: Registry) -> dict[str, np.ndarray]:

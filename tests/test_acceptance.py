@@ -188,7 +188,7 @@ def test_criterion_4_logit_recovery():
     wdiag = p * (1 - p)
     bread = np.linalg.inv(X.T @ (X * wdiag[:, None]))
     meat = np.zeros((X.shape[1], X.shape[1]))
-    labels = design50.condition.astype(str)
+    labels = design50.condition
     for g in np.unique(labels):
         sg = ((design50.y - p)[labels == g, None] * X[labels == g]).sum(axis=0)
         meat += np.outer(sg, sg)

@@ -155,7 +155,7 @@ def gather_rep(pinned, ph2, ph3, labels, rows2, rows3, cutoff=Z_SIG):
     X = pinned.X[rows2]
     fitting = ~np.isnan(labels[rows2])
     cols, _ = sel._drop_collinear(X[fitting], pinned.names)
-    clusters = np.unique(ph2.condition.astype(str), return_inverse=True)[1]
+    clusters = ph2.condition
     fit_rows = rows2[fitting]
     fit = sel._irls(
         X[fitting][:, cols], labels[fit_rows], clusters[fit_rows], pinned.beta0[cols],
@@ -264,7 +264,8 @@ class TestPinnedDesign:
         # to the constant; the screen drops one, which reparametrises the fit
         table, links, model, ph2, ph3, labels = setup
         ref_level = build_matrix(ph2)[2]["condition"][0]
-        counts2 = ((ph2.condition != ref_level) & ~np.isnan(labels)).astype(int)
+        conditions = ph2.trials.conditions[ph2.condition]
+        counts2 = ((conditions != ref_level) & ~np.isnan(labels)).astype(int)
         counts2[np.flatnonzero(counts2)[::3]] = 2  # some rows drawn twice
         rows2 = np.repeat(np.arange(ph2.n_obs), counts2)
         rows3 = np.arange(ph3.n_obs)

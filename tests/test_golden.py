@@ -1,0 +1,68 @@
+"""Byte identity of the report and sweep artifacts.
+
+``report --seed 7 --n-trials 600 --bootstrap-reps 20`` simulates a registry
+and runs every stage on it; ``sweep`` then runs on the CSVs of that
+registry.  The sha256 of every CSV and SVG the two commands write must
+equal ``golden.json``.  The hashes there were recorded before the
+condition category and the completion year became integer codes on
+``Trials``, so they pin that refactor to the numbers of the string-coded
+pipeline.
+
+A change that alters numbers on purpose re-records the file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and lists the artifacts whose hashes changed.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+GOLDEN = Path(__file__).with_name("golden.json")
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# one BLAS thread: a threaded reduction may sum in another order
+_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _cli(*args) -> None:
+    env = {**os.environ, **_ENV,
+           "PYTHONPATH": os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    subprocess.run([sys.executable, "-m", "trialscope.cli", *map(str, args)],
+                   check=True, env=env, capture_output=True)
+
+
+def artifact_hashes(work: Path) -> dict[str, str]:
+    """Run the report and the sweep into ``work``; the sha256 of each CSV
+    and SVG written, by path relative to ``work``."""
+    report, sweep = work / "report", work / "sweep"
+    _cli("report", "--seed", 7, "--n-trials", 600, "--bootstrap-reps", 20, "--out", report)
+    sim = report / "sim"
+    _cli("sweep", "--trials", sim / "trials.csv", "--outcomes", sim / "outcomes.csv",
+         "--rankings", sim / "rankings.csv", "--synonyms", sim / "synonyms.csv",
+         "--out", sweep)
+    return {
+        p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(work.rglob("*")) if p.suffix in (".csv", ".svg")
+    }
+
+
+def test_artifacts_match_golden(tmp_path):
+    expected = json.loads(GOLDEN.read_text())
+    got = artifact_hashes(tmp_path)
+    assert sorted(got) == sorted(expected)
+    changed = [name for name in expected if got[name] != expected[name]]
+    assert not changed, f"artifacts differ from {GOLDEN.name}: {changed}"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = artifact_hashes(Path(tmp))
+    GOLDEN.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(hashes)} artifacts in {GOLDEN}")

@@ -19,6 +19,7 @@ from trialscope.registry import (
     write_rankings_csv,
     write_trials_csv,
 )
+from trialscope.cli import main
 from trialscope.pz import outcome_table
 from trialscope.simulate import SimConfig, generate
 
@@ -42,7 +43,7 @@ class TestIngest:
         assert t.ids.tolist() == ["NCT001", "NCT002"]
         assert t.sponsor_keys[t.sponsor].tolist() == ["sponsor a", "pfizer"]
         assert reg.rankings["revenue2018"] == {"pfizer": 4}
-        assert t.condition.tolist() == ["C14", "C14"]  # 13.215 bn beats C10
+        assert t.conditions[t.condition].tolist() == ["C14", "C14"]  # 13.215 bn beats C10
         assert reg.outcomes.trial.tolist() == [0, 0, 1]
 
     def test_completion_years(self, tmp_path, toy_csvs):
@@ -56,7 +57,8 @@ class TestIngest:
             """,
         )
         table = outcome_table(ingest(trials, outcomes, rankings))
-        assert table.year.tolist() == ["unknown", "unknown", "1969"]
+        t = table.trials
+        assert t.years[t.year][table.trial_code].tolist() == ["unknown", "unknown", "1969"]
 
     def test_dangling_outcome(self, tmp_path, toy_csvs):
         trials, _, rankings = toy_csvs
@@ -193,6 +195,31 @@ def test_schema_error_sites(tmp_path, toy_csvs, case):
     with pytest.raises(SchemaError) as exc:
         ingest(files["trials"], files["outcomes"], files["rankings"])
     assert (exc.value.file, exc.value.line, exc.value.column) == (str(bad), line, column)
+
+
+def test_line_numbers_count_blank_lines(tmp_path, toy_csvs):
+    _, outcomes, rankings = toy_csvs
+    bad = tmp_path / "blank.csv"
+    bad.write_text(f"{_TRIALS_HEADER}\n\n{_trial(enrollment='-5')}\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        ingest(bad, outcomes, rankings)
+    assert (exc.value.line, exc.value.column) == (3, "enrollment")
+    assert str(exc.value).startswith(f"{bad}:3 ")
+
+
+@pytest.mark.parametrize("row, n_fields", [
+    (",".join(_GOOD_TRIAL.split(",")[:5]), 5),
+    (_GOOD_TRIAL + ",extra", 12),
+], ids=["short", "long"])
+def test_row_field_count_through_cli(tmp_path, toy_csvs, capsys, row, n_fields):
+    _, outcomes, rankings = toy_csvs
+    bad = tmp_path / "ragged.csv"
+    bad.write_text(f"{_TRIALS_HEADER}\n{row}\n", encoding="utf-8")
+    code = main(["ingest", "--trials", str(bad), "--outcomes", str(outcomes),
+                 "--rankings", str(rankings), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}:2 column '<row>': expected 11 fields, got {n_fields}"]
 
 
 class TestFilters:

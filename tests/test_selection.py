@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,9 +23,12 @@ from trialscope.selection import (
     wald_equality,
 )
 
+from records import coded_trials
+
 
 def synthetic_design(rng, n, beta=None, n_cond=12, n_years=8, rows_per_trial=1):
-    """Bernoulli draws from a known logistic index over realistic columns."""
+    """Bernoulli draws from a known logistic index over realistic columns.
+    The trial-level regressors of a trial are those drawn for its first row."""
     beta = beta or {
         "const": -1.8, "z_ph2": 0.331, "d1": 1.063, "d2": 1.232,
         "sqrt_enroll": 0.01, "placebo": 0.1, "mht_adjusted": 0.2,
@@ -34,22 +38,24 @@ def synthetic_design(rng, n, beta=None, n_cond=12, n_years=8, rows_per_trial=1):
     d1 = (cens < 0.18).astype(int)
     d2 = ((cens >= 0.18) & (cens < 0.31)).astype(int)
     z = np.where((d1 == 1) | (d2 == 1), 0.0, z)
-    sqrt_enroll = np.sqrt(rng.integers(20, 400, n).astype(float))
+    enrollment = rng.integers(20, 400, n)
     placebo = rng.integers(0, 2, n)
     mht = (rng.random(n) < 0.03).astype(int)
     cond = rng.choice([f"C{i:02d}" for i in range(1, n_cond + 1)], n)
     year = rng.choice([str(y) for y in range(2009, 2009 + n_years)], n)
+    code = np.arange(n) // rows_per_trial
+    first = np.arange(0, n, rows_per_trial)
+    trials = coded_trials(enrollment[first], placebo[first], cond[first], year[first])
+    sqrt_enroll, placebo = np.sqrt(enrollment[first][code]), placebo[first][code]
     eta = (beta["const"] + beta["z_ph2"] * z + beta["d1"] * d1 + beta["d2"] * d2
            + beta["sqrt_enroll"] * sqrt_enroll + beta["placebo"] * placebo
            + beta["mht_adjusted"] * mht)
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
     kind = np.where(d1 == 1, "above_d1", np.where(d2 == 1, "above_d2", "precise"))
-    code = np.arange(n) // rows_per_trial
     bound = np.where(d1 == 1, Z_D1, np.where(d2 == 1, Z_D2, np.nan))
     return SelectionDesign(
-        y=y, z=z, d1=d1, d2=d2, sqrt_enroll=sqrt_enroll,
-        placebo=placebo.astype(int), mht=mht, condition=cond.astype(object),
-        year=year.astype(object), trial_code=code, kind=kind.astype(object), bound=bound,
+        trials=trials, y=y, z=z, d1=d1, d2=d2, mht=mht, trial_code=code,
+        kind=kind.astype(object), bound=bound,
     ), beta
 
 
@@ -78,11 +84,9 @@ class TestDesign:
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
             SelectionDesign(
+                trials=coded_trials([1], [0], ["A"], ["2010"]),
                 y=np.array([1.0]), z=np.array([0.0]), d1=np.array([1]),
-                d2=np.array([1]), sqrt_enroll=np.array([1.0]),
-                placebo=np.array([0]), mht=np.array([0]),
-                condition=np.array(["A"], dtype=object),
-                year=np.array(["2010"], dtype=object),
+                d2=np.array([1]), mht=np.array([0]),
                 trial_code=np.array([0]),
                 kind=np.array(["above_d1"], dtype=object),
                 bound=np.array([Z_D1]),
@@ -120,13 +124,13 @@ class TestFit:
         w = p * (1 - p)
         bread = np.linalg.inv(X.T @ (X * w[:, None]))
         meat = np.zeros((X.shape[1], X.shape[1]))
-        for g in np.unique(design.condition.astype(str)):
-            rows = np.where(design.condition.astype(str) == g)[0]
+        for g in np.unique(design.condition):
+            rows = np.where(design.condition == g)[0]
             s = np.zeros(X.shape[1])
             for i in rows:
                 s += X[i] * (design.y[i] - p[i])
             meat += np.outer(s, s)
-        G = len(np.unique(design.condition.astype(str)))
+        G = len(np.unique(design.condition))
         n, k = X.shape
         factor = G / (G - 1) * (n - 1) / (n - k)
         vcov = factor * bread @ meat @ bread
@@ -158,13 +162,8 @@ class TestFit:
         design, _ = synthetic_design(np.random.default_rng(5), 1500)
         m1 = fit_logit(design)
         p1 = predict(m1, design)
-        shifted = SelectionDesign(
-            y=design.y, z=design.z, d1=design.d1, d2=design.d2,
-            sqrt_enroll=design.sqrt_enroll, placebo=design.placebo,
-            mht=design.mht, condition=design.condition,
-            year=np.array([str(int(v) + 1000) for v in design.year], dtype=object),
-            trial_code=design.trial_code, kind=design.kind, bound=design.bound,
-        )
+        years = np.array([str(int(v) + 1000) for v in design.trials.years])
+        shifted = replace(design, trials=replace(design.trials, years=years))
         m2 = fit_logit(shifted)
         p2 = predict(m2, shifted)
         assert np.max(np.abs(p1 - p2)) < 1e-8
@@ -181,7 +180,7 @@ class TestFit:
         rng = np.random.default_rng(7)
         design, _ = synthetic_design(rng, 600, n_cond=8, n_years=4)
         X, names, _ = build_matrix(design)
-        clusters = np.unique(design.condition.astype(str), return_inverse=True)[1]
+        clusters = design.condition
         c = rng.integers(1, 4, design.n_obs)
         rows = np.repeat(np.arange(design.n_obs), c)
         start = np.zeros(X.shape[1])
@@ -312,24 +311,17 @@ class TestPredict:
     def test_unseen_level_warns_and_uses_reference(self):
         design, _ = synthetic_design(np.random.default_rng(11), 600)
         m = fit_logit(design)
-        other = SelectionDesign(
-            y=design.y[:5], z=design.z[:5], d1=design.d1[:5], d2=design.d2[:5],
-            sqrt_enroll=design.sqrt_enroll[:5], placebo=design.placebo[:5],
-            mht=design.mht[:5],
-            condition=np.array(["NEVER_SEEN"] * 5, dtype=object),
-            year=design.year[:5], trial_code=design.trial_code[:5], kind=design.kind[:5],
-            bound=design.bound[:5],
-        )
+        head = design.subset(np.arange(5))
+
+        def relabelled(condition):
+            trials = replace(design.trials, conditions=np.array([condition]),
+                             condition=np.zeros(len(design.trials), dtype=np.int32))
+            return replace(head, trials=trials)
+
+        other = relabelled("NEVER_SEEN")
         with pytest.warns(UserWarning, match="unseen"):
             p = predict(m, other)
-        ref = SelectionDesign(
-            y=design.y[:5], z=design.z[:5], d1=design.d1[:5], d2=design.d2[:5],
-            sqrt_enroll=design.sqrt_enroll[:5], placebo=design.placebo[:5],
-            mht=design.mht[:5],
-            condition=np.array([m.levels["condition"][0]] * 5, dtype=object),
-            year=design.year[:5], trial_code=design.trial_code[:5], kind=design.kind[:5],
-            bound=design.bound[:5],
-        )
+        ref = relabelled(m.levels["condition"][0])
         assert np.allclose(p, predict(m, ref))
 
 
