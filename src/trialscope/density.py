@@ -37,7 +37,9 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 @dataclass(frozen=True)
 class BandwidthResult:
     h: float
-    fallback: bool = False  # True when bisection failed and Silverman was used
+    # True when the root bracket had no sign change or the objective turned
+    # non-finite in Brent's method or the bisection, and Silverman was used
+    fallback: bool = False
 
     def __float__(self) -> float:
         return self.h
@@ -200,14 +202,70 @@ def _phi6_sum(dist: np.ndarray, cnt: np.ndarray, n: int, h: float) -> float:
     return s / (n * (n - 1) * h**7 * _SQRT_2PI)
 
 
+def _brent(f, a: float, b: float, fa: float, fb: float, rtol: float = 1e-10):
+    """Brent's method (Brent 1973, ch. 4, ``zeroin``) on a bracket a < b
+    with f(a) = fa > 0 >= fb = f(b).  Every step stays strictly inside the
+    bracket, so it only narrows, and its left end keeps f > 0.  Returns its
+    ends (r_lo, r_hi), f(r_lo) > 0 >= f(r_hi), once the bracket is at most
+    ``rtol`` wide relative to them, or None at a non-finite value."""
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * rtol * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol:
+            return (b, c) if b < c else (c, b)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            # an interpolation step must head for c, stop short of 3/4 of
+            # the bracket and halve the step before last; else bisect
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+        if not math.isfinite(fb):
+            return None
+
+
 def sj_bandwidth(sample: Sequence[float], weights=None, nb: int = 1024) -> BandwidthResult:
     """Sheather-Jones solve-the-equation plug-in bandwidth, Epanechnikov scale.
 
-    Solves h = [R(K) / (n * S(alpha2(h)))]^(1/5) for a Gaussian kernel by
-    bisection on [sd/n, 2*sd] (relative tolerance 1e-6), where S estimates
-    the integrated squared second density derivative at a pilot bandwidth
-    coupled to h, then rescales the root by the canonical kernel ratio.
-    Falls back to the Silverman rule (flagged) when the bracket has no root.
+    Solves h = [R(K) / (n * S(alpha2(h)))]^(1/5) for a Gaussian kernel on
+    [sd/n, 2*sd] to a relative 1e-6, where S estimates the integrated
+    squared second density derivative at a pilot bandwidth coupled to h,
+    then rescales the root by the canonical kernel ratio.  Falls back to
+    the Silverman rule (flagged) when the bracket has no sign change or the
+    objective turns non-finite.
+
+    The root is that of bisection to 1e-6, bit for bit, from fewer than
+    half of its objective evaluations.  The Gaussian rule of thumb g
+    splits the bracket at 0.3 g and g; Brent's method narrows the part
+    with the sign change to a relative 1e-10.  The bisection is then
+    replayed: a midpoint on either side of that narrow bracket goes the
+    way its end does, and only one inside it evaluates the objective.  The replay is exact when
+    the objective changes sign once on [sd/n, 2*sd]; where it changes sign
+    more often, which root the bisection finds is arbitrary anyway, and the
+    replay may find another.
 
     ``weights`` are integer frequency weights, such as the draw counts of a
     bootstrap rep: the result is that of the sample with each value
@@ -236,19 +294,50 @@ def sj_bandwidth(sample: Sequence[float], weights=None, nb: int = 1024) -> Bandw
             return float("nan")
         return (1.0 / (2.0 * math.sqrt(math.pi) * n * s)) ** 0.2 - h
 
+    fallback = BandwidthResult(h=_silverman(lam, n), fallback=True)
     f_lo, f_hi = objective(lo), objective(hi)
     if not (np.isfinite(f_lo) and np.isfinite(f_hi)) or f_lo * f_hi > 0:
-        return BandwidthResult(h=_silverman(lam, n), fallback=True)
+        return fallback
+
+    # the bisection moves hi to a midpoint where f_lo * f <= 0: with f
+    # signed so that f_lo > 0, that is where f <= 0, as in _brent
+    r_lo = r_hi = lo  # f_lo == 0: every midpoint moves hi
+    if f_lo != 0:
+        sign = math.copysign(1.0, f_lo)
+
+        def signed(h: float) -> float:
+            return sign * objective(h)
+
+        r_lo, r_hi, fr_lo, fr_hi = lo, hi, abs(f_lo), sign * f_hi
+        g = 0.9 * lam * n ** -0.2
+        for t in (0.3 * g, g):
+            if r_lo < t < r_hi:
+                ft = signed(t)
+                if not math.isfinite(ft):
+                    return fallback
+                if ft > 0:
+                    r_lo, fr_lo = t, ft
+                else:
+                    r_hi, fr_hi = t, ft
+                    break
+        root = _brent(signed, r_lo, r_hi, fr_lo, fr_hi)
+        if root is None:
+            return fallback
+        r_lo, r_hi = root
 
     while (hi - lo) > 1e-6 * hi:
         mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if not np.isfinite(f_mid):
-            return BandwidthResult(h=_silverman(lam, n), fallback=True)
-        if f_lo * f_mid <= 0:
+        if r_lo < mid < r_hi:
+            f_mid = objective(mid)
+            if not np.isfinite(f_mid):
+                return fallback
+            moves_hi = f_lo * f_mid <= 0
+        else:
+            moves_hi = mid >= r_hi
+        if moves_hi:
             hi = mid
         else:
-            lo, f_lo = mid, f_mid
+            lo = mid
     h_gauss = 0.5 * (lo + hi)
     return BandwidthResult(h=h_gauss * EPAN_OVER_GAUSS, fallback=False)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -233,6 +234,32 @@ class TestHeavierSubcommands:
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats costs every CLI process most of a second; no command needs it
     code = "import sys, trialscope.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip() == "False"
+
+
+def test_bandwidth_and_decompose_leave_scipy_optimize_unloaded():
+    # the Sheather-Jones root finder is in-house: scipy.optimize would cost
+    # every CLI process about a quarter of a second
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from trialscope.decompose import decompose
+        from trialscope.density import sj_bandwidth
+        from trialscope.linker import build_synonym_map, link_all
+        from trialscope.pz import outcome_table
+        from trialscope.simulate import SimConfig, generate
+
+        assert not sj_bandwidth(np.random.default_rng(0).normal(size=300)).fallback
+        reg, truth = generate(SimConfig(n_trials=600, seed=5))
+        links, _ = link_all(reg, synonyms=build_synonym_map(truth.synonym_pairs))
+        rep = decompose(outcome_table(reg), links, bootstrap_reps=5, seed=1)
+        assert rep.bootstrap_reps == 5
+        print("scipy.optimize" in sys.modules)
+    """)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

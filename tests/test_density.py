@@ -17,7 +17,9 @@ from trialscope.decompose import censored_aware_share
 from trialscope.density import _KernelSums
 from trialscope.pz import Z_SIG, ZKind, ZScore, outcome_table
 from trialscope.registry import Phase
-from trialscope.simulate import SimConfig, generate
+from trialscope.simulate import SimConfig, end_to_end_truth_check, generate
+
+import bisection_bandwidth
 
 
 def lscv_bandwidth(x, lo, hi):
@@ -430,3 +432,132 @@ def test_sj_fallback_uses_silverman(monkeypatch):
     out = dens.sj_bandwidth(x)
     assert out.fallback
     assert out.h == pytest.approx(silverman_bandwidth(x))
+
+
+@pytest.fixture(scope="module")
+def pipeline_bandwidth_samples():
+    """The (sample, draw counts) of every bandwidth one 2,000-trial
+    simulated pipeline asks for: the point estimate's two and two per
+    bootstrap rep."""
+    import trialscope.decompose as dec
+
+    seen = []
+
+    def recording(x, c=None):
+        seen.append((np.array(x), None if c is None else np.array(c)))
+        return sj_bandwidth(x, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dec, "sj_bandwidth", recording)
+        end_to_end_truth_check(SimConfig(n_trials=2000, seed=7), bootstrap_reps=40,
+                               run_discontinuity=False)
+    assert len(seen) == 2 + 2 * 40
+    return seen
+
+
+def counting_phi4(monkeypatch):
+    """Count the ``_phi4_sum`` calls of the bandwidth and of the reference."""
+    import trialscope.density as dens
+
+    real, calls = dens._phi4_sum, []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(dens, "_phi4_sum", counted)
+    return calls
+
+
+def rule_of_thumb_ratio(x):
+    """The Gaussian-scale root over the rule of thumb g, 0.9 lambda n^-1/5."""
+    import trialscope.density as dens
+
+    xs, c = dens._draws(x)
+    g = 0.9 * dens._spread(xs, c)[1] * c.sum() ** -0.2
+    return sj_bandwidth(x).h / dens.EPAN_OVER_GAUSS / g
+
+
+class TestBisectionReplay:
+    """Brent's method and the replayed bisection give the bisection's root
+    bit for bit: compared with ``==``, not a tolerance."""
+
+    def test_pipeline_samples(self, pipeline_bandwidth_samples, monkeypatch):
+        calls = counting_phi4(monkeypatch)
+        new = old = 0
+        for x, c in pipeline_bandwidth_samples:
+            calls.clear()
+            got = sj_bandwidth(x, c)
+            new += len(calls)
+            calls.clear()
+            ref = bisection_bandwidth.sj_bandwidth(x, c)
+            old += len(calls)
+            assert got.h == ref.h and got.fallback == ref.fallback is False
+        n = len(pipeline_bandwidth_samples)
+        assert new / n <= 14 < 25 <= old / n
+
+    @pytest.mark.parametrize("case", ["bimodal", "heavy tails", "rounded ties", "normal"])
+    def test_samples(self, case):
+        rng = np.random.default_rng(41)
+        x = {
+            # the root lies below 0.3 g: Brent starts on [sd/n, 0.3 g]
+            "bimodal": np.r_[rng.normal(-4, 0.3, 300), rng.normal(4, 0.3, 300)],
+            "heavy tails": rng.standard_t(2, size=800),
+            "rounded ties": np.round(np.abs(rng.normal(1.5, 1.2, size=1500)), 2),
+            # the root lies above g: Brent starts on [g, 2 sd]
+            "normal": rng.normal(size=500),
+        }[case]
+        if case == "bimodal":
+            assert rule_of_thumb_ratio(x) < 0.3
+        if case == "normal":
+            assert rule_of_thumb_ratio(x) > 1.0
+        if case == "rounded ties":
+            assert np.unique(x).size < x.size / 2
+        got, ref = sj_bandwidth(x), bisection_bandwidth.sj_bandwidth(x)
+        assert got.h == ref.h and got.fallback == ref.fallback is False
+        # the order of the sample, and of its counts, does not matter
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(x.size)
+            assert sj_bandwidth(x[perm]).h == ref.h
+            c = np.random.default_rng(seed).integers(0, 3, size=x.size)
+            assert sj_bandwidth(x[perm], c[perm]).h == bisection_bandwidth.sj_bandwidth(x, c).h
+
+    def test_replay_of_a_wide_bracket_is_the_bisection(self, monkeypatch):
+        # Brent's bracket left as it came: the replay evaluates every midpoint
+        import trialscope.density as dens
+
+        monkeypatch.setattr(dens, "_brent", lambda f, a, b, fa, fb: (a, b))
+        x = np.random.default_rng(43).gamma(2.0, size=700)
+        assert sj_bandwidth(x) == bisection_bandwidth.sj_bandwidth(x)
+
+    @pytest.mark.parametrize("band", ["bracket", "root", "replay"])
+    def test_non_finite_objective_falls_back(self, band, monkeypatch):
+        import trialscope.density as dens
+
+        x = np.random.default_rng(21).normal(size=300)
+        calls = counting_phi4(monkeypatch)
+        sj_bandwidth(x)
+        # the pilot bandwidths of S: the one S(alpha2) is scaled by, then
+        # those of the bracket's ends, and last the one Brent ends at
+        pilot, at_lo, at_hi, last = calls[0], calls[1], calls[2], calls[-1]
+        lo, hi = (at_lo, at_hi) if band == "bracket" else (last * 0.999, last * 1.001)
+        if band == "replay":  # Brent sees no value near the root
+            monkeypatch.setattr(dens, "_brent", lambda f, a, b, fa, fb: (a, b))
+        counted = dens._phi4_sum
+
+        def negative_inside(dist, cnt, n, h):
+            return -1.0 if lo < h < hi and h != pilot else counted(dist, cnt, n, h)
+
+        monkeypatch.setattr(dens, "_phi4_sum", negative_inside)
+        silverman = BandwidthResult(h=silverman_bandwidth(x), fallback=True)
+        assert sj_bandwidth(x) == silverman == bisection_bandwidth.sj_bandwidth(x)
+
+    def test_no_sign_change_falls_back(self, monkeypatch):
+        # a tight cluster and one far outlier: the objective is negative at
+        # both ends of [sd/n, 2 sd], so nothing past them is evaluated
+        x = np.r_[np.random.default_rng(0).normal(size=200) * 1e-3, 1e4]
+        calls = counting_phi4(monkeypatch)
+        silverman = BandwidthResult(h=silverman_bandwidth(x), fallback=True)
+        assert sj_bandwidth(x) == silverman
+        assert len(calls) == 3
+        assert bisection_bandwidth.sj_bandwidth(x) == silverman
