@@ -52,7 +52,36 @@ _CONFIG_KEYS = {
     "misreporting": str, "misreport_q": float, "misreport_window": float,
 }
 
+_DEFAULTS = {
+    "sidedness": "two-sided", "split_criterion": "revenue2018", "split_k": 10,
+    "bootstrap_reps": 500, "seed": 0, "out": "out", "group": "all_industry",
+    "poly_order": 2, "n_trials": 2000, "misreporting": "none", "misreport_q": 0.0,
+    "misreport_window": 0.0,
+}
+
 _GROUPS = ("all", "non_industry", "all_industry", "small_industry", "top_industry")
+
+# the values a choice key may take, in a config file or on the command line
+_CHOICES = {
+    "sidedness": tuple(s.value for s in pz.Sidedness),
+    "group": _GROUPS,
+    "misreporting": ("none", "suppress", "inflate"),
+    "split_criterion": RANK_CRITERIA,
+}
+
+
+def _typed(key: str, value):
+    """``value`` of config key ``key`` as the key's type, within its choices."""
+    typ = _CONFIG_KEYS.get(key)
+    if typ is None:
+        raise ValueError(f"unknown config key {key!r}")
+    try:
+        value = typ(value)
+    except ValueError:
+        raise ValueError(f"{key} must be {typ.__name__}, got {value!r}") from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+    return value
 
 
 class PipelineConfig(dict):
@@ -60,23 +89,7 @@ class PipelineConfig(dict):
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "PipelineConfig":
-        cfg = cls()
-        cfg.update(
-            {
-                "sidedness": "two-sided",
-                "split_criterion": "revenue2018",
-                "split_k": 10,
-                "bootstrap_reps": 500,
-                "seed": 0,
-                "out": "out",
-                "group": "all_industry",
-                "poly_order": 2,
-                "n_trials": 2000,
-                "misreporting": "none",
-                "misreport_q": 0.0,
-                "misreport_window": 0.0,
-            }
-        )
+        cfg = cls(_DEFAULTS)
         if path:
             p = Path(path)
             if not p.exists():
@@ -89,12 +102,13 @@ class PipelineConfig(dict):
                     raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, _, value = line.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in _CONFIG_KEYS:
-                    raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-                cfg[key] = _CONFIG_KEYS[key](value)
+                try:
+                    cfg[key] = _typed(key, value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
         for k, v in overrides.items():
             if v is not None:
-                cfg[k] = v
+                cfg[k] = _typed(k, v)
         if "cutoff" not in cfg:
             # the z of p = 0.05 on the active scale
             cfg["cutoff"] = (
@@ -103,17 +117,10 @@ class PipelineConfig(dict):
             )
         if not 7 <= int(cfg["split_k"]) <= 20:
             raise ValueError(f"split_k must lie in [7,20], got {cfg['split_k']}")
-        if cfg["split_criterion"] not in RANK_CRITERIA:
-            raise ValueError(f"split_criterion must be one of {RANK_CRITERIA}, "
-                             f"got {cfg['split_criterion']!r}")
         return cfg
 
     def side(self) -> pz.Sidedness:
-        return (
-            pz.Sidedness.ONE_SIDED
-            if str(self["sidedness"]).startswith("one")
-            else pz.Sidedness.TWO_SIDED
-        )
+        return pz.Sidedness(self["sidedness"])
 
 
 def _sha256(path: Path) -> str:
@@ -502,12 +509,10 @@ def _sim_config(cfg: PipelineConfig) -> SimConfig:
         mr = Misreporting.none()
     elif kind == "suppress":
         mr = Misreporting.suppress_share(float(cfg["misreport_q"]))
-    elif kind == "inflate":
+    else:  # "inflate"; PipelineConfig.load checks the choices
         mr = Misreporting.inflate_spike(
             float(cfg["misreport_q"]), float(cfg["misreport_window"])
         )
-    else:
-        raise ValueError(f"unknown misreporting kind {kind!r}")
     return SimConfig(
         n_trials=int(cfg["n_trials"]), seed=int(cfg["seed"]), misreporting=mr
     )
@@ -583,15 +588,15 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", type=int)
         p.add_argument("--cutoff", type=float)
-        p.add_argument("--sidedness", choices=["two-sided", "one-sided"])
-        p.add_argument("--group", choices=list(_GROUPS))
+        p.add_argument("--sidedness", choices=_CHOICES["sidedness"])
+        p.add_argument("--group", choices=_CHOICES["group"])
         p.add_argument("--split-criterion", dest="split_criterion")
         p.add_argument("--split-k", dest="split_k", type=int)
         p.add_argument("--bootstrap-reps", dest="bootstrap_reps", type=int)
         p.add_argument("--order", dest="poly_order", type=int)
         p.add_argument("--bandwidth", type=float)
         p.add_argument("--n-trials", dest="n_trials", type=int)
-        p.add_argument("--misreporting", choices=["none", "suppress", "inflate"])
+        p.add_argument("--misreporting", choices=_CHOICES["misreporting"])
         p.add_argument("--misreport-q", dest="misreport_q", type=float)
         p.add_argument("--misreport-window", dest="misreport_window", type=float)
     return parser

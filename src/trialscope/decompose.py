@@ -191,6 +191,8 @@ def decompose(
     computation in every repetition).  A rep is a set of trial draw
     counts; the refit, the bandwidths and the shares reweight the pinned
     phase samples by them."""
+    if bootstrap_reps < 0:
+        raise ValueError(f"bootstrap_reps must be >= 0, got {bootstrap_reps}")
     if model is None:
         model = fit_logit(build_design(table, links, outcome_rank=outcome_rank))
     ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)

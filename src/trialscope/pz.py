@@ -5,6 +5,9 @@ Reported p-values become absolute z-statistics of a two-sided normal test
 reported precisely, so the right tail of the z-distribution is censored:
 "p<0.001" and "p<0.0001" map to dedicated censor kinds, anything censored
 at some other level is carried as an interval with an imputable value.
+
+A transformed p-value has one form: a row of the :class:`OutcomeTable`
+columns ``kind``, ``z``, ``bound`` and ``below``.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence
 
 import numpy as np
 # scipy's erfc, not math.erfc: the two differ by a few units in the last
@@ -32,7 +34,6 @@ from .registry import (
 __all__ = [
     "Sidedness",
     "ZKind",
-    "ZScore",
     "OutcomeTable",
     "Z_D1",
     "Z_D2",
@@ -43,12 +44,12 @@ __all__ = [
     "transform",
     "transform_arrays",
     "impute_other_censors",
-    "impute_arrays",
     "outcome_table",
 ]
 
-# Censor bounds for "p<0.001" / "p<0.0001" under the two-sided transform,
-# fixed to 4 decimals.
+# Censor bounds for "p<0.001" / "p<0.0001" under the two-sided transform as
+# published, to 4 decimals, for use as inputs; the D1/D2 rows of a table
+# carry the exact bounds, -inv_norm_cdf(0.0005) and -inv_norm_cdf(0.00005).
 Z_D1 = 3.2905
 Z_D2 = 3.8906
 
@@ -66,73 +67,6 @@ class ZKind(enum.Enum):
     ABOVE_D1 = "above_d1"  # z > 3.29  (p reported as < 0.001)
     ABOVE_D2 = "above_d2"  # z > 3.89  (p reported as < 0.0001 or exactly 0)
     OTHER_CENSOR = "other_censor"
-
-
-@dataclass(frozen=True)
-class ZScore:
-    """A z-statistic that is either precise or known only as an inequality.
-
-    For OTHER_CENSOR, ``bound`` is the censor level on the z scale,
-    ``direction`` is "above" or "below", and ``imputed_z`` is filled in by
-    :func:`impute_other_censors` (None until then).
-    """
-
-    kind: ZKind
-    z: float | None = None
-    direction: str | None = None
-    bound: float | None = None
-    imputed_z: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is ZKind.PRECISE:
-            # two-sided transforms yield z >= 0; one-sided values go
-            # negative for p above one half, so only finiteness is enforced
-            if self.z is None or not math.isfinite(self.z):
-                raise ValueError(f"precise z must be finite, got {self.z}")
-        elif self.kind is ZKind.OTHER_CENSOR:
-            if self.direction not in ("above", "below"):
-                raise ValueError(f"bad censor direction: {self.direction!r}")
-            if self.bound is None:
-                raise ValueError("other_censor requires a bound")
-            if self.imputed_z is not None:
-                lo_ok = self.direction == "above" and self.imputed_z > self.bound
-                hi_ok = self.direction == "below" and self.imputed_z < self.bound
-                if not (lo_ok or hi_ok):
-                    raise ValueError(
-                        f"imputed z {self.imputed_z} not strictly "
-                        f"{self.direction} bound {self.bound}"
-                    )
-
-    @classmethod
-    def precise(cls, z: float) -> "ZScore":
-        return cls(ZKind.PRECISE, z=float(z))
-
-    @classmethod
-    def above_d1(cls, bound: float = Z_D1) -> "ZScore":
-        return cls(ZKind.ABOVE_D1, direction="above", bound=bound)
-
-    @classmethod
-    def above_d2(cls, bound: float = Z_D2) -> "ZScore":
-        return cls(ZKind.ABOVE_D2, direction="above", bound=bound)
-
-    @classmethod
-    def other_censor(cls, direction: str, bound: float) -> "ZScore":
-        return cls(ZKind.OTHER_CENSOR, direction=direction, bound=float(bound))
-
-    @property
-    def is_precise(self) -> bool:
-        return self.kind is ZKind.PRECISE
-
-    def effective_z(self) -> float:
-        """Value used in share computations: precise z, the censor bound for
-        D1/D2 (all mass sits above it), or the imputed value."""
-        if self.kind is ZKind.PRECISE:
-            return self.z  # type: ignore[return-value]
-        if self.kind in (ZKind.ABOVE_D1, ZKind.ABOVE_D2):
-            return self.bound  # type: ignore[return-value]
-        if self.imputed_z is None:
-            raise ValueError("other_censor score has no imputed value yet")
-        return self.imputed_z
 
 
 # Acklam's rational approximation to the standard normal quantile,
@@ -261,16 +195,12 @@ def transform_arrays(kind, value, side: Sidedness = Sidedness.TWO_SIDED):
     return codes, np.where(precise, zq, np.nan), np.where(precise, np.nan, zq)
 
 
-def transform(p: ReportedP, side: Sidedness = Sidedness.TWO_SIDED) -> ZScore:
-    """Map one reported p-value to its (possibly censored) z-score; see
-    :func:`transform_arrays`.  OTHER_CENSOR bounds face away from the
-    reported inequality: "p<t" means z above the bound."""
+def transform(p: ReportedP, side: Sidedness = Sidedness.TWO_SIDED) -> tuple[ZKind, float, float]:
+    """The table row of one reported p-value as ``(kind, z, bound)``: z is
+    NaN on a censored row and bound is NaN on a precise one; see
+    :func:`transform_arrays`.  A "p>t" censor is a bound with z below it."""
     (code,), (z,), (bound,) = transform_arrays([p.kind], [p.value], side)
-    kind = ZKind(code)
-    if kind is ZKind.PRECISE:
-        return ZScore.precise(z)
-    direction = "below" if p.kind == "gt" else "above"
-    return ZScore(kind, direction=direction, bound=float(bound))
+    return ZKind(code), float(z), float(bound)
 
 
 # z-value of p = 0.05 two-sided; shares use ">= Z_SIG" so a p reported as
@@ -278,7 +208,7 @@ def transform(p: ReportedP, side: Sidedness = Sidedness.TWO_SIDED) -> ZScore:
 Z_SIG = float(-inv_norm_cdf(0.025))
 
 
-def impute_arrays(kind, z, bound, below) -> np.ndarray:
+def impute_other_censors(kind, z, bound, below) -> np.ndarray:
     """Fill the OTHER_CENSOR rows of one sample whose z is NaN with the mean
     of the sample's precise z values on the censored side of their bound
     (below it where ``below``, above it otherwise).
@@ -301,23 +231,6 @@ def impute_arrays(kind, z, bound, below) -> np.ndarray:
             f"no precise z-scores available to impute censors: {', '.join(missing)}"
         )
     return out
-
-
-def impute_other_censors(scores: Sequence[ZScore]) -> list[ZScore]:
-    """Fill every OTHER_CENSOR with the mean of the precise z values on its
-    censored side of the bound, computed within this collection; see
-    :func:`impute_arrays`.  Returns a new list."""
-    filled = impute_arrays(
-        np.array([s.kind.value for s in scores], dtype=str),
-        [s.z if s.is_precise else s.imputed_z for s in scores],
-        np.array([np.nan if s.bound is None else s.bound for s in scores]),
-        np.array([s.direction == "below" for s in scores], dtype=bool),
-    )
-    return [
-        replace(s, imputed_z=float(v))
-        if s.kind is ZKind.OTHER_CENSOR and s.imputed_z is None else s
-        for s, v in zip(scores, filled)
-    ]
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .linker import Links
-from .pz import OutcomeTable, Sidedness, ZKind, impute_arrays, transform
+from .pz import OutcomeTable, Sidedness, ZKind, impute_other_censors, transform
 from .registry import OutcomeRank, Phase, Registry, ReportedP, Trials
 
 __all__ = [
@@ -132,7 +132,7 @@ def design_rows(table: OutcomeTable, rows: np.ndarray, y: np.ndarray) -> Selecti
     t = table.subset(rows)
     d1 = (t.kind == ZKind.ABOVE_D1.value).astype(int)
     d2 = (t.kind == ZKind.ABOVE_D2.value).astype(int)
-    z = impute_arrays(t.kind, t.z, t.bound, t.below)
+    z = impute_other_censors(t.kind, t.z, t.bound, t.below)
     return SelectionDesign(
         trials=t.trials, y=y, z=np.where((d1 == 1) | (d2 == 1), 0.0, z), d1=d1, d2=d2,
         mht=t.mht, trial_code=t.trial_code, kind=t.kind, bound=t.bound,
@@ -153,13 +153,12 @@ def build_design(
     :func:`~trialscope.pz.outcome_table`, built once.
     """
     if isinstance(table, Registry):
-        o = table.outcomes
-        scores = [transform(ReportedP(k, v)) for k, v in zip(o.p_kind.tolist(), o.p_value.tolist())]
-        table = OutcomeTable.of(
-            table, Sidedness.TWO_SIDED, [s.kind.value for s in scores],
-            [s.z if s.is_precise else np.nan for s in scores],
-            [np.nan if s.is_precise else s.bound for s in scores],
-        )
+        o = table.outcomes  # reshape: an empty registry gives three empty columns
+        kind, z, bound = np.array(
+            [transform(ReportedP(k, v)) for k, v in zip(o.p_kind.tolist(), o.p_value.tolist())],
+            dtype=object,
+        ).reshape(-1, 3).T
+        table = OutcomeTable.of(table, Sidedness.TWO_SIDED, [k.value for k in kind], z, bound)
     labels = links.labels(table.trials.ids)[table.trial_code]
     rows = table.industry & table.sample(Phase.PHASE2, outcome_rank) & ~np.isnan(labels)
     return design_rows(table, rows, labels[rows])

@@ -21,7 +21,7 @@ from trialscope.decompose import decompose
 from trialscope.density import KdeSpec, kde, sj_bandwidth
 from trialscope.discontinuity import cjm_test
 from trialscope.linker import build_synonym_map, link_all
-from trialscope.pz import Sidedness, inv_norm_cdf, norm_sf, outcome_table, transform
+from trialscope.pz import Sidedness, ZKind, inv_norm_cdf, norm_sf, outcome_table, transform
 from trialscope.registry import OutcomeRank, ReportedP, ingest
 from trialscope.selection import (
     SeparationError,
@@ -49,8 +49,8 @@ def test_criterion_1_transform_round_trip():
     rel = np.abs(back - p) / p
     elapsed = time.time() - t0
 
-    z05 = transform(ReportedP.exact(0.05)).z
-    z05_one = transform(ReportedP.exact(0.05), Sidedness.ONE_SIDED).z
+    _, z05, _ = transform(ReportedP.exact(0.05))
+    _, z05_one, _ = transform(ReportedP.exact(0.05), Sidedness.ONE_SIDED)
     ok = (
         rel.max() < 1e-8
         and abs(z05 - 1.959964) < 1e-6
@@ -319,9 +319,9 @@ def test_criterion_7_real_data_replication():
     for kind, p, rank, trial in zip(o.p_kind.tolist(), o.p_value.tolist(), o.rank.tolist(),
                                     o.trial.tolist()):
         if rank == OutcomeRank.PRIMARY.value and small.trials.phase[trial] == Phase.PHASE3.value:
-            s = transform(ReportedP(kind, p))
-            if s.is_precise:
-                zs.append(s.z)
+            z_kind, z, _ = transform(ReportedP(kind, p))
+            if z_kind is ZKind.PRECISE:
+                zs.append(z)
     disc = cjm_test(zs, cutoff=1.96)
     assert disc.p_value == pytest.approx(0.032, abs=0.01)
 

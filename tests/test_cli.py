@@ -66,7 +66,53 @@ class TestConfig:
             assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("line", [
+        "group = large_industry", "sidedness = one_tailed", "misreporting = shuffle",
+    ])
+    def test_unknown_choice_in_config_exits_one(self, sim_dir, tmp_path, capsys, line):
+        key = line.split()[0]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"seed = 1\n{line}\n")
+        with pytest.raises(ValueError, match=f"run.cfg:2: {key} must be one of"):
+            PipelineConfig.load(str(cfg_file), {})
+        out = tmp_path / "o"
+        assert run(["decompose", "--trials", sim_dir / "trials.csv",
+                    "--outcomes", sim_dir / "outcomes.csv", "--config", cfg_file,
+                    "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+        assert not (out / "decomposition.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_mistyped_config_value_names_line_and_key(self, tmp_path):
+        cfg_file = tmp_path / "k.cfg"
+        cfg_file.write_text("# comment\nsplit_k = ten\n")
+        with pytest.raises(ValueError, match=r"k.cfg:2: split_k must be int, got 'ten'"):
+            PipelineConfig.load(str(cfg_file), {})
+
+    def test_every_flag_is_a_config_key(self):
+        # one option per config key plus --config, on every subcommand
+        sub = cli._build_parser()._subparsers._group_actions[0]
+        # split_criterion is checked by load, so a bad flag exits 1, not 2
+        flag_choices = {k: v for k, v in cli._CHOICES.items() if k != "split_criterion"}
+        for name, parser in sub.choices.items():
+            dests = [a.dest for a in parser._actions if a.dest != "help"]
+            assert len(dests) == 19, name
+            assert set(dests) - {"config"} == set(cli._CONFIG_KEYS), name
+            assert {a.dest: a.choices for a in parser._actions if a.choices} == flag_choices
+        assert len(cli._CONFIG_KEYS) == 18
+
+
 class TestExitCodes:
+    def test_negative_bootstrap_reps_exit_one(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["decompose", "--trials", sim_dir / "trials.csv",
+                    "--outcomes", sim_dir / "outcomes.csv",
+                    "--synonyms", sim_dir / "synonyms.csv",
+                    "--bootstrap-reps", -5, "--out", out]) == 1
+        assert "bootstrap_reps must be >= 0, got -5" in capsys.readouterr().err
+        assert not (out / "decomposition.csv").exists()
+
     def test_missing_input_exits_one_and_names_path(self, tmp_path, capsys):
         code = run(["transform", "--trials", "/nope/t.csv",
                     "--outcomes", "/nope/o.csv", "--out", tmp_path])

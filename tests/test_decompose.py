@@ -128,6 +128,11 @@ class TestDecompose:
         with pytest.raises(RuntimeError, match="failed"):
             decompose(outcome_table(reg), links, model=model, bootstrap_reps=20, seed=1)
 
+    def test_negative_reps_rejected(self, sim_small):
+        reg, truth, links, _ = sim_small
+        with pytest.raises(ValueError, match="bootstrap_reps must be >= 0"):
+            decompose(outcome_table(reg), links, bootstrap_reps=-1)
+
     def test_stars_formatting(self):
         rep = DecompositionReport(
             shares={"ph2": 0.4}, diffs={"d": 0.2}, std_errs={"d": 0.05, "ph2": 0.1},

@@ -15,7 +15,7 @@ from trialscope.density import (
 )
 from trialscope.decompose import censored_aware_share
 from trialscope.density import _KernelSums
-from trialscope.pz import Z_SIG, ZKind, ZScore, outcome_table
+from trialscope.pz import Z_D1, Z_D2, Z_SIG, ZKind, outcome_table
 from trialscope.registry import Phase
 from trialscope.simulate import SimConfig, end_to_end_truth_check, generate
 
@@ -354,55 +354,55 @@ class TestKde:
         assert avg[100] > avg[1000] > avg[10_000]
 
 
-def significant_share(scores, weights=None, bandwidth=1e-9):
-    """censored_aware_share over ZScores; a tiny bandwidth makes the KDE
-    mass of a precise score a count on its side of the cutoff."""
-    kinds = np.array([s.kind.value for s in scores], dtype=str)
-    zvals = np.array([s.effective_z() if s.imputed_z is not None or s.kind is not
-                      ZKind.OTHER_CENSOR else np.nan for s in scores], dtype=float)
-    w = np.ones(len(scores)) if weights is None else np.asarray(weights, dtype=float)
+PRECISE, D1, D2, OTHER = (k.value for k in ZKind)
+
+
+def significant_share(kinds, zvals, weights=None, bandwidth=1e-9):
+    """censored_aware_share of a sample given as kind codes and share z
+    values: D1/D2 rows at their bound, other censors at their imputed value
+    (NaN until imputed).  A tiny bandwidth makes the KDE mass of a precise
+    score a count on its side of the cutoff."""
+    kinds = np.array(kinds, dtype=str)
+    zvals = np.array(zvals, dtype=float)
+    w = np.ones(len(kinds)) if weights is None else np.asarray(weights, dtype=float)
     return censored_aware_share(kinds, zvals, w, Z_SIG, bandwidth)
 
 
 class TestSignificantShare:
     def test_three_precise_one_censor(self):
-        scores = [ZScore.precise(v) for v in (1.0, 2.0, 2.5)] + [ZScore.above_d1()]
-        assert significant_share(scores) == pytest.approx(0.75)
+        share = significant_share([PRECISE] * 3 + [D1], [1.0, 2.0, 2.5, Z_D1])
+        assert share == pytest.approx(0.75)
 
     def test_all_below_no_censors(self):
-        scores = [ZScore.precise(v) for v in (0.2, 1.0, 1.5)]
-        assert significant_share(scores) == 0.0
+        assert significant_share([PRECISE] * 3, [0.2, 1.0, 1.5]) == 0.0
 
     def test_boundary_counts_significant(self):
         # censored mass exactly at the cutoff counts as significant
-        assert significant_share([ZScore.above_d1(bound=Z_SIG)]) == 1.0
+        assert significant_share([D1], [Z_SIG]) == 1.0
 
     def test_weights_and_predicted_tail_counts(self):
         # a predicted tail count enters as the weight of the censored row
-        scores = [ZScore.precise(2.5), ZScore.precise(1.0), ZScore.above_d2()]
-        share = significant_share(scores, weights=[1.0, 1.0, 2.0])
+        share = significant_share([PRECISE, PRECISE, D2], [2.5, 1.0, Z_D2],
+                                  weights=[1.0, 1.0, 2.0])
         assert share == pytest.approx(3.0 / 4.0)
 
     def test_imputed_censor_counts_by_value(self):
-        s = [ZScore.precise(2.2), ZScore.precise(1.8),
-             ZScore(ZKind.OTHER_CENSOR, direction="above", bound=2.0, imputed_z=2.2)]
-        assert significant_share(s) == pytest.approx(2.0 / 3.0)
+        share = significant_share([PRECISE, PRECISE, OTHER], [2.2, 1.8, 2.2])
+        assert share == pytest.approx(2.0 / 3.0)
 
     def test_unimputed_censor_raises(self):
-        s = [ZScore.precise(2.2), ZScore.other_censor("above", 2.0)]
         with pytest.raises(ValueError):
-            significant_share(s)
+            significant_share([PRECISE, OTHER], [2.2, np.nan])
 
     def test_empty_raises(self):
         with pytest.raises(ValueError):
-            significant_share([])
+            significant_share([], [])
 
     def test_kde_mass_close_to_count(self):
         rng = np.random.default_rng(13)
         zs = np.abs(rng.normal(size=5000))
-        scores = [ZScore.precise(float(v)) for v in zs]
         count_share = float(np.mean(zs >= Z_SIG))
-        kde_share = significant_share(scores, bandwidth=0.3)
+        kde_share = significant_share([PRECISE] * zs.size, zs, bandwidth=0.3)
         assert kde_share == pytest.approx(count_share, abs=0.02)
 
 

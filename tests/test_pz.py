@@ -13,14 +13,14 @@ from trialscope.pz import (
     Z_D1,
     Z_D2,
     ZKind,
-    ZScore,
     impute_other_censors,
     inv_norm_cdf,
     norm_cdf,
+    outcome_table,
     transform,
     transform_arrays,
 )
-from trialscope.registry import ReportedP
+from trialscope.registry import ReportedP, ingest
 
 
 def quad_sf(z):
@@ -72,42 +72,68 @@ class TestInvNormCdf:
 
 class TestTransform:
     def test_p05_two_sided(self):
-        s = transform(ReportedP.exact(0.05))
-        assert s.kind is ZKind.PRECISE
-        assert s.z == pytest.approx(1.959964, abs=1e-6)
+        kind, z, bound = transform(ReportedP.exact(0.05))
+        assert kind is ZKind.PRECISE
+        assert z == pytest.approx(1.959964, abs=1e-6)
+        assert np.isnan(bound)
 
     def test_p1_maps_to_zero(self):
-        assert transform(ReportedP.exact(1.0)).z == pytest.approx(0.0, abs=1e-12)
+        assert transform(ReportedP.exact(1.0))[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_p05_one_sided(self):
-        s = transform(ReportedP.exact(0.05), Sidedness.ONE_SIDED)
-        assert s.z == pytest.approx(1.6449, abs=1e-4)
+        _, z, _ = transform(ReportedP.exact(0.05), Sidedness.ONE_SIDED)
+        assert z == pytest.approx(1.6449, abs=1e-4)
 
     def test_censor_thresholds(self):
-        assert transform(ReportedP.less(0.001)).kind is ZKind.ABOVE_D1
-        assert transform(ReportedP.less(0.0001)).kind is ZKind.ABOVE_D2
-        assert transform(ReportedP.exact(0.0)).kind is ZKind.ABOVE_D2
+        assert transform(ReportedP.less(0.001))[0] is ZKind.ABOVE_D1
+        assert transform(ReportedP.less(0.0001))[0] is ZKind.ABOVE_D2
+        assert transform(ReportedP.exact(0.0))[0] is ZKind.ABOVE_D2
 
     def test_hardcoded_bounds_match_quadrature(self):
         assert Z_D1 == pytest.approx(-quad_quantile(0.001 / 2), abs=1e-4)
         assert Z_D2 == pytest.approx(-quad_quantile(0.0001 / 2), abs=1e-4)
 
+    def test_table_rows_carry_exact_censor_bounds(self):
+        # the D1/D2 rows hold the exact bounds; Z_D1/Z_D2 are their
+        # published 4-decimal roundings
+        for p, published in ((0.001, Z_D1), (0.0001, Z_D2)):
+            kind, z, bound = transform(ReportedP.less(p))
+            assert np.isnan(z)
+            assert bound == -inv_norm_cdf(p / 2.0)
+            assert bound == pytest.approx(published, abs=1e-4)
+
     def test_underflow_exact_p_is_d2(self):
-        assert transform(ReportedP.exact(1e-16)).kind is ZKind.ABOVE_D2
+        assert transform(ReportedP.exact(1e-16))[0] is ZKind.ABOVE_D2
 
     def test_other_censors(self):
-        s = transform(ReportedP.less(0.05))
-        assert s.kind is ZKind.OTHER_CENSOR and s.direction == "above"
-        assert s.bound == pytest.approx(1.959964, abs=1e-6)
-        assert s.imputed_z is None
-        t = transform(ReportedP.greater(0.1))
-        assert t.direction == "below"
-        assert t.bound == pytest.approx(1.6449, abs=1e-4)
+        kind, z, bound = transform(ReportedP.less(0.05))
+        assert kind is ZKind.OTHER_CENSOR and np.isnan(z)
+        assert bound == pytest.approx(1.959964, abs=1e-6)
+        kind, z, bound = transform(ReportedP.greater(0.1))
+        assert kind is ZKind.OTHER_CENSOR and np.isnan(z)
+        assert bound == pytest.approx(1.6449, abs=1e-4)
+
+    def test_table_marks_greater_than_censors_below(self, toy_csvs):
+        # the censor's direction is the table's ``below`` column
+        trials, outcomes, rankings = toy_csvs
+        outcomes.write_text(
+            "trial_id,outcome_rank,p_kind,p_value,mht_adjusted\n"
+            "NCT001,primary,lt,0.05,false\n"
+            "NCT001,secondary,gt,0.1,false\n"
+            "NCT002,primary,exact,0.2,true\n"
+        )
+        t = outcome_table(ingest(trials, outcomes, rankings))
+        censored = t.kind == ZKind.OTHER_CENSOR.value
+        assert censored.sum() == 2
+        assert t.below[censored & (t.bound > 1.9)].tolist() == [False]
+        assert t.below[censored & (t.bound < 1.9)].tolist() == [True]
+        assert t.bound[t.below][0] == pytest.approx(1.6449, abs=1e-4)
+        assert not t.below[~censored].any()
 
     @given(st.floats(min_value=1e-12, max_value=1.0))
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, p):
-        z = transform(ReportedP.exact(p)).z
+        _, z, _ = transform(ReportedP.exact(p))
         # the tail evaluated through the survival function, which carries
         # relative precision where 1 - CDF would cancel
         assert 2.0 * norm_sf(z) == pytest.approx(p, rel=1e-8, abs=1e-20)
@@ -122,8 +148,8 @@ class TestTransform:
         if (hi - lo) / hi < 1e-12:  # below quantile resolution in double
             return
         for side in Sidedness:
-            z_lo = transform(ReportedP.exact(lo), side).z
-            z_hi = transform(ReportedP.exact(hi), side).z
+            z_lo = transform(ReportedP.exact(lo), side)[1]
+            z_hi = transform(ReportedP.exact(hi), side)[1]
             assert z_lo > z_hi
 
     def test_share_above_invariant(self):
@@ -132,14 +158,14 @@ class TestTransform:
         rng = np.random.default_rng(5)
         ps = rng.uniform(1e-6, 1.0, size=500)
         ps[rng.integers(0, 500, 30)] = 0.05  # boundary cases included
-        zs = [transform(ReportedP.exact(p)).z for p in ps]
+        zs = [transform(ReportedP.exact(p))[1] for p in ps]
         assert sum(p <= 0.05 for p in ps) == sum(z >= Z_SIG for z in zs)
 
     def test_sidedness_preserves_ordering(self):
         rng = np.random.default_rng(6)
         ps = rng.uniform(1e-9, 1.0, size=200)
-        z2 = np.array([transform(ReportedP.exact(p)).z for p in ps])
-        z1 = np.array([transform(ReportedP.exact(p), Sidedness.ONE_SIDED).z for p in ps])
+        z2 = np.array([transform(ReportedP.exact(p))[1] for p in ps])
+        z1 = np.array([transform(ReportedP.exact(p), Sidedness.ONE_SIDED)[1] for p in ps])
         assert np.array_equal(np.argsort(z2), np.argsort(z1))
 
 
@@ -157,16 +183,25 @@ class TestTransformArrays:
         cases = self.CASES + [("exact", float(p)) for p in 10.0 ** rng.uniform(-12, 0, 200)]
         kinds, zs, bounds = transform_arrays([k for k, _ in cases], [v for _, v in cases], side)
         for (k, v), code, z, bound in zip(cases, kinds, zs, bounds):
-            s = transform(ReportedP(k, v), side)
-            assert code == s.kind.value
-            if s.is_precise:
-                assert z == s.z and np.isnan(bound)
+            s_kind, s_z, s_bound = transform(ReportedP(k, v), side)
+            assert code == s_kind.value
+            if s_kind is ZKind.PRECISE:
+                assert z == s_z and np.isnan(bound) and np.isnan(s_bound)
                 # the array quantile equals the scalar quantile bit for bit
                 q = v / 2.0 if side is Sidedness.TWO_SIDED else min(v, 1.0 - 2.5e-16)
                 assert z == -inv_norm_cdf(q)
             else:
-                assert bound == s.bound and np.isnan(z)
-                assert s.direction == ("below" if k == "gt" else "above")
+                assert bound == s_bound and np.isnan(z) and np.isnan(s_z)
+
+    def test_precise_z_is_finite(self):
+        # one-sided values go negative for p above one half, so finiteness
+        # is all a precise z is held to
+        for side in Sidedness:
+            kinds, zs, _ = transform_arrays(
+                [k for k, _ in self.CASES], [v for _, v in self.CASES], side)
+            precise = kinds == ZKind.PRECISE.value
+            assert precise.sum() == 6
+            assert np.all(np.isfinite(zs[precise]))
 
     def test_one_sided_p_one_is_finite(self):
         _, z, _ = transform_arrays(["exact"], [1.0], Sidedness.ONE_SIDED)
@@ -177,45 +212,68 @@ class TestTransformArrays:
             transform_arrays(["eq"], [0.5])
 
 
+def censored_sample(precise, censors):
+    """Columns of a sample of precise z values followed by other censors,
+    each censor a ``(bound, below)`` pair."""
+    n, m = len(precise), len(censors)
+    kind = np.array([ZKind.PRECISE.value] * n + [ZKind.OTHER_CENSOR.value] * m)
+    z = np.concatenate([precise, np.full(m, np.nan)])
+    bound = np.concatenate([np.full(n, np.nan), [b for b, _ in censors]])
+    below = np.array([False] * n + [bl for _, bl in censors], dtype=bool)
+    return kind, z, bound, below
+
+
 class TestImputation:
     def test_conditional_mean_above(self):
-        scores = [ZScore.precise(v) for v in (1.0, 2.0, 3.0)]
-        scores.append(ZScore.other_censor("above", 1.5))
-        out = impute_other_censors(scores)
-        assert out[-1].imputed_z == pytest.approx(2.5)
+        out = impute_other_censors(*censored_sample([1.0, 2.0, 3.0], [(1.5, False)]))
+        assert out[-1] == pytest.approx(2.5)
 
     def test_single_element_below(self):
-        scores = [ZScore.precise(1.0), ZScore.other_censor("below", 2.0)]
-        out = impute_other_censors(scores)
-        assert out[-1].imputed_z == pytest.approx(1.0)
+        out = impute_other_censors(*censored_sample([1.0], [(2.0, True)]))
+        assert out[-1] == pytest.approx(1.0)
 
     def test_no_donor_raises(self):
-        scores = [ZScore.precise(1.0), ZScore.other_censor("above", 5.0)]
         with pytest.raises(ValueError, match="5"):
-            impute_other_censors(scores)
+            impute_other_censors(*censored_sample([1.0], [(5.0, False)]))
+
+    def test_no_donor_error_names_the_bound(self):
+        cols = censored_sample([1.0, 2.0], [(1.5, False), (4.25, False), (0.5, True)])
+        with pytest.raises(ValueError, match="z above 4.25") as exc:
+            impute_other_censors(*cols)
+        assert "0.5" in str(exc.value) and "1.5" not in str(exc.value)
 
     def test_original_collection_untouched(self):
-        scores = [ZScore.precise(2.5), ZScore.other_censor("above", 1.5)]
-        impute_other_censors(scores)
-        assert scores[1].imputed_z is None
+        cols = censored_sample([2.5], [(1.5, False)])
+        before = [c.copy() for c in cols]
+        out = impute_other_censors(*cols)
+        assert out[1] == 2.5 and out is not cols[1]
+        for c, b in zip(cols, before):
+            assert np.array_equal(c, b, equal_nan=c.dtype.kind == "f")
 
+    def test_two_bounds_in_one_sample(self):
+        out = impute_other_censors(*censored_sample(
+            [0.5, 1.0, 2.0, 3.0, 4.0], [(1.5, False), (2.5, False), (1.5, False)]))
+        assert out[5] == pytest.approx(3.0)
+        assert out[6] == pytest.approx(3.5)
+        assert out[7] == pytest.approx(3.0)
 
-class TestZScoreInvariants:
-    def test_precise_must_be_finite(self):
-        # negative values are legal (one-sided transform above the median)
-        assert ZScore.precise(-0.5).z == -0.5
-        with pytest.raises(ValueError):
-            ZScore.precise(float("nan"))
-        with pytest.raises(ValueError):
-            ZScore.precise(float("inf"))
+    def test_above_and_below_at_one_bound(self):
+        out = impute_other_censors(*censored_sample(
+            [0.5, 1.0, 2.0, 3.0], [(1.5, False), (1.5, True)]))
+        assert out[4] == pytest.approx(2.5)
+        assert out[5] == pytest.approx(0.75)
+
+    def test_precise_rows_pass_through(self):
+        precise = [0.2, 1.7, 3.1]
+        out = impute_other_censors(*censored_sample(precise, [(1.0, False)]))
+        assert np.array_equal(out[:3], precise)
 
     def test_imputed_strictly_on_censored_side(self):
-        with pytest.raises(ValueError):
-            ZScore(ZKind.OTHER_CENSOR, direction="above", bound=2.0, imputed_z=1.5)
-
-    def test_effective_z(self):
-        assert ZScore.above_d1().effective_z() == Z_D1
-        assert ZScore.above_d2().effective_z() == Z_D2
-        assert ZScore.precise(1.2).effective_z() == 1.2
-        with pytest.raises(ValueError):
-            ZScore.other_censor("above", 2.0).effective_z()
+        cases = TestTransformArrays.CASES
+        below = np.array([k == "gt" for k, _ in cases])
+        for side in Sidedness:
+            kind, z, bound = transform_arrays([k for k, _ in cases], [v for _, v in cases], side)
+            out = impute_other_censors(kind, z, bound, below)
+            censored = kind == ZKind.OTHER_CENSOR.value
+            assert censored.sum() == 5
+            assert np.all(np.where(below, out < bound, out > bound)[censored])

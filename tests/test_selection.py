@@ -78,8 +78,10 @@ class TestDesign:
     def test_empty_design_raises(self, sim_small):
         reg, truth, links, _ = sim_small
         empty = reg.subset(np.zeros(reg.n_trials(), dtype=bool))
-        with pytest.raises(ValueError, match="empty"):
-            build_design(outcome_table(empty), link_all(empty)[0])
+        # the table, and the registry transformed through the scalar path
+        for source in (outcome_table(empty), empty):
+            with pytest.raises(ValueError, match="selection design is empty"):
+                build_design(source, link_all(empty)[0])
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ValueError, match="mutually exclusive"):
