@@ -117,6 +117,8 @@ class PipelineConfig(dict):
             )
         if not 7 <= int(cfg["split_k"]) <= 20:
             raise ValueError(f"split_k must lie in [7,20], got {cfg['split_k']}")
+        if int(cfg["bootstrap_reps"]) < 0:
+            raise ValueError(f"bootstrap_reps must be >= 0, got {cfg['bootstrap_reps']}")
         return cfg
 
     def side(self) -> pz.Sidedness:

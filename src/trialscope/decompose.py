@@ -120,7 +120,7 @@ def _auto_bandwidth(z_precise: np.ndarray, counts: np.ndarray | None = None) -> 
     x, c = _draws(z_precise, counts)
     distinct = _n_distinct(x)
     if distinct >= 10:
-        return float(sj_bandwidth(x, c))
+        return float(sj_bandwidth(x, c, drawn=True))
     if distinct >= 2:
         return silverman_bandwidth(x, c)
     return 0.5

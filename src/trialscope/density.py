@@ -247,7 +247,9 @@ def _brent(f, a: float, b: float, fa: float, fb: float, rtol: float = 1e-10):
             return None
 
 
-def sj_bandwidth(sample: Sequence[float], weights=None, nb: int = 1024) -> BandwidthResult:
+def sj_bandwidth(
+    sample: Sequence[float], weights=None, nb: int = 1024, *, drawn: bool = False
+) -> BandwidthResult:
     """Sheather-Jones solve-the-equation plug-in bandwidth, Epanechnikov scale.
 
     Solves h = [R(K) / (n * S(alpha2(h)))]^(1/5) for a Gaussian kernel on
@@ -270,10 +272,15 @@ def sj_bandwidth(sample: Sequence[float], weights=None, nb: int = 1024) -> Bandw
     ``weights`` are integer frequency weights, such as the draw counts of a
     bootstrap rep: the result is that of the sample with each value
     repeated that often, read off the counts of a sample sorted once.
+    With ``drawn`` they are taken as a caller already has them from
+    ``_draws``, with at least 10 distinct values, and not checked again.
     """
-    x, c = _draws(sample, weights)
-    if _n_distinct(x) < 10:
-        raise ValueError("need at least 10 distinct values for a plug-in bandwidth")
+    if drawn:
+        x, c = sample, weights
+    else:
+        x, c = _draws(sample, weights)
+        if _n_distinct(x) < 10:
+            raise ValueError("need at least 10 distinct values for a plug-in bandwidth")
     n = int(c.sum())
     sd_full, lam = _spread(x, c)
     dist, cnt = _pair_distances(*_pair_counts(x, c, nb=nb))

@@ -17,10 +17,6 @@ import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-# scipy's erfc, not math.erfc: the two differ by a few units in the last
-# place for about 40% of arguments, and the simulator draws its reported
-# p-values through norm_cdf, so a switch would change every generated registry
-from scipy.special import erfc
 
 from .registry import (
     OutcomeRank,
@@ -92,20 +88,129 @@ _ACKLAM_SPLIT = 0.02425
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# The complementary error function is Cephes erfc (Moshier 1989, "Methods
+# and Programs for Mathematical Functions", ndtr.c), the function that
+# scipy.special.erfc evaluates, ported here with its tables, Horner order
+# and underflow cut so that it gives scipy's results bit for bit without
+# the cost of importing scipy in every command.  Not math.erfc: it differs
+# from Cephes by a few units in the last place for about 40% of arguments,
+# and the simulator draws its reported p-values through norm_cdf, so a
+# switch would change every generated registry.  exp(-x^2) is math.exp,
+# the C library's exp that Cephes calls, never np.exp: numpy's SIMD exp
+# differs from it in the last place for a few percent of arguments.
+_ERFC_P = (  # erfc(x) exp(x^2) = P(x) / Q(x) on 1 <= x < 8
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (  # monic: the leading 1 is implicit, as in Cephes p1evl
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (  # erfc(x) exp(x^2) = R(x) / S(x) on x >= 8
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (  # monic
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_ERF_T = (  # erf(x) = x T(x^2) / U(x^2) on |x| < 1
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (  # monic
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+# exp(-x^2) underflows beyond x^2 = log(DBL_MAX)
+_MAXLOG = 7.09782712893383996843e2
+
+# The rational functions below take a float or an array, and evaluate in
+# Cephes' Horner order (polevl for P, R, T and p1evl for the monic Q, S, U),
+# unrolled: a float argument is the path of the scalar calls of the
+# simulator, and a loop over the coefficients would double its cost.
+
+
+def _erfc_near(x, e):
+    """erfc(x) for 1 <= x < 8 given e = exp(-x*x)."""
+    p0, p1, p2, p3, p4, p5, p6, p7, p8 = _ERFC_P
+    q0, q1, q2, q3, q4, q5, q6, q7 = _ERFC_Q
+    p = (((((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x + p5) * x + p6) * x + p7) * x + p8
+    q = (((((((x + q0) * x + q1) * x + q2) * x + q3) * x + q4) * x + q5) * x + q6) * x + q7
+    return (e * p) / q
+
+
+def _erfc_far(x, e):
+    """erfc(x) for x >= 8 given e = exp(-x*x)."""
+    r0, r1, r2, r3, r4, r5 = _ERFC_R
+    s0, s1, s2, s3, s4, s5 = _ERFC_S
+    p = ((((r0 * x + r1) * x + r2) * x + r3) * x + r4) * x + r5
+    q = (((((x + s0) * x + s1) * x + s2) * x + s3) * x + s4) * x + s5
+    return (e * p) / q
+
+
+def _erfc_small(a):
+    """erfc(a) for |a| < 1, as 1 - erf(a)."""
+    t0, t1, t2, t3, t4 = _ERF_T
+    u0, u1, u2, u3, u4 = _ERF_U
+    z = a * a
+    erf = a * ((((t0 * z + t1) * z + t2) * z + t3) * z + t4) / (
+        ((((z + u0) * z + u1) * z + u2) * z + u3) * z + u4)
+    return 1.0 - erf
+
+
+def _erfc(a):
+    """Cephes erfc of a float, or elementwise of an array.  NaN propagates
+    through the far branch."""
+    if type(a) is not float:
+        return _erfc_array(a)
+    x = abs(a)
+    if x < 1.0:
+        return _erfc_small(a)
+    z = -a * a
+    if z < -_MAXLOG:
+        return 2.0 if a < 0.0 else 0.0
+    y = _erfc_near(x, math.exp(z)) if x < 8.0 else _erfc_far(x, math.exp(z))
+    return 2.0 - y if a < 0.0 else y
+
+
+def _erfc_array(a: np.ndarray) -> np.ndarray:
+    """Cephes erfc, elementwise; each element evaluates only its own branch."""
+    flat = a.ravel()
+    x = np.abs(flat)
+    with np.errstate(over="ignore"):  # past 1e154 -x^2 is -inf, and underflows
+        z = -flat * flat
+    out = (flat < 0.0) * 2.0  # where exp(-x^2) underflows
+    out[np.isnan(flat)] = np.nan
+    small = np.flatnonzero(x < 1.0)
+    out[small] = _erfc_small(flat[small])
+    for rows, branch in ((np.flatnonzero((x >= 1.0) & (x < 8.0)), _erfc_near),
+                         (np.flatnonzero((x >= 8.0) & (z >= -_MAXLOG)), _erfc_far)):
+        e = np.fromiter(map(math.exp, z[rows].tolist()), float, count=rows.size)
+        y = branch(x[rows], e)
+        out[rows] = np.where(flat[rows] < 0.0, 2.0 - y, y)
+    return out.reshape(a.shape)
+
+
+def _float_or_array(z):
+    """``z`` as a float if it is a scalar or 0-d, else as a float array."""
+    if isinstance(z, float):
+        return float(z)
+    z = np.asarray(z, dtype=float)
+    return z if z.ndim else float(z)
+
 
 def norm_cdf(z):
     """Standard normal CDF via the complementary error function."""
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * erfc(-z / _SQRT2)
-    return out if out.ndim else float(out)
+    return 0.5 * _erfc(-_float_or_array(z) / _SQRT2)
 
 
 def norm_sf(z):
     """Upper-tail probability 1 - CDF(z), accurate in the far tail where
     the literal subtraction would cancel."""
-    z = np.asarray(z, dtype=float)
-    out = 0.5 * erfc(z / _SQRT2)
-    return out if out.ndim else float(out)
+    return 0.5 * _erfc(_float_or_array(z) / _SQRT2)
 
 
 def _acklam(q: np.ndarray) -> np.ndarray:

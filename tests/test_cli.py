@@ -113,6 +113,23 @@ class TestExitCodes:
         assert "bootstrap_reps must be >= 0, got -5" in capsys.readouterr().err
         assert not (out / "decomposition.csv").exists()
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_bootstrap_reps_exit_before_out_exists(self, tmp_path, capsys, where):
+        # the check runs when the config loads: no stage runs and --out is
+        # never created, here on a report that would first simulate into it
+        out = tmp_path / "o"
+        args = ["report", "--n-trials", 600, "--out", out]
+        if where == "flag":
+            args += ["--bootstrap-reps", -5]
+        else:
+            cfg_file = tmp_path / "reps.cfg"
+            cfg_file.write_text("bootstrap_reps = -5\n")
+            args += ["--config", cfg_file]
+        assert run(args) == 1
+        assert "bootstrap_reps must be >= 0, got -5" in capsys.readouterr().err
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ([] if where == "flag" else ["reps.cfg"])
+
     def test_missing_input_exits_one_and_names_path(self, tmp_path, capsys):
         code = run(["transform", "--trials", "/nope/t.csv",
                     "--outcomes", "/nope/o.csv", "--out", tmp_path])
@@ -277,14 +294,35 @@ class TestHeavierSubcommands:
         assert (tmp_path / "selection_curve.svg").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs every CLI process most of a second; no command needs it
-    code = "import sys, trialscope.cli; print('scipy.stats' in sys.modules)"
+def scipy_modules_after(code: str, cwd=None) -> str:
+    """The scipy modules loaded in a fresh interpreter after running ``code``."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=120, env=env)
-    assert out.stdout.strip() == "False"
+                         check=True, timeout=120, env=env, cwd=cwd)
+    return out.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs every CLI process most of a second, and scipy.special
+    # alone about a third of one; no command needs either
+    assert scipy_modules_after("import trialscope.cli") == "[]"
+
+
+def test_simulate_report_and_sweep_load_no_scipy(tmp_path):
+    code = textwrap.dedent("""
+        from trialscope.cli import main
+
+        sim = ["--trials", "sim/trials.csv", "--outcomes", "sim/outcomes.csv",
+               "--synonyms", "sim/synonyms.csv", "--rankings", "sim/rankings.csv"]
+        assert main(["simulate", "--n-trials", "600", "--seed", "5", "--out", "sim"]) == 0
+        assert main(["report", *sim, "--bootstrap-reps", "5", "--out", "report"]) == 0
+        assert main(["sweep", *sim, "--out", "sweep"]) == 0
+    """)
+    assert scipy_modules_after(code, cwd=tmp_path) == "[]"
+    assert (tmp_path / "report" / "decomposition.csv").exists()
+    assert (tmp_path / "sweep" / "sweep_explained.csv").exists()
 
 
 def test_bandwidth_and_decompose_leave_scipy_optimize_unloaded():

@@ -443,9 +443,9 @@ def pipeline_bandwidth_samples():
 
     seen = []
 
-    def recording(x, c=None):
+    def recording(x, c=None, **kwargs):
         seen.append((np.array(x), None if c is None else np.array(c)))
-        return sj_bandwidth(x, c)
+        return sj_bandwidth(x, c, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dec, "sj_bandwidth", recording)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import erfc as scipy_erfc
 
+from trialscope import pz
 from trialscope.pz import (
     Sidedness,
     norm_sf,
@@ -68,6 +70,102 @@ class TestInvNormCdf:
         out = inv_norm_cdf(np.array([0.25, 0.5, 0.75]))
         assert out.shape == (3,)
         assert out[0] == pytest.approx(-out[2])
+
+
+def assert_same_floats(got, ref):
+    """Equal as IEEE doubles: ``==`` elementwise, NaN where the reference is
+    NaN, and zeros of the same sign."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    bad = np.flatnonzero((got != ref)[~nan])
+    assert bad.size == 0, f"{bad.size} mismatches, first at {ref[~nan][bad[:3]]}"
+    assert np.array_equal(np.signbit(got[~nan]), np.signbit(ref[~nan]))
+
+
+def scipy_backed_erfc(a):
+    """scipy.special.erfc in the port's call convention: a float for a float."""
+    out = scipy_erfc(a)
+    return float(out) if type(a) is float else out
+
+
+# sqrt(MAXLOG): beyond it Cephes erfc returns 0 or 2 without evaluating exp
+ERFC_CUT = math.sqrt(7.09782712893383996843e2)
+
+
+def branch_arguments(n=10**6):
+    """``n`` random arguments, both signs, in each branch of Cephes erfc:
+    |x| < 1, 1 <= |x| < 8, 8 <= |x| up to the underflow cut, and beyond it
+    (where between the cut and about 27.3 the result is subnormal)."""
+    rng = np.random.default_rng(2024)
+    edges = [(0.0, 1.0), (1.0, 8.0), (8.0, ERFC_CUT), (ERFC_CUT, 40.0)]
+    return {
+        f"{lo:g}-{hi:g}": rng.uniform(lo, hi, n) * rng.choice([-1.0, 1.0], n)
+        for lo, hi in edges
+    }
+
+
+ERFC_EDGES = [
+    np.nextafter(1.0, 0.0), 1.0, np.nextafter(8.0, 0.0), 8.0, 26.64, 27.3,
+    np.nextafter(ERFC_CUT, 0.0), ERFC_CUT, np.nextafter(ERFC_CUT, 99.0),
+    0.0, np.inf, np.nan, 5e-324, 1e-300, 1e300,
+]
+ERFC_EDGES = ERFC_EDGES + [-v for v in ERFC_EDGES]
+
+
+class TestErfcPort:
+    """The in-house Cephes erfc equals scipy.special.erfc bit for bit,
+    compared with ``==``, never with a tolerance."""
+
+    @pytest.fixture(scope="class")
+    def branches(self):
+        return branch_arguments()
+
+    def test_arrays_in_every_branch(self, branches):
+        for a in branches.values():
+            assert_same_floats(pz._erfc(a), scipy_erfc(a))
+
+    def test_python_floats_in_every_branch(self, branches):
+        for a in branches.values():
+            a = a[:100_000]
+            got = [pz._erfc(v) for v in a.tolist()]
+            assert all(type(v) is float for v in got)
+            assert_same_floats(got, scipy_erfc(a))
+
+    def test_branch_edges_and_special_values(self):
+        edges = np.array(ERFC_EDGES)
+        assert_same_floats(pz._erfc(edges), scipy_erfc(edges))
+        assert_same_floats([pz._erfc(float(v)) for v in edges], scipy_erfc(edges))
+        assert pz._erfc(-0.0) == pz._erfc(0.0) == 1.0
+        assert pz._erfc(np.inf) == 0.0 and pz._erfc(-np.inf) == 2.0
+        assert pz._erfc(27.3) == 0.0 < pz._erfc(26.64) < 1e-300
+
+    @pytest.mark.parametrize("shape", ["float", "0-d", "1-d", "2-d", "empty"])
+    def test_norm_cdf_and_sf_on_every_input_shape(self, shape, monkeypatch):
+        z = np.random.default_rng(7).normal(0.0, 8.0, 600)
+        arg = {"float": float(z[0]), "0-d": np.array(z[0]), "1-d": z,
+               "2-d": z.reshape(20, 30), "empty": z[:0]}[shape]
+        got = {f: f(arg) for f in (norm_cdf, norm_sf)}
+        monkeypatch.setattr(pz, "_erfc", scipy_backed_erfc)
+        for f, value in got.items():
+            ref = f(arg)
+            assert type(value) is type(ref)
+            assert type(value) is (float if shape in ("float", "0-d") else np.ndarray)
+            assert_same_floats(value, ref)
+
+    def test_inv_norm_cdf_and_z_sig(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        q = np.concatenate([rng.uniform(0.0, 1.0, 200_000),
+                            10.0 ** -rng.uniform(1.0, 300.0, 50_000),
+                            1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 50_000)])
+        q = q[(q > 0.0) & (q < 1.0)]
+        got = inv_norm_cdf(q), [inv_norm_cdf(v) for v in q[:2000].tolist()]
+        z_sig = pz.Z_SIG
+        monkeypatch.setattr(pz, "_erfc", scipy_backed_erfc)
+        assert_same_floats(got[0], inv_norm_cdf(q))
+        assert_same_floats(got[1], [inv_norm_cdf(v) for v in q[:2000].tolist()])
+        assert z_sig == -inv_norm_cdf(0.025)
 
 
 class TestTransform:
