@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .registry import NO_DATE, Phase, Registry, SponsorClass
+from .registry import NO_DATE, Phase, Ragged, Registry, SponsorClass, Trials
 
 __all__ = [
     "Links",
@@ -54,7 +54,8 @@ _WS = re.compile(r"\s+")
 
 def _basic_norm(name: str) -> str:
     out = _WS.sub(" ", name.strip()).casefold()
-    changed = True
+    # every dosage pattern starts with whitespace
+    changed = _WS.search(out) is not None
     while changed:
         changed = False
         for pat in _DOSAGE_PATTERNS:
@@ -184,30 +185,83 @@ def _clean_term(term: str, stoplist: frozenset[str]) -> str | None:
     return _WS.sub(" ", term.strip()).casefold()
 
 
-def _link_indexed(
-    drug_sets: list[frozenset[str]],
-    code: int,
-    start: list[int],
-    mesh: list[frozenset[str]],
-    drug_index: Mapping[str, list[int]],
-) -> list[int]:
-    """Ascending phase III codes matched to the phase II trial ``code``,
-    eligible and with a start date, given its canonical drug combinations
-    and every trial's start date and cleaned MeSH terms: candidate phase III
-    trials are narrowed through an inverted drug index first."""
-    matched: set[int] = set()
-    for drugs in drug_sets:
-        # candidates must list every drug; start from the rarest
-        cand_lists = [drug_index.get(d) for d in drugs]
-        if any(c is None for c in cand_lists):
-            continue
-        cand = set(min(cand_lists, key=len))
-        for c in cand_lists:
-            cand &= set(c)
-        for c in cand:
-            if start[c] != NO_DATE and start[code] < start[c] and mesh[code] <= mesh[c]:
-                matched.add(c)
-    return sorted(matched)
+def _offsets(keys: np.ndarray, n: int) -> np.ndarray:
+    """The row offsets of elements sorted by their row ``keys`` in ``range(n)``."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys, minlength=n))))
+
+
+def _owners(rows: Ragged) -> np.ndarray:
+    """The row of every element of ``rows``."""
+    return np.repeat(np.arange(len(rows.offsets) - 1), np.diff(rows.offsets))
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, ascending: ``np.unique``, which without
+    ``return_*`` arguments would import ``numpy.ma``."""
+    keys = np.sort(keys)
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def _match(t: Trials, drug: np.ndarray, n_drugs: int, mesh: list[frozenset[str]],
+           seekers: np.ndarray, pool: np.ndarray) -> Ragged:
+    """The codes of the trials of ``pool`` matched to each trial code,
+    ascending, for the phase II trials ``seekers``, given the canonical drug
+    code of every drug name and the cleaned terms of every MeSH set.
+
+    A pool trial lists the canonical drugs of all its combinations.  The
+    pool trials that list every drug of a combination are the trials on the
+    rarest drug's list that list the others too; they are joined to the
+    seekers through the combination codes, and each pair found must pass
+    the start-date test and, once per distinct pair of MeSH sets, the MeSH
+    subset test."""
+    # every combination as its distinct canonical drugs
+    pairs = _distinct(_owners(t.combos) * n_drugs + drug[t.combos.values])
+    combo_drugs = Ragged(_offsets(pairs // n_drugs, len(t.combos.offsets) - 1), pairs % n_drugs)
+    # the (pool trial, canonical drug) pairs listed, as sorted keys
+    inter = t.interventions.take(pool)
+    listed_drugs = combo_drugs.take(inter.values)
+    trial = pool[_owners(inter)][_owners(listed_drugs)]
+    listed = _distinct(trial * n_drugs + listed_drugs.values)
+    # each drug's list of pool trials, ascending
+    by_drug = np.argsort(listed % n_drugs, kind="stable")
+    lists = Ragged(_offsets(listed % n_drugs, n_drugs), listed[by_drug] // n_drugs)
+
+    # the combinations of the seekers -> the pool trials listing all its drugs
+    inter = t.interventions.take(seekers)
+    used = _distinct(inter.values)
+    need = combo_drugs.take(used)
+    rarest = np.lexsort((np.diff(lists.offsets)[need.values], _owners(need)))
+    cand = lists.take(need.values[rarest[need.offsets[:-1]]])
+    cand_combo = _owners(cand)
+    check = need.take(cand_combo)
+    key = cand.values[_owners(check)] * n_drugs + check.values
+    found = np.append(listed, -1)[np.searchsorted(listed, key)] == key
+    whole = np.bincount(_owners(check)[~found], minlength=len(cand.values)) == 0
+    matches = Ragged(_offsets(cand_combo[whole], len(used)), cand.values[whole])
+
+    hits = matches.take(np.searchsorted(used, inter.values))
+    p2, p3 = seekers[_owners(inter)][_owners(hits)], hits.values
+    keep = (t.start[p3] != NO_DATE) & (t.start[p2] < t.start[p3])
+    p2, p3 = p2[keep], p3[keep]
+    n_sets = len(mesh)
+    set_pairs, pair = np.unique(t.mesh[p2].astype(np.int64) * n_sets + t.mesh[p3],
+                                return_inverse=True)
+    subset = np.array([mesh[k // n_sets] <= mesh[k % n_sets] for k in set_pairs.tolist()],
+                      dtype=bool)
+    p2, p3 = p2[subset[pair]], p3[subset[pair]]
+    pairs = _distinct(p2.astype(np.int64) * len(t) + p3)
+    return Ragged(_offsets(pairs // len(t), len(t)), (pairs % len(t)).astype(np.int32))
+
+
+_SKIP_REASONS = ("", "no_intervention", "no_completion_date", "completed_after_cutoff")
+
+
+def _by_first_appearance(codes: np.ndarray) -> list[int]:
+    """The distinct codes in order of first appearance."""
+    distinct, first = np.unique(codes, return_index=True)
+    return distinct[np.argsort(first)].tolist()
 
 
 def link_all(
@@ -224,52 +278,34 @@ def link_all(
     with no start date is eligible and matches nothing."""
     t = reg.trials
     stop = frozenset(_basic_norm(s) for s in mesh_stoplist)
-    drug = [canonical_drug(d, synonyms) for d in t.drug_names.tolist()]
-    combos = [frozenset(drug[d] for d in row) for row in t.combos.rows()]
+    canonical: dict[str, int] = {}
+    drug = np.array([canonical.setdefault(canonical_drug(d, synonyms), len(canonical))
+                     for d in t.drug_names.tolist()], dtype=np.int64)
     term = [_clean_term(m, stop) for m in t.mesh_terms.tolist()]
-    mesh_sets = [frozenset(term[m] for m in row) - {None} for row in t.mesh_sets.rows()]
-    mesh = [mesh_sets[m] for m in t.mesh.tolist()]
-    interventions = t.interventions.rows()
-    phase, start, completion = t.phase.tolist(), t.start.tolist(), t.completion.tolist()
+    mesh = [frozenset(term[m] for m in row) - {None} for row in t.mesh_sets.rows()]
 
-    drug_index: dict[str, list[int]] = {}  # canonical drug -> listing phase III codes
-    for code in np.flatnonzero(t.phase == Phase.PHASE3.value).tolist():
-        for d in frozenset().union(*(combos[c] for c in interventions[code])):
-            drug_index.setdefault(d, []).append(code)
+    phase2 = t.order[t.phase[t.order] == Phase.PHASE2.value]
+    completion = t.completion[phase2]
+    reason = np.select(
+        [np.diff(t.interventions.offsets)[phase2] == 0, completion == NO_DATE,
+         completion > completion_cutoff.toordinal()], [1, 2, 3], 0)
+    eligible = reason == 0
+    seekers = phase2[eligible & (t.start[phase2] != NO_DATE)]
+    pool = np.flatnonzero(t.phase == Phase.PHASE3.value)
+    found = _match(t, drug, len(canonical), mesh, seekers, pool).take(phase2)
+    continued = np.diff(found.offsets) > 0
 
-    cutoff = completion_cutoff.toordinal()
-    phase2, reasons, offsets, matched = [], [], [0], []
-    summary = LinkSummary()
-    industry = t.industry.tolist()
-    for code in t.order.tolist():
-        if phase[code] != Phase.PHASE2.value:
-            continue
-        found: list[int] = []
-        if not interventions[code]:
-            reason = "no_intervention"
-        elif completion[code] == NO_DATE:
-            reason = "no_completion_date"
-        elif completion[code] > cutoff:
-            reason = "completed_after_cutoff"
-        else:
-            reason = ""
-            if start[code] != NO_DATE:
-                found = _link_indexed([combos[c] for c in interventions[code]], code,
-                                      start, mesh, drug_index)
-        phase2.append(code)
-        reasons.append(reason)
-        matched.extend(found)
-        offsets.append(len(matched))
-        summary.n_phase2 += 1
-        if reason:
-            summary.skip_counts[reason] = summary.skip_counts.get(reason, 0) + 1
-            continue
-        summary.n_eligible += 1
-        summary.n_continued += bool(found)
-        cls = (SponsorClass.INDUSTRY if industry[code] else SponsorClass.NON_INDUSTRY).value
-        n_el, n_cont = summary.by_sponsor_class.get(cls, (0, 0))
-        summary.by_sponsor_class[cls] = (n_el + 1, n_cont + int(bool(found)))
-    links = Links(t.ids, np.array(phase2, dtype=np.int32),
-                  np.array(reasons, dtype=str), np.array(offsets),
-                  np.array(matched, dtype=np.int32))
-    return links, summary
+    summary = LinkSummary(n_phase2=len(phase2), n_eligible=int(eligible.sum()),
+                          n_continued=int(continued.sum()))
+    skips = np.bincount(reason, minlength=len(_SKIP_REASONS))
+    summary.skip_counts = {_SKIP_REASONS[r]: int(skips[r])
+                           for r in _by_first_appearance(reason) if r}
+    industry = t.industry[phase2[eligible]].astype(np.intp)
+    n_el = np.bincount(industry, minlength=2)
+    n_cont = np.bincount(industry[continued[eligible]], minlength=2)
+    classes = (SponsorClass.NON_INDUSTRY.value, SponsorClass.INDUSTRY.value)
+    summary.by_sponsor_class = {classes[i]: (int(n_el[i]), int(n_cont[i]))
+                                for i in _by_first_appearance(industry)}
+    codes, reason = np.unique(reason, return_inverse=True)
+    skip_reason = np.array([_SKIP_REASONS[c] for c in codes.tolist()], dtype=str)[reason]
+    return Links(t.ids, phase2, skip_reason, found.offsets, found.values), summary

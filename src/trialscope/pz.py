@@ -257,8 +257,9 @@ def inv_norm_cdf(q):
     # Halley: x <- x - f/f' * (1 - f*f''/(2 f'^2))^-1 with f = Phi(x) - q.
     # Work on the tail side of the split to keep f well conditioned.
     upper = q_arr > 0.5
-    err = np.where(upper, norm_sf(x) - (1.0 - q_arr), norm_cdf(x) - q_arr)
-    err = np.where(upper, -err, err)
+    err = np.empty_like(x)
+    err[upper] = -(norm_sf(x[upper]) - (1.0 - q_arr[upper]))
+    err[~upper] = norm_cdf(x[~upper]) - q_arr[~upper]
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     u = err / pdf
     x = x - u / (1.0 + 0.5 * x * u)

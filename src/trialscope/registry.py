@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -30,7 +31,7 @@ __all__ = [
     "Trials",
     "Outcomes",
     "Registry",
-    "RegistryBuilder",
+    "build_registry",
     "SponsorSplit",
     "FilterAudit",
     "SchemaError",
@@ -124,13 +125,6 @@ class Ragged:
 
     offsets: np.ndarray
     values: np.ndarray
-
-    @classmethod
-    def of(cls, rows: Sequence[Sequence[int]]) -> "Ragged":
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in rows], out=offsets[1:])
-        values = np.fromiter((v for r in rows for v in r), dtype=np.int32, count=offsets[-1])
-        return cls(offsets, values)
 
     def rows(self) -> list[list[int]]:
         """Every row as a list."""
@@ -369,97 +363,25 @@ def assign_condition_category(mesh_conditions: Iterable[str]) -> str:
 # ---------------------------------------------------------------------------
 # Building the columns
 
-class RegistryBuilder:
-    """The columns of a registry under construction, one trial and one
-    outcome at a time in registry order.  Drug names, combinations, MeSH
-    terms and MeSH sets are interned as they first appear; each distinct
-    sponsor name is canonicalised once and each distinct MeSH set
-    categorised once."""
+def _first_seen(values: Iterable) -> dict:
+    """Each distinct value -> its rank in order of first appearance."""
+    distinct = dict.fromkeys(values)
+    return dict(zip(distinct, range(len(distinct))))
 
-    def __init__(self) -> None:
-        self.row_of: dict[str, int] = {}  # trial id -> registry row
-        self._trials: list[tuple] = []
-        self._interventions: list[list[int]] = []
-        self._outcomes: list[tuple] = []
-        self._keys: dict[str, str] = {}
-        self._drugs: dict[str, int] = {}
-        self._combos: dict[tuple[str, ...], int] = {}
-        self._terms: dict[str, int] = {}
-        self._mesh_sets: dict[frozenset[str], int] = {}
-        self._categories: list[str] = []
 
-    def sponsor_key(self, name: str) -> str:
-        """The canonical key of a sponsor name."""
-        key = self._keys.get(name)
-        if key is None:
-            key = self._keys[name] = canonical_sponsor(name)
-        return key
+def _lookup(table: Mapping, values: Sequence) -> np.ndarray:
+    """``table[v]`` of every value ``v``, as integers."""
+    return np.fromiter(map(table.__getitem__, values), np.int32, count=len(values))
 
-    def add_trial(
-        self, trial_id: str, phase: Phase, sponsor_name: str, industry: bool,
-        interventions: Iterable[Iterable[str]], mesh: Iterable[str], start: int,
-        completion: int, enrollment: int, placebo: bool, superiority: bool,
-    ) -> int:
-        """Append one trial and return its registry row.  Each entry of
-        ``interventions`` is one drug combination; empty ones are dropped.
-        Dates are ordinals, NO_DATE when missing."""
-        combos = (tuple(sorted(set(combo))) for combo in interventions)
-        terms = frozenset(mesh)
-        if terms not in self._mesh_sets:
-            self._categories.append(assign_condition_category(terms))
-        self.sponsor_key(sponsor_name)
-        row = self.row_of[trial_id] = len(self._trials)
-        self._trials.append((trial_id, phase.value, sponsor_name, industry,
-                             self._mesh_sets.setdefault(terms, len(self._mesh_sets)), start,
-                             completion, enrollment, placebo, superiority))
-        self._interventions.append(
-            [self._combos.setdefault(c, len(self._combos)) for c in combos if c])
-        return row
 
-    def add_outcome(self, row: int, rank: OutcomeRank, p: ReportedP, mht: bool) -> None:
-        """Append one outcome of the trial at registry row ``row``."""
-        self._outcomes.append((row, rank.value, p.kind, p.value, mht))
-
-    def build(self, rankings: Mapping[str, Mapping[str, int]]) -> Registry:
-        (ids, phase, names, industry, mesh, start, completion, enrollment, placebo,
-         superiority) = zip(*self._trials) if self._trials else ((),) * 10
-        ids = np.array(ids, dtype=str)
-        by_code = np.argsort(ids, kind="stable")  # the registry row of each code
-        code = np.empty(len(ids), dtype=np.int32)
-        code[by_code] = np.arange(len(ids))
-
-        def col(values, dtype) -> np.ndarray:
-            return np.array(values, dtype=dtype)[by_code]
-
-        names = col(names, str)
-        sponsor_keys, sponsor = np.unique(
-            np.array([self._keys[n] for n in names.tolist()], dtype=str), return_inverse=True)
-        mesh = col(mesh, np.int32)
-        conditions, condition = _coded(self._categories, mesh)
-        completion = col(completion, np.int64)
-        days, day = np.unique(completion, return_inverse=True)
-        years, year = _coded(["unknown" if d == NO_DATE else "%d" % date.fromordinal(d).year
-                              for d in days.tolist()], day)
-        combos = [[self._drugs.setdefault(d, len(self._drugs)) for d in c] for c in self._combos]
-        mesh_sets = [[self._terms.setdefault(t, len(self._terms)) for t in sorted(s)]
-                     for s in self._mesh_sets]
-        trials = Trials(
-            ids=ids[by_code], order=code, phase=col(phase, str), sponsor_name=names,
-            sponsor=sponsor, industry=col(industry, bool),
-            interventions=Ragged.of([self._interventions[r] for r in by_code.tolist()]),
-            mesh=mesh, condition=condition, year=year,
-            start=col(start, np.int64), completion=completion,
-            enrollment=col(enrollment, np.int64), placebo=col(placebo, bool),
-            superiority=col(superiority, bool), sponsor_keys=sponsor_keys,
-            combos=Ragged.of(combos), drug_names=np.array(list(self._drugs), dtype=str),
-            mesh_sets=Ragged.of(mesh_sets), mesh_terms=np.array(list(self._terms), dtype=str),
-            conditions=conditions, years=years,
-        )
-        rows, rank, kind, value, mht = zip(*self._outcomes) if self._outcomes else ((),) * 5
-        outcomes = Outcomes(code[np.array(rows, dtype=np.int64)], np.array(rank, dtype=str),
-                            np.array(kind, dtype=str), np.array(value, dtype=float),
-                            np.array(mht, dtype=bool))
-        return Registry(trials, outcomes, rankings)
+def _interned(rows: Sequence[Iterable]) -> tuple[Ragged, dict]:
+    """The ``rows`` of values as rows of codes, and each distinct value ->
+    its code, in order of first appearance."""
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(list(map(len, rows)), out=offsets[1:])
+    values = list(chain.from_iterable(rows))
+    codes = _first_seen(values)
+    return Ragged(offsets, _lookup(codes, values)), codes
 
 
 def _coded(labels: Sequence[str], code: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,8 +390,99 @@ def _coded(labels: Sequence[str], code: np.ndarray) -> tuple[np.ndarray, np.ndar
     return vocabulary, recode.astype(np.int32)[code]
 
 
+def _parse_combos(raw: str) -> list[tuple[str, ...]]:
+    """The drug combinations of an interventions cell, empty ones dropped,
+    each as its distinct drug names sorted."""
+    combos = []
+    for chunk in raw.split(";"):
+        drugs = set(map(str.strip, chunk.split("+")))
+        drugs.discard("")
+        if drugs:
+            combos.append(tuple(sorted(drugs)))
+    return combos
+
+
+def _parse_mesh(raw: str) -> frozenset[str]:
+    return frozenset(t.strip() for t in raw.split(";") if t.strip())
+
+
+def _sponsor_keys(names: Iterable[str], keys: dict[str, str]) -> dict[str, str]:
+    """``keys``, which maps sponsor names to their canonical keys, with the
+    ``names`` it lacks added."""
+    for name in set(names).difference(keys):
+        keys[name] = canonical_sponsor(name)
+    return keys
+
+
+def build_registry(trials: Mapping[str, Sequence], outcomes: Mapping[str, Sequence],
+                   rankings: Mapping[str, Mapping[str, int]],
+                   keys: dict[str, str] | None = None) -> Registry:
+    """The registry of trial and outcome columns in registry order.
+
+    ``trials`` holds ``ids``, ``phase`` (Phase values), ``sponsor_name``,
+    ``industry``, ``interventions`` and ``mesh`` (cells as trials.csv
+    writes them), ``start`` and ``completion`` (ordinals, NO_DATE when
+    missing), ``enrollment``, ``placebo`` and ``superiority``; ``outcomes``
+    holds ``trial`` (the registry row of each outcome's trial), ``rank``
+    (OutcomeRank values), ``p_kind``, ``p_value`` and ``mht``.  ``keys``
+    holds the canonical keys of sponsor names already seen.
+
+    Each distinct sponsor name is canonicalised once, each distinct
+    interventions and MeSH cell parsed once and each distinct MeSH set
+    categorised once; drug names, combinations, MeSH terms and MeSH sets
+    are interned in order of first appearance."""
+    ids = np.array(trials["ids"], dtype=str)
+    by_code = np.argsort(ids, kind="stable")  # the registry row of each code
+    code = np.empty(len(ids), dtype=np.int32)
+    code[by_code] = np.arange(len(ids))
+
+    def col(name: str, dtype) -> np.ndarray:
+        return np.asarray(trials[name], dtype=dtype)[by_code]
+
+    names = _first_seen(trials["sponsor_name"])
+    keys = _sponsor_keys(names, {} if keys is None else keys)
+    sponsor_keys, key_code = np.unique(
+        np.array([keys[n] for n in names], dtype=str), return_inverse=True)
+
+    cells = _first_seen(trials["interventions"])
+    listed, combos = _interned(list(map(_parse_combos, cells)))
+    interventions = listed.take(_lookup(cells, trials["interventions"])[by_code])
+    combo_drugs, drugs = _interned(list(combos))
+
+    cells = _first_seen(trials["mesh"])
+    terms_of_cell = list(map(_parse_mesh, cells))
+    mesh_sets = _first_seen(terms_of_cell)
+    mesh = _lookup(mesh_sets, terms_of_cell)[_lookup(cells, trials["mesh"])][by_code]
+    conditions, condition = _coded(list(map(assign_condition_category, mesh_sets)), mesh)
+    set_terms, terms = _interned(list(map(sorted, mesh_sets)))
+
+    completion = col("completion", np.int64)
+    days, day = np.unique(completion, return_inverse=True)
+    years, year = _coded(["unknown" if d == NO_DATE else "%d" % date.fromordinal(d).year
+                          for d in days.tolist()], day)
+    t = Trials(
+        ids=ids[by_code], order=code, phase=col("phase", str),
+        sponsor_name=col("sponsor_name", str),
+        sponsor=key_code[_lookup(names, trials["sponsor_name"])][by_code],
+        industry=col("industry", bool), interventions=interventions,
+        mesh=mesh, condition=condition, year=year,
+        start=col("start", np.int64), completion=completion,
+        enrollment=col("enrollment", np.int64), placebo=col("placebo", bool),
+        superiority=col("superiority", bool), sponsor_keys=sponsor_keys,
+        combos=combo_drugs, drug_names=np.array(list(drugs), dtype=str),
+        mesh_sets=set_terms, mesh_terms=np.array(list(terms), dtype=str),
+        conditions=conditions, years=years,
+    )
+    o = Outcomes(code[np.asarray(outcomes["trial"], dtype=np.int64)],
+                 np.asarray(outcomes["rank"], dtype=str),
+                 np.asarray(outcomes["p_kind"], dtype=str),
+                 np.asarray(outcomes["p_value"], dtype=float),
+                 np.asarray(outcomes["mht"], dtype=bool))
+    return Registry(t, o, rankings)
+
+
 # ---------------------------------------------------------------------------
-# CSV parsing helpers
+# CSV ingestion, a column and a distinct cell at a time
 
 TRIALS_COLUMNS = [
     "trial_id", "phase", "sponsor_name", "sponsor_class", "interventions",
@@ -480,47 +493,268 @@ OUTCOMES_COLUMNS = ["trial_id", "outcome_rank", "p_kind", "p_value", "mht_adjust
 RANKINGS_COLUMNS = ["sponsor_name", "criterion", "rank"]
 
 _PHASES = {"phase2": Phase.PHASE2, "phase3": Phase.PHASE3}
-_BOOLS = {"true": True, "false": False, "1": True, "0": False}
+
+# records moved from rows into the columns at a time
+_CHUNK = 4096
 
 
-def _parse_bool(raw: str, file: str, line: int, column: str) -> bool:
-    try:
-        return _BOOLS[raw.strip().casefold()]
-    except KeyError:
-        raise SchemaError(file, line, column, f"expected true/false, got {raw!r}") from None
+def _parser(convert, expected: str):
+    """A cell parser: ``convert(cell)``, or a ValueError naming the cell when
+    that raises ValueError or KeyError."""
+    def parse(raw: str):
+        try:
+            return convert(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"expected {expected}, got {raw!r}") from None
+    return parse
 
 
-def _parse_date(raw: str, file: str, line: int, column: str) -> int:
+def _keyword(values: Mapping[str, object], expected: str):
+    """A parser of cells naming a key of ``values``, in any case and padding."""
+    return _parser(lambda raw: values[raw.strip().casefold()], expected)
+
+
+_parse_bool = _keyword({"true": True, "false": False, "1": True, "0": False}, "true/false")
+_parse_industry = _keyword({c.value: c is SponsorClass.INDUSTRY for c in SponsorClass},
+                           "industry/non_industry")
+_parse_rank = _keyword({r.value: r.value for r in OutcomeRank}, "primary/secondary")
+_parse_p_kind = _keyword({k: k for k in ("exact", "lt", "gt")}, "exact/lt/gt")
+_parse_int = _parser(int, "integer")
+_parse_float = _parser(float, "number")
+
+
+def _parse_date(raw: str) -> int:
     raw = raw.strip()
     if not raw:
         return NO_DATE
     try:
         return date.fromisoformat(raw).toordinal()
     except ValueError:
-        raise SchemaError(file, line, column, f"expected ISO date, got {raw!r}") from None
+        raise ValueError(f"expected ISO date, got {raw!r}") from None
 
 
-def _parse_interventions(raw: str) -> list[list[str]]:
-    return [[d.strip() for d in chunk.split("+") if d.strip()] for chunk in raw.split(";")]
+def _parse_criterion(raw: str) -> str:
+    crit = raw.strip()
+    if crit not in RANK_CRITERIA:
+        raise ValueError(f"unknown criterion {crit!r}; expected one of {RANK_CRITERIA}")
+    return crit
 
 
-def _read_rows(path: Path, expected: Sequence[str]):
-    """Each record after a header of the ``expected`` columns, by column,
-    with the line it starts on; blank lines are skipped."""
+def _parse_phase(raw: str) -> str:
+    return _PHASES.get(raw.strip().casefold(), Phase.OTHER).value
+
+
+def _parse_superiority(raw: str) -> bool:
+    return raw.strip().casefold() == StudyType.INTERVENTIONAL_SUPERIORITY.value
+
+
+class _Parsed(dict):
+    """Each cell -> ``parse(cell)``, parsed on its first lookup."""
+
+    def __init__(self, parse):
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, cell: str):
+        value = self[cell] = self.parse(cell)
+        return value
+
+
+def _distinct(parse, cells: Sequence[str], dtype=None):
+    """``parse`` of every cell, called once per distinct cell, as a list or
+    as an array of ``dtype``."""
+    values = map(_Parsed(parse).__getitem__, cells)
+    return list(values) if dtype is None else np.fromiter(values, dtype, count=len(cells))
+
+
+def _extend(columns: list[list[str]], chunk: list[list[str]]) -> None:
+    for column, cells in zip(columns, zip(*chunk)):
+        column.extend(cells)
+    chunk.clear()
+
+
+def _read_columns(path: Path, expected: Sequence[str]):
+    """The cells of the records after a header of the ``expected`` columns,
+    one list per column, the line each record starts on, and the error of
+    a record with another number of fields, where reading stopped (None
+    when every record has them all).  Blank lines are skipped."""
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         got = next(reader, [])
         if got != list(expected):
             raise SchemaError(str(path), 1, "<header>", f"expected columns {expected}, got {got}")
+        n = len(expected)
+        columns: list[list[str]] = [[] for _ in expected]
+        lines: list[int] = []
+        chunk: list[list[str]] = []
+        fault = None
         line = reader.line_num + 1
         for values in reader:
-            if len(values) not in (0, len(expected)):
-                raise SchemaError(str(path), line, "<row>",
-                                  f"expected {len(expected)} fields, got {len(values)}")
-            if values:
-                yield line, dict(zip(expected, values))
+            if len(values) == n:
+                chunk.append(values)
+                lines.append(line)
+                if len(chunk) == _CHUNK:
+                    _extend(columns, chunk)
+            elif values:
+                fault = SchemaError(str(path), line, "<row>",
+                                    f"expected {n} fields, got {len(values)}")
+                break
             line = reader.line_num + 1
+        _extend(columns, chunk)
+    return columns, lines, fault
+
+
+# Each file's columns are converted and checked a column at a time.  Only
+# when a check fails are its records checked again one at a time, every
+# check of a record before the next record, which raises the first failing
+# record's first failing check.
+
+class _Record:
+    """The checks of the CSV record at ``line`` of ``file``, each raising
+    its SchemaError."""
+
+    def __init__(self, file: str, line: int):
+        self.file, self.line = file, line
+
+    def check(self, column: str, ok: bool, message: str) -> None:
+        if not ok:
+            raise SchemaError(self.file, self.line, column, message)
+
+    def cell(self, column: str, parse, raw):
+        """``parse(raw)``, whose ValueError fails the check of ``column``."""
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise SchemaError(self.file, self.line, column, str(exc)) from None
+
+
+def _check_rankings(file: str, lines: Sequence[int], records: Iterable,
+                    keys: Mapping[str, str]) -> None:
+    seen = set()
+    for line, (name, criterion, rank) in zip(lines, records):
+        at = _Record(file, line)
+        crit = at.cell("criterion", _parse_criterion, criterion)
+        at.check("rank", at.cell("rank", _parse_int, rank) >= 1, "rank must be >= 1")
+        entry = (crit, keys[name])
+        at.check("sponsor_name", entry not in seen,
+                 f"duplicate rank entry for {name!r} under {crit}")
+        seen.add(entry)
+
+
+def _check_trials(file: str, lines: Sequence[int], records: Iterable,
+                  keys: Mapping[str, str], ranked: set[str]) -> None:
+    seen = set()
+    for line, record in zip(lines, records):
+        tid, _, sponsor, sclass, _, _, start, completion, enrollment, placebo, _ = record
+        tid, sponsor = tid.strip(), sponsor.strip()
+        at = _Record(file, line)
+        at.check("trial_id", tid != "", "empty trial id")
+        at.check("trial_id", tid not in seen, f"duplicate trial id {tid!r}")
+        seen.add(tid)
+        at.check("sponsor_name", ";" not in sponsor,
+                 "multiple sponsors listed; supply the single lead sponsor")
+        industry = at.cell("sponsor_class", _parse_industry, sclass)
+        at.check("enrollment", at.cell("enrollment", _parse_int, enrollment) >= 0,
+                 "enrollment must be >= 0")
+        first = at.cell("start_date", _parse_date, start)
+        last = at.cell("completion_date", _parse_date, completion)
+        at.check("completion_date", NO_DATE in (first, last) or first <= last,
+                 "completion before start")
+        at.check("sponsor_class", industry or keys[sponsor] not in ranked,
+                 f"sponsor {sponsor!r} is ranked but classed non_industry")
+        at.cell("placebo_comparator", _parse_bool, placebo)
+
+
+def _check_outcomes(file: str, lines: Sequence[int], records: Iterable,
+                    row_of: Mapping[str, int]) -> None:
+    for line, (tid, rank, kind, value, mht) in zip(lines, records):
+        if tid.strip() not in row_of:
+            continue  # rows of absent trials are listed, not validated
+        at = _Record(file, line)
+        at.cell("outcome_rank", _parse_rank, rank)
+        kind = at.cell("p_kind", _parse_p_kind, kind)
+        at.cell("p_value", lambda p: ReportedP(kind, p), at.cell("p_value", _parse_float, value))
+        at.cell("mht_adjusted", _parse_bool, mht)
+
+
+def _read_rankings(path: Path, keys: dict[str, str]) -> dict[str, dict[str, int]]:
+    columns, lines, fault = _read_columns(path, RANKINGS_COLUMNS)
+    names, criteria, ranks = columns
+    _sponsor_keys(names, keys)
+    try:
+        crit = _distinct(_parse_criterion, criteria)
+        rank = list(map(int, ranks))
+        entries = list(zip(crit, map(keys.__getitem__, names)))
+        ok = min(rank, default=1) >= 1 and len(set(entries)) == len(entries)
+    except ValueError:
+        ok = False
+    if not ok:
+        _check_rankings(str(path), lines, zip(*columns), keys)
+    if fault is not None:
+        raise fault
+    rankings: dict[str, dict[str, int]] = {c: {} for c in RANK_CRITERIA}
+    for (c, key), value in zip(entries, rank):
+        rankings[c][key] = value
+    return rankings
+
+
+def _read_trials(path: Path, keys: dict[str, str],
+                 ranked: set[str]) -> tuple[dict[str, Sequence], dict[str, int]]:
+    """The trial columns, and each trial id -> its row."""
+    columns, lines, fault = _read_columns(path, TRIALS_COLUMNS)
+    (tid, phase, sponsor, sclass, interventions, mesh, start, completion, enrollment,
+     placebo, study_type) = columns
+    ids, names = list(map(str.strip, tid)), list(map(str.strip, sponsor))
+    row_of = dict(zip(ids, range(len(ids))))
+    distinct = set(names)
+    _sponsor_keys(distinct, keys)
+    ranked_names = {n for n in distinct if keys[n] in ranked}
+    try:
+        industry = _distinct(_parse_industry, sclass, bool)
+        enrollment = list(map(int, enrollment))
+        start = _distinct(_parse_date, start, np.int64)
+        completion = _distinct(_parse_date, completion, np.int64)
+        placebo = _distinct(_parse_bool, placebo, bool)
+        listed = np.fromiter(map(ranked_names.__contains__, names), bool, count=len(names))
+        ok = (len(row_of) == len(ids) and "" not in row_of
+              and not any(";" in n for n in distinct) and min(enrollment, default=0) >= 0
+              and not ((start != NO_DATE) & (completion != NO_DATE) & (start > completion)).any()
+              and industry[listed].all())
+    except ValueError:
+        ok = False
+    if not ok:
+        _check_trials(str(path), lines, zip(*columns), keys, ranked)
+    if fault is not None:
+        raise fault
+    return dict(ids=ids, phase=_distinct(_parse_phase, phase), sponsor_name=names,
+                industry=industry, interventions=interventions, mesh=mesh, start=start,
+                completion=completion, enrollment=enrollment, placebo=placebo,
+                superiority=_distinct(_parse_superiority, study_type, bool)), row_of
+
+
+def _read_outcomes(path: Path, row_of: Mapping[str, int]) -> dict[str, Sequence]:
+    columns, lines, fault = _read_columns(path, OUTCOMES_COLUMNS)
+    tid, rank, kind, value, mht = columns
+    ids = list(map(str.strip, tid))
+    trial = list(map(row_of.get, ids))
+    try:
+        rank = _distinct(_parse_rank, rank)
+        kind = _distinct(_parse_p_kind, kind)
+        p = np.fromiter(map(float, value), float, count=len(value))
+        exact = np.fromiter(map("exact".__eq__, kind), bool, count=len(kind))
+        ok = np.where(exact, (p >= 0.0) & (p <= 1.0), (p > 0.0) & (p < 1.0)).all()
+        mht = _distinct(_parse_bool, mht, bool)
+    except ValueError:
+        ok = False
+    if not ok:  # also when only rows of absent trials fail
+        _check_outcomes(str(path), lines, zip(*columns), row_of)
+    if fault is not None:
+        raise fault
+    if None in trial:
+        raise ValueError("outcome rows reference absent trials:\n  " + "\n  ".join(
+            f"{path}:{line} -> {i!r}" for line, i, t in zip(lines, ids, trial) if t is None))
+    return dict(trial=trial, rank=rank, p_kind=kind, p_value=p, mht=mht)
 
 
 def ingest(
@@ -528,134 +762,21 @@ def ingest(
     outcomes_csv: str | Path,
     rankings_csv: str | Path | None = None,
 ) -> Registry:
-    """Load a registry extract from CSV files, validating as we go.
+    """Load a registry extract from CSV files: rankings, then trials, then
+    outcomes, each file read into columns and validated a column at a time.
 
-    Raises SchemaError naming file/line/column on malformed rows and
-    ValueError listing offenders when outcomes reference absent trials.
+    Raises SchemaError naming file/line/column of the first malformed row
+    (its first failed check, in docs/schemas.md order) and ValueError
+    listing offenders when outcomes reference absent trials.
     """
-    trials_csv, outcomes_csv = Path(trials_csv), Path(outcomes_csv)
-    cols = RegistryBuilder()
-
+    keys: dict[str, str] = {}  # sponsor name -> canonical key, for every file
     rankings: dict[str, dict[str, int]] = {c: {} for c in RANK_CRITERIA}
     if rankings_csv is not None:
-        rankings_csv = Path(rankings_csv)
-        for line, row in _read_rows(rankings_csv, RANKINGS_COLUMNS):
-            crit = row["criterion"].strip()
-            if crit not in RANK_CRITERIA:
-                raise SchemaError(
-                    str(rankings_csv), line, "criterion",
-                    f"unknown criterion {crit!r}; expected one of {RANK_CRITERIA}",
-                )
-            try:
-                rank = int(row["rank"])
-            except ValueError:
-                raise SchemaError(
-                    str(rankings_csv), line, "rank", f"expected integer, got {row['rank']!r}"
-                ) from None
-            if rank < 1:
-                raise SchemaError(str(rankings_csv), line, "rank", "rank must be >= 1")
-            key = cols.sponsor_key(row["sponsor_name"])
-            if key in rankings[crit]:
-                raise SchemaError(
-                    str(rankings_csv), line, "sponsor_name",
-                    f"duplicate rank entry for {row['sponsor_name']!r} under {crit}",
-                )
-            rankings[crit][key] = rank
+        rankings = _read_rankings(Path(rankings_csv), keys)
     ranked = {key for table in rankings.values() for key in table}
-
-    fname = str(trials_csv)
-    for line, row in _read_rows(trials_csv, TRIALS_COLUMNS):
-        tid = row["trial_id"].strip()
-        if not tid:
-            raise SchemaError(fname, line, "trial_id", "empty trial id")
-        if tid in cols.row_of:
-            raise SchemaError(fname, line, "trial_id", f"duplicate trial id {tid!r}")
-        sponsor = row["sponsor_name"].strip()
-        if ";" in sponsor:
-            raise SchemaError(
-                fname, line, "sponsor_name",
-                "multiple sponsors listed; supply the single lead sponsor",
-            )
-        raw_class = row["sponsor_class"].strip().casefold()
-        try:
-            sclass = SponsorClass(raw_class)
-        except ValueError:
-            raise SchemaError(
-                fname, line, "sponsor_class",
-                f"expected industry/non_industry, got {row['sponsor_class']!r}",
-            ) from None
-        try:
-            enrollment = int(row["enrollment"])
-        except ValueError:
-            raise SchemaError(
-                fname, line, "enrollment", f"expected integer, got {row['enrollment']!r}"
-            ) from None
-        if enrollment < 0:
-            raise SchemaError(fname, line, "enrollment", "enrollment must be >= 0")
-        start = _parse_date(row["start_date"], fname, line, "start_date")
-        completion = _parse_date(row["completion_date"], fname, line, "completion_date")
-        if start != NO_DATE and completion != NO_DATE and start > completion:
-            raise SchemaError(fname, line, "completion_date", "completion before start")
-        if sclass is not SponsorClass.INDUSTRY and cols.sponsor_key(sponsor) in ranked:
-            raise SchemaError(
-                fname, line, "sponsor_class",
-                f"sponsor {sponsor!r} is ranked but classed non_industry",
-            )
-        cols.add_trial(
-            tid,
-            phase=_PHASES.get(row["phase"].strip().casefold(), Phase.OTHER),
-            sponsor_name=sponsor,
-            industry=sclass is SponsorClass.INDUSTRY,
-            interventions=_parse_interventions(row["interventions"]),
-            mesh=(t.strip() for t in row["mesh_conditions"].split(";") if t.strip()),
-            start=start,
-            completion=completion,
-            enrollment=enrollment,
-            placebo=_parse_bool(row["placebo_comparator"], fname, line, "placebo_comparator"),
-            superiority=(row["study_type"].strip().casefold()
-                         == StudyType.INTERVENTIONAL_SUPERIORITY.value),
-        )
-
-    dangling: list[str] = []
-    fname = str(outcomes_csv)
-    for line, row in _read_rows(outcomes_csv, OUTCOMES_COLUMNS):
-        tid = row["trial_id"].strip()
-        trial = cols.row_of.get(tid)
-        if trial is None:
-            dangling.append(f"{fname}:{line} -> {tid!r}")
-            continue
-        raw_rank = row["outcome_rank"].strip().casefold()
-        try:
-            rank = OutcomeRank(raw_rank)
-        except ValueError:
-            raise SchemaError(
-                fname, line, "outcome_rank",
-                f"expected primary/secondary, got {row['outcome_rank']!r}",
-            ) from None
-        kind = row["p_kind"].strip().casefold()
-        if kind not in ("exact", "lt", "gt"):
-            raise SchemaError(
-                fname, line, "p_kind", f"expected exact/lt/gt, got {row['p_kind']!r}"
-            )
-        try:
-            pval = float(row["p_value"])
-        except ValueError:
-            raise SchemaError(
-                fname, line, "p_value", f"expected number, got {row['p_value']!r}"
-            ) from None
-        try:
-            rp = ReportedP(kind, pval)
-        except ValueError as exc:
-            raise SchemaError(fname, line, "p_value", str(exc)) from None
-        cols.add_outcome(
-            trial, rank, rp, _parse_bool(row["mht_adjusted"], fname, line, "mht_adjusted")
-        )
-    if dangling:
-        raise ValueError(
-            "outcome rows reference absent trials:\n  " + "\n  ".join(dangling)
-        )
-
-    return cols.build(rankings)
+    trials, row_of = _read_trials(Path(trials_csv), keys, ranked)
+    outcomes = _read_outcomes(Path(outcomes_csv), row_of)
+    return build_registry(trials, outcomes, rankings, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,7 @@ from .registry import (
     OutcomeRank,
     Phase,
     Registry,
-    RegistryBuilder,
-    ReportedP,
+    build_registry,
 )
 
 __all__ = [
@@ -217,13 +216,13 @@ def continuation_probability(
     return out
 
 
-def _report_p(z: float) -> ReportedP:
-    p = float(2.0 * (1.0 - pz.norm_cdf(z)))
-    if p < 0.0001:
-        return ReportedP.less(0.0001)
-    if p < 0.001:
-        return ReportedP.less(0.001)
-    return ReportedP.exact(min(max(p, 0.0), 1.0))
+def _report_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reported p-value of each statistic as (kind, value): exact,
+    or censored as p<0.001 or p<0.0001."""
+    p = 2.0 * (1.0 - pz.norm_cdf(np.asarray(z, dtype=float)))
+    kind = np.where(p < 0.001, "lt", "exact")
+    value = np.where(p < 0.0001, 0.0001, np.where(p < 0.001, 0.001, np.clip(p, 0.0, 1.0)))
+    return kind, value
 
 
 def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
@@ -291,57 +290,71 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
             inflated, sig + mr.window * s_misreport.random(n), z3_rep
         )
 
-    cols = RegistryBuilder()
-    truth_rows: list[TrialTruth] = []
-    synonym_pairs: list[tuple[str, str]] = []
+    # registry order: each phase II trial, then its phase III trial if continued
+    p3 = np.flatnonzero(continued)
+    row2 = np.arange(n) + np.concatenate(([0], np.cumsum(continued)[:-1]))
+    row3 = row2[p3] + 1
 
-    for i in range(n):
-        tid = f"SIM2-{i + 1:05d}"
-        drug = f"drug-{i + 1:05d}"
-        mesh = [f"{cond_codes[i]}:Condition {cond_codes[i]}"]
-        start = date(int(start_year[i]), int(start_month[i]), 1)
-        sponsor = str(sponsors[i])
-        row = cols.add_trial(
-            tid, Phase.PHASE2, sponsor, industry=True, interventions=[[drug]], mesh=mesh,
-            start=start.toordinal(), completion=(start + timedelta(days=730)).toordinal(),
-            enrollment=int(enroll2[i]), placebo=bool(placebo[i]), superiority=True,
-        )
-        cols.add_outcome(row, OutcomeRank.PRIMARY, _report_p(float(z2[i])), bool(mht[i]))
-        for j in range(cfg.secondary_outcomes_per_trial):
-            theta_s = s_second.normal(cfg.effect_mean, cfg.effect_sd)
-            z_s = abs(s2[i] * theta_s + s_second.normal())
-            cols.add_outcome(row, OutcomeRank.SECONDARY, _report_p(float(z_s)), False)
+    def rows(phase2, phase3) -> list:
+        out = np.empty(n + len(p3), dtype=np.result_type(phase2, phase3))
+        out[row2], out[row3] = phase2, phase3
+        return out.tolist()
 
-        tt = TrialTruth(
-            trial_id=tid,
-            theta=float(theta[i]),
-            t2=float(t2[i]),
-            z2=float(z2[i]),
-            p_continue=float(p_cont[i]),
-            continued=bool(continued[i]),
-        )
-        if continued[i]:
-            p3id = f"SIM3-{i + 1:05d}"
-            listed_drug = drug
-            if use_synonym[i]:
-                listed_drug = f"{drug}-alt"
-                synonym_pairs.append((drug, listed_drug))
-            p3_start = start + timedelta(days=int(gap_days[i]))
-            row = cols.add_trial(
-                p3id, Phase.PHASE3, sponsor, industry=True, interventions=[[listed_drug]],
-                mesh=mesh, start=p3_start.toordinal(),
-                completion=(p3_start + timedelta(days=900)).toordinal(),
-                enrollment=int(enroll2[i] * max(cfg.phase3_enroll_mult, 1.0)),
-                placebo=bool(placebo[i]), superiority=True,
-            )
-            tt.phase3_id = p3id
-            tt.z3_true = float(z3[i])
-            tt.suppressed = bool(suppressed[i])
-            tt.inflated = bool(inflated[i])
-            tt.z3_reported = float(z3_rep[i])
-            if not suppressed[i]:
-                cols.add_outcome(row, OutcomeRank.PRIMARY, _report_p(float(z3_rep[i])), False)
-        truth_rows.append(tt)
+    number = [f"{i:05d}" for i in range(1, n + 1)]
+    drug = np.array([f"drug-{k}" for k in number])
+    listed_drug = np.array([f"drug-{number[i]}-alt" if use_synonym[i] else drug[i]
+                            for i in p3.tolist()], dtype=str)
+    mesh = np.array([f"{c}:Condition {c}" for c in cond_codes.tolist()])
+    start = np.array([date(y, m, 1).toordinal()
+                      for y, m in zip(start_year.tolist(), start_month.tolist())])
+    p3_start = start[p3] + gap_days[p3]
+    trials = dict(
+        ids=rows(np.array([f"SIM2-{k}" for k in number]),
+                 np.array([f"SIM3-{number[i]}" for i in p3.tolist()], dtype=str)),
+        phase=rows(np.full(n, Phase.PHASE2.value), np.full(len(p3), Phase.PHASE3.value)),
+        sponsor_name=rows(sponsors, sponsors[p3]), industry=np.ones(n + len(p3), dtype=bool),
+        interventions=rows(drug, listed_drug), mesh=rows(mesh, mesh[p3]),
+        start=rows(start, p3_start), completion=rows(start + 730, p3_start + 900),
+        enrollment=rows(enroll2, (enroll2[p3] * max(cfg.phase3_enroll_mult, 1.0)).astype(np.int64)),
+        placebo=rows(placebo, placebo[p3]), superiority=np.ones(n + len(p3), dtype=bool),
+    )
+
+    # outcomes of trial i: its primary, its secondaries, then the primary of
+    # its phase III trial unless suppressed
+    k = cfg.secondary_outcomes_per_trial
+    z_second = np.empty((n, k))
+    for i, j in np.ndindex(n, k):
+        theta_s = s_second.normal(cfg.effect_mean, cfg.effect_sd)
+        z_second[i, j] = abs(s2[i] * theta_s + s_second.normal())
+    reported = p3[~suppressed[p3]]
+    owner = np.concatenate((np.arange(n), np.repeat(np.arange(n), k), reported))
+    slot = np.concatenate((np.zeros(n, dtype=np.int64), np.tile(np.arange(1, k + 1), n),
+                           np.full(len(reported), k + 1)))
+    by_trial = np.argsort(owner * (k + 2) + slot)
+    kind, value = _report_p(np.concatenate((z2, z_second.ravel(), z3_rep[reported])))
+    outcomes = dict(
+        trial=np.concatenate((row2, np.repeat(row2, k), row2[reported] + 1))[by_trial],
+        rank=np.repeat([OutcomeRank.PRIMARY.value, OutcomeRank.SECONDARY.value,
+                        OutcomeRank.PRIMARY.value], [n, n * k, len(reported)])[by_trial].tolist(),
+        p_kind=kind[by_trial].tolist(), p_value=value[by_trial],
+        mht=np.concatenate((mht, np.zeros(n * k + len(reported), dtype=bool)))[by_trial],
+    )
+
+    ids = trials["ids"]
+    truth_rows = [
+        TrialTruth(trial_id=ids[r], theta=th, t2=t, z2=z, p_continue=pc, continued=c)
+        for r, th, t, z, pc, c in zip(row2.tolist(), theta.tolist(), t2.tolist(), z2.tolist(),
+                                      p_cont.tolist(), continued.tolist())
+    ]
+    for i, r in zip(p3.tolist(), row3.tolist()):
+        tt = truth_rows[i]
+        tt.phase3_id = ids[r]
+        tt.z3_true = float(z3[i])
+        tt.suppressed = bool(suppressed[i])
+        tt.inflated = bool(inflated[i])
+        tt.z3_reported = float(z3_rep[i])
+    synonym_pairs = [(d, alt) for d, alt, syn in zip(drug[p3].tolist(), listed_drug.tolist(),
+                                                     use_synonym[p3].tolist()) if syn]
 
     # seeded sponsor rankings for split-based analyses
     rankings: dict[str, dict[str, int]] = {}
@@ -351,7 +364,7 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
         order = rank_rng.permutation(cfg.n_sponsors)
         rankings[crit] = {names[j]: int(r + 1) for r, j in enumerate(order)}
 
-    reg = cols.build(rankings)
+    reg = build_registry(trials, outcomes, rankings)
     truth = SimTruth(trials=truth_rows, config=cfg, synonym_pairs=synonym_pairs)
     return reg, truth
 

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from trialscope.registry import NO_DATE, Phase, Ragged, Registry, RegistryBuilder, Trials
+from trialscope.registry import NO_DATE, Phase, Ragged, Registry, Trials, build_registry
 
 
 @dataclass(frozen=True)
@@ -58,33 +58,42 @@ def records(reg: Registry) -> dict[str, Trial]:
     return out
 
 
+def _trial_columns(n: int, **columns) -> dict:
+    """Trial columns of ``n`` industry superiority trials with a placebo
+    arm, enrolling 100, with no interventions, MeSH terms or dates, and the
+    given ``columns`` instead."""
+    return {"phase": [Phase.PHASE2.value] * n, "sponsor_name": ["Acme Pharma"] * n,
+            "industry": [True] * n, "interventions": [""] * n, "mesh": [""] * n,
+            "start": [NO_DATE] * n, "completion": [NO_DATE] * n, "enrollment": [100] * n,
+            "placebo": [True] * n, "superiority": [True] * n, **columns}
+
+
+_NO_OUTCOMES = {"trial": [], "rank": [], "p_kind": [], "p_value": [], "mht": []}
+
+
 def registry_of(trials: Sequence[Trial]) -> Registry:
     """A registry of hand-built industry trials, in the given order, with
     no outcomes or rankings."""
-    cols = RegistryBuilder()
-    for t in trials:
-        cols.add_trial(
-            t.trial_id, t.phase, t.sponsor_name, industry=True,
-            interventions=t.interventions, mesh=t.mesh_conditions,
-            start=_ordinal(t.start_date), completion=_ordinal(t.completion_date),
-            enrollment=100, placebo=True, superiority=True,
-        )
-    return cols.build({})
+    columns = _trial_columns(
+        len(trials), ids=[t.trial_id for t in trials], phase=[t.phase.value for t in trials],
+        sponsor_name=[t.sponsor_name for t in trials],
+        interventions=[";".join("+".join(sorted(c)) for c in t.interventions) for t in trials],
+        mesh=[";".join(sorted(t.mesh_conditions)) for t in trials],
+        start=[_ordinal(t.start_date) for t in trials],
+        completion=[_ordinal(t.completion_date) for t in trials])
+    return build_registry(columns, _NO_OUTCOMES, {})
 
 
 def coded_trials(enrollment, placebo, condition, year) -> Trials:
     """Industry phase II trials coded 0, 1, ... with the given enrollment,
     placebo flag, condition category and completion year names, one each."""
-    cols = RegistryBuilder()
-    for i, (e, p) in enumerate(zip(np.asarray(enrollment).tolist(), np.asarray(placebo).tolist())):
-        cols.add_trial(
-            f"T{i:07d}", Phase.PHASE2, "Acme Pharma", industry=True, interventions=(),
-            mesh=(), start=NO_DATE, completion=NO_DATE, enrollment=e, placebo=bool(p),
-            superiority=True,
-        )
+    enrollment = np.asarray(enrollment).tolist()
+    columns = _trial_columns(len(enrollment), ids=[f"T{i:07d}" for i in range(len(enrollment))],
+                             enrollment=enrollment, placebo=np.asarray(placebo, dtype=bool))
     conditions, cond = np.unique(np.asarray(condition, dtype=str), return_inverse=True)
     years, yr = np.unique(np.asarray(year, dtype=str), return_inverse=True)
-    return replace(cols.build({}).trials, condition=cond.astype(np.int32), conditions=conditions,
+    return replace(build_registry(columns, _NO_OUTCOMES, {}).trials,
+                   condition=cond.astype(np.int32), conditions=conditions,
                    year=yr.astype(np.int32), years=years)
 
 

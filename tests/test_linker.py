@@ -282,3 +282,60 @@ class TestLinks:
             b"P2-C,true,1,\r\n"
             b"P2-D,false,0,\r\n"
         )
+
+
+class TestJoinAgainstLinearLinker:
+    """A hand-built registry that reaches the paths the simulator never does:
+    one drug listed by many phase III trials, combinations of several drugs
+    matched in full or in part, synonym chains, dosage suffixes, stoplisted
+    MeSH terms, missing and equal start dates."""
+
+    DRUGS = ["druga", "DrugA 50 mg", "drugb", "DRUGB (10 mg)", "drugc", "brand-a", "alias a",
+             "drugd 2.5mg/kg", "druge"]
+    MESH = ["C14:Hypertension", "C10:Migraine", "Disease", "C04:Syndrome", "Hypertension"]
+    STARTS = [None, date(2011, 1, 1), date(2012, 1, 1), date(2012, 1, 1), date(2014, 6, 1),
+              date(2016, 1, 1)]
+    COMPLETIONS = [None, date(2013, 1, 1), date(2018, 12, 31), date(2019, 1, 1)]
+    SYNONYMS = build_synonym_map([("druga", "brand-a"), ("brand-a", "alias a"),
+                                  ("drugc", "drugd")])
+
+    def registry(self, seed, n=160):
+        rng = np.random.default_rng(seed)
+
+        def combos(k):
+            return [set(rng.choice(self.DRUGS, size=rng.integers(1, 4), replace=False))
+                    for _ in range(k)]
+
+        trials = []
+        for i in range(n):
+            phase3 = rng.random() < 0.6
+            trials.append(make_trial(
+                f"T{rng.permutation(10_000)[0]:04d}-{i}",
+                Phase.PHASE3 if phase3 else Phase.PHASE2,
+                combos(rng.integers(0 if not phase3 else 1, 4)),
+                set(rng.choice(self.MESH, size=rng.integers(0, 3), replace=False)),
+                self.STARTS[rng.integers(len(self.STARTS))],
+                self.COMPLETIONS[rng.integers(len(self.COMPLETIONS))],
+            ))
+        return trials
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("with_synonyms", [False, True])
+    def test_links_equal_the_linear_linker(self, seed, with_synonyms):
+        trials = self.registry(seed)
+        synonyms = self.SYNONYMS if with_synonyms else None
+        links, summary = link_all(registry_of(trials), synonyms=synonyms)
+        pool = [t for t in trials if t.phase is Phase.PHASE3]
+        want = {t.trial_id: link(t, pool, synonyms) for t in trials if t.phase is Phase.PHASE2}
+        got = by_phase2_id(links)
+        assert got == want
+        assert list(got) == list(want)  # registry order
+        matched = [m for reason, m in want.values() if not reason]
+        assert sum(len(m) for m in matched) > 20 and max(len(m) for m in matched) > 3
+        assert summary.n_phase2 == len(want)
+        assert summary.n_eligible == len(matched)
+        assert summary.n_continued == sum(bool(m) for m in matched)
+        reasons = [reason for reason, _ in want.values() if reason]
+        assert summary.skip_counts == {r: reasons.count(r) for r in dict.fromkeys(reasons)}
+        assert summary.by_sponsor_class == {"industry": (len(matched),
+                                                         sum(bool(m) for m in matched))}

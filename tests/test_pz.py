@@ -71,6 +71,25 @@ class TestInvNormCdf:
         assert out.shape == (3,)
         assert out[0] == pytest.approx(-out[2])
 
+    def test_one_tail_per_element_equals_both_tails(self):
+        # the Halley step evaluates each quantile's own tail only; the
+        # reference evaluates both tails everywhere and picks one
+        rng = np.random.default_rng(12)
+        q = np.concatenate([
+            rng.uniform(0.0, 1.0, 600_000), 10.0 ** -rng.uniform(1.0, 300.0, 200_000),
+            1.0 - 10.0 ** -rng.uniform(1.0, 16.0, 200_000),
+            [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1e-300, 1.0 - 1e-16],
+        ])
+        q = q[(q > 0.0) & (q < 1.0)]
+        x = pz._acklam(q)
+        upper = q > 0.5
+        err = np.where(upper, norm_sf(x) - (1.0 - q), norm_cdf(x) - q)
+        err = np.where(upper, -err, err)
+        u = err / (pz._INV_SQRT_2PI * np.exp(-0.5 * x * x))
+        assert_same_floats(inv_norm_cdf(q), x - u / (1.0 + 0.5 * x * u))
+        assert_same_floats([inv_norm_cdf(v) for v in q[-5:].tolist()],
+                           (x - u / (1.0 + 0.5 * x * u))[-5:])
+
 
 def assert_same_floats(got, ref):
     """Equal as IEEE doubles: ``==`` elementwise, NaN where the reference is
