@@ -4,7 +4,10 @@ provenance stamping.
 Configuration is a plain key=value file; any command-line flag overrides
 the file.  Every run writes its artifacts plus a manifest (input hashes,
 resolved config, package version, seed) into the output directory.  With
-a fixed seed the outputs are byte-identical across runs.
+a fixed seed the outputs are byte-identical across runs.  A run writes
+into a staging directory next to the output directory and moves its files
+in only once its manifest is written: a failed run leaves the output
+directory as it found it.
 """
 
 from __future__ import annotations
@@ -13,7 +16,11 @@ import argparse
 import csv
 import hashlib
 import json
+import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager, suppress
 from functools import cached_property
 from pathlib import Path
 
@@ -133,12 +140,13 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(outdir: Path, cfg: PipelineConfig, inputs: list[Path]) -> None:
+def _write_manifest(stage: Path, cfg: PipelineConfig, inputs: list[Path]) -> None:
+    """The manifest of the outputs written into ``stage``."""
     def _name(p: Path) -> str:
         # inputs inside the output directory are recorded relative to it so
         # re-runs into different directories stay byte-identical
         try:
-            return str(p.resolve().relative_to(outdir.resolve()))
+            return str(p.resolve().relative_to(Path(cfg["out"]).resolve()))
         except ValueError:
             return str(p)
 
@@ -151,12 +159,12 @@ def _write_manifest(outdir: Path, cfg: PipelineConfig, inputs: list[Path]) -> No
         "config": config,
         "inputs": {_name(p): _sha256(p) for p in inputs if p and Path(p).exists()},
         "outputs": sorted(
-            str(p.relative_to(outdir))
-            for p in outdir.rglob("*")
+            str(p.relative_to(stage))
+            for p in stage.rglob("*")
             if p.is_file() and p.name != "manifest.json"
         ),
     }
-    (outdir / "manifest.json").write_text(
+    (stage / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
@@ -192,11 +200,16 @@ def _links_for(reg: Registry, cfg: PipelineConfig):
 
 class _Inputs:
     """The inputs of one command, each read, filtered, transformed and
-    linked at most once, so that ``report`` runs every stage off one pass."""
+    linked at most once, so that ``report`` runs every stage off one pass.
+    The command writes into the staging directory ``stage``."""
 
-    def __init__(self, cfg: PipelineConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: PipelineConfig, stage: Path | None = None):
+        self.cfg, self.stage = cfg, stage
         self._groups: dict[str, np.ndarray] = {}
+
+    def final(self, path: Path) -> Path:
+        """Where a path of the staging directory ends up."""
+        return Path(self.cfg["out"]) / path.relative_to(self.stage)
 
     @cached_property
     def registry(self) -> Registry:
@@ -533,7 +546,7 @@ def _cmd_simulate(inp: _Inputs, outdir: Path) -> None:
     )
     write_truth_csv(truth, outdir / "truth.csv")
     cont = sum(t.continued for t in truth.trials)
-    print(f"simulated {sim_cfg.n_trials} trials ({cont} continued) into {outdir}")
+    print(f"simulated {sim_cfg.n_trials} trials ({cont} continued) into {inp.final(outdir)}")
 
 
 def _cmd_report(inp: _Inputs, outdir: Path) -> None:
@@ -547,7 +560,7 @@ def _cmd_report(inp: _Inputs, outdir: Path) -> None:
         cfg["outcomes"] = str(sim_dir / "outcomes.csv")
         cfg["rankings"] = str(sim_dir / "rankings.csv")
         cfg["synonyms"] = str(sim_dir / "synonyms.csv")
-        inp = _Inputs(cfg)
+        inp = _Inputs(cfg, inp.stage)
     # take all the stages need from the registry up front and let it go:
     # the heavy stages then run without it in memory
     for group in _GROUPS:
@@ -557,7 +570,7 @@ def _cmd_report(inp: _Inputs, outdir: Path) -> None:
     for stage in (_cmd_transform, _cmd_density, _cmd_disctest, _cmd_link,
                   _cmd_fit_selection, _cmd_decompose):
         stage(inp, outdir)
-    print(f"report artifacts in {outdir}")
+    print(f"report artifacts in {inp.final(outdir)}")
 
 
 _COMMANDS = {
@@ -604,20 +617,52 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _move_into(src: Path, dst: Path) -> None:
+    """Move the entries of directory ``src`` into ``dst``, merging
+    subdirectories that both hold."""
+    dst.mkdir(exist_ok=True)
+    for entry in src.iterdir():
+        target = dst / entry.name
+        if entry.is_dir() and target.is_dir():
+            _move_into(entry, target)
+        else:
+            os.replace(entry, target)
+
+
+@contextmanager
+def _staging(outdir: Path):
+    """A new directory next to ``outdir`` for a command to write into.  When
+    the command succeeds, its entries move into ``outdir``; when it fails,
+    the directory is removed, with any parents made for it, so a failed
+    command leaves ``outdir`` as it found it."""
+    outdir = outdir.absolute()
+    missing = [p for p in outdir.parents if not p.exists()]  # innermost first
+    outdir.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{outdir.name}.", dir=outdir.parent))
+    try:
+        yield stage
+        _move_into(stage, outdir)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+        if not outdir.exists():
+            for parent in missing:
+                with suppress(OSError):
+                    parent.rmdir()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = PipelineConfig.load(args.config, overrides)
-        outdir = Path(cfg["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
         inputs = [
             Path(cfg[k]) for k in ("trials", "outcomes", "rankings", "synonyms")
             if cfg.get(k)
         ]
-        _COMMANDS[args.command](_Inputs(cfg), outdir)
-        _write_manifest(outdir, cfg, inputs)
+        with _staging(Path(cfg["out"])) as stage:
+            _COMMANDS[args.command](_Inputs(cfg, stage), stage)
+            _write_manifest(stage, cfg, inputs)
     except (ValueError, FileNotFoundError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

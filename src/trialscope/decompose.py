@@ -83,21 +83,27 @@ def censored_aware_share(
     Censored rows count at their ``zvals`` entry: the censor bound for
     D1/D2 rows, the imputed value for other censors.
     """
-    return _share(kinds == ZKind.PRECISE.value, zvals, weights, cutoff, bandwidth)
+    precise = kinds == ZKind.PRECISE.value
+    z_c = _censored_z(zvals[~precise])
+    survival = epanechnikov_survival((cutoff - zvals[precise]) / bandwidth)
+    return _share(weights[precise], weights[~precise], survival, z_c >= cutoff)
 
 
-def _share(precise, zvals, weights, cutoff: float, bandwidth: float) -> float:
-    """:func:`censored_aware_share` given the row mask of the precise rows."""
-    w_p = float(weights[precise].sum())
-    above = 0.0
-    if w_p > 0:
-        u = (cutoff - zvals[precise]) / bandwidth
-        above += float(np.dot(weights[precise], epanechnikov_survival(u)))
-    w_c, z_c = weights[~precise], zvals[~precise]
+def _censored_z(z_c: np.ndarray) -> np.ndarray:
+    """The share z of the censored rows, each a bound or an imputed value."""
     if np.isnan(z_c).any():
         raise ValueError("censored rows need a bound or an imputed z")
-    total = w_p + float(w_c.sum())
-    above += float(w_c[z_c >= cutoff].sum())
+    return z_c
+
+
+def _share(w_p, w_c, survival, censored_above) -> float:
+    """The share of precise rows of weights ``w_p`` and kernel survival
+    values ``survival``, and censored rows of weights ``w_c``, at or above
+    the cutoff where ``censored_above``."""
+    total_p = float(w_p.sum())
+    above = float(np.dot(w_p, survival)) if total_p > 0 else 0.0
+    total = total_p + float(w_c.sum())
+    above += float(w_c[censored_above].sum())
     if total <= 0:
         raise ValueError("zero total mass in share computation")
     return above / total
@@ -150,13 +156,16 @@ class _PhaseSample:
     counts as often as its trial was drawn."""
 
     def __init__(self, design: SelectionDesign):
-        self.share_z = design.share_z
         # trial i of a rep's draw is the sample's i-th smallest trial code,
         # and codes ascend with the trial ids, whatever the registry order
         present = np.bincount(design.trial_code) > 0
         self.trial = (np.cumsum(present) - 1)[design.trial_code]
         self.n_trials = int(np.count_nonzero(present))
         self.is_precise = design.kind == ZKind.PRECISE.value
+        self.is_censored = ~self.is_precise
+        share_z = design.share_z
+        self.z_precise = share_z[self.is_precise]
+        self.z_censored = _censored_z(share_z[self.is_censored])
         precise = np.flatnonzero(self.is_precise)
         order = np.argsort(design.z[precise], kind="stable")
         self.precise = precise[order]
@@ -172,8 +181,13 @@ class _PhaseSample:
             self.z_sorted, None if counts is None else counts[self.precise]
         )
 
-    def share(self, weights: np.ndarray, cutoff: float, bandwidth: float) -> float:
-        return _share(self.is_precise, self.share_z, weights, cutoff, bandwidth)
+    def shares(self, weightings, cutoff: float, bandwidth: float) -> list[float]:
+        """The share of the sample under each row weighting, all at one
+        bandwidth, from one evaluation of the kernel."""
+        survival = epanechnikov_survival((cutoff - self.z_precise) / bandwidth)
+        above = self.z_censored >= cutoff
+        return [_share(w[self.is_precise], w[self.is_censored], survival, above)
+                for w in weightings]
 
 
 def decompose(
@@ -200,8 +214,8 @@ def decompose(
     ph2, ph3 = _PhaseSample(ph2_design), _PhaseSample(ph3_design)
 
     h2, h3 = ph2.bandwidth(), ph3.bandwidth()
-    s_ph2 = ph2.share(np.ones(ph2_design.n_obs), cutoff, h2)
-    s_ph3 = ph3.share(np.ones(ph3_design.n_obs), cutoff, h3)
+    (s_ph2,) = ph2.shares((np.ones(ph2_design.n_obs),), cutoff, h2)
+    (s_ph3,) = ph3.shares((np.ones(ph3_design.n_obs),), cutoff, h3)
     s_sc = counterfactual_share(ph2_design, model, cutoff, h2)
 
     shares = {"ph2": s_ph2, "ph3": s_ph3, "ph2_sc": s_sc}
@@ -231,9 +245,8 @@ def decompose(
                 if float(w.sum()) <= 0:
                     raise ValueError("all predicted weights are zero")
                 b2, b3 = ph2.bandwidth(counts2), ph3.bandwidth(counts3)
-                a = ph2.share(counts2, cutoff, b2)
-                b = ph3.share(counts3, cutoff, b3)
-                c = ph2.share(w, cutoff, b2)
+                a, c = ph2.shares((counts2, w), cutoff, b2)
+                (b,) = ph3.shares((counts3,), cutoff, b3)
                 draws[r] = (a, b, c, b - a, b - c, c - a)
             except (ValueError, np.linalg.LinAlgError, RuntimeError):
                 dropped += 1

@@ -5,12 +5,19 @@ z-score (zeroed for censored scores), censor dummies, controls, condition
 and completion-year fixed effects.  Maximum likelihood via iteratively
 reweighted least squares; covariance is a cluster-robust sandwich with a
 small-sample factor, clustered at the condition-category level.
+
+The fixed-effect dummies of a row depend on it only through its
+(condition, year) cell, so the design matrix is held factored: 7 dense
+columns, each row's cell, and the dummies of each cell.  Fits, refits and
+predictions never materialise the 0/1 columns; ``build_matrix`` does, for
+callers that want the dense matrix.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -164,14 +171,18 @@ def build_design(
     return design_rows(table, rows, labels[rows])
 
 
-def _dummies(
+DENSE_COLUMNS = ("const", "z_ph2", "d1", "d2", "sqrt_enroll", "placebo", "mht_adjusted")
+
+
+def _layout(
     codes: np.ndarray, names: np.ndarray, fixed: tuple | None, label: str, warn_unseen: bool
-) -> tuple[tuple[str, list[str]], list[np.ndarray]]:
+) -> tuple[tuple[str, list[str]], np.ndarray]:
     """The layout of a categorical column coded into the sorted level
     ``names``: its reference level (the most frequent, the smallest name
     among ties) and the remaining levels present, or the ``fixed`` layout
-    of an existing fit, by name; and a 0/1 column per remaining level.
-    Values outside the layout fold into the reference."""
+    of an existing fit, by name; and the 0/1 dummies of each code, one
+    column per remaining level.  Values outside the layout fold into the
+    reference."""
     counts = np.bincount(codes, minlength=len(names))
     names = names.tolist()
     present = [names[j] for j in np.flatnonzero(counts).tolist()]
@@ -183,7 +194,112 @@ def _dummies(
     if warn_unseen and unseen:
         warnings.warn(f"unseen {label} levels {sorted(unseen)} folded into reference {ref!r}")
     at = {v: j for j, v in enumerate(names)}
-    return fixed, [(codes == at.get(lv, -1)).astype(float) for lv in levels]
+    level_codes = np.array([at.get(lv, -1) for lv in levels], dtype=np.intp)
+    return fixed, (np.arange(len(names))[:, None] == level_codes).astype(float)
+
+
+class _Cells:
+    """A design matrix X = [dense, incidence[cell]] in factored form: the
+    7 dense columns of each row, and the condition and year dummies, which
+    depend on a row only through its (condition, year) cell.  Row j of
+    ``incidence`` holds the dummies of cell j, condition-major, and
+    ``cell`` is each row's cell; no 0/1 column is built.
+
+    The sums over rows (X'WX, X'r, the cluster sums) take n x 7 dense
+    products and one ``np.add.reduceat`` over the runs of equal cells; the
+    rest are products of cell-level matrices.  They hold in any row order,
+    and rows grouped by cell, then cluster (:meth:`grouped`), make one run
+    per cell and sum condition clusters without a sort.
+    """
+
+    def __init__(self, dense, cell, incidence, names, clusters=None):
+        self.dense, self.cell, self.incidence = dense, cell, incidence
+        self.names, self.clusters = names, clusters
+
+    def take(self, rows: np.ndarray) -> "_Cells":
+        clusters = None if self.clusters is None else self.clusters[rows]
+        return _Cells(self.dense[rows], self.cell[rows], self.incidence, self.names, clusters)
+
+    def grouped(self) -> tuple["_Cells", np.ndarray]:
+        """The rows sorted by cell, then cluster, and the sorting order.
+        Cells are condition-major, so condition clusters stay in order."""
+        order = np.lexsort((self.clusters, self.cell))
+        return self.take(order), order
+
+    def dot(self, beta: np.ndarray) -> np.ndarray:
+        """X @ beta."""
+        k = self.dense.shape[1]
+        return self.dense @ beta[:k] + (self.incidence @ beta[k:])[self.cell]
+
+    def materialise(self) -> np.ndarray:
+        return np.hstack([self.dense, self.incidence[self.cell]])
+
+    @cached_property
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first row of each cell run and the dummies of its cell."""
+        starts = np.flatnonzero(np.r_[True, self.cell[1:] != self.cell[:-1]])
+        return starts, self.incidence[self.cell[starts]]
+
+    def gram(self, w: np.ndarray) -> np.ndarray:
+        """X'WX for the row weights ``w``."""
+        starts, M = self._runs
+        k = self.dense.shape[1]
+        Dw = self.dense * w[:, None]
+        S = np.add.reduceat(Dw, starts)  # per cell; column 0 sums w
+        G = np.empty((k + M.shape[1],) * 2)
+        G[:k, :k] = Dw.T @ self.dense
+        G[:k, k:] = S.T @ M
+        G[k:, :k] = G[:k, k:].T
+        G[k:, k:] = (M.T * S[:, 0]) @ M
+        return G
+
+    def xt(self, r: np.ndarray) -> np.ndarray:
+        """X'r."""
+        starts, M = self._runs
+        return np.concatenate([r @ self.dense, np.add.reduceat(r, starts) @ M])
+
+    def cluster_sums(self, r: np.ndarray) -> np.ndarray:
+        """Sums of the rows of X scaled by ``r`` within each cluster present,
+        one row per cluster in code order.  Each (cell, cluster) run is
+        summed first; the runs are sorted by cluster only when out of order."""
+        split = (self.cell[1:] != self.cell[:-1]) | (self.clusters[1:] != self.clusters[:-1])
+        starts = np.flatnonzero(np.r_[True, split])
+        U = np.add.reduceat(r[:, None] * self.dense, starts)  # column 0 sums r
+        scores = np.hstack([U, U[:, :1] * self.incidence[self.cell[starts]]])
+        clusters = self.clusters[starts]
+        if np.any(clusters[1:] < clusters[:-1]):
+            order = np.argsort(clusters, kind="stable")
+            scores, clusters = scores[order], clusters[order]
+        return np.add.reduceat(scores, np.flatnonzero(np.r_[True, clusters[1:] != clusters[:-1]]))
+
+
+def _cells(
+    design: SelectionDesign,
+    levels: Mapping[str, tuple] | None = None,
+    warn_unseen: bool = False,
+    clusters: np.ndarray | None = None,
+) -> tuple[_Cells, dict]:
+    """The factored design matrix of ``design``, rows in design order, and
+    its categorical layout.  ``levels`` pins the layout (reference +
+    levels) so a matrix for new data aligns with a fitted model; unseen
+    levels fold into the reference."""
+    fixed = levels or {}
+    # one (7, n) block transposed into place: much faster than np.column_stack
+    dense = np.array([np.ones(design.n_obs), design.z, design.d1, design.d2,
+                      design.sqrt_enroll, design.placebo, design.mht], dtype=float).T.copy()
+    names, out_levels, blocks = list(DENSE_COLUMNS), {}, []
+    for label, prefix in (("condition", "cond"), ("year", "year")):
+        layout, block = _layout(getattr(design, label), getattr(design.trials, f"{label}s"),
+                                fixed.get(label), label, warn_unseen)
+        out_levels[label] = layout
+        blocks.append(block)
+        names += [f"{prefix}:{lv}" for lv in layout[1]]
+    by_condition, by_year = blocks
+    n_years = len(by_year)
+    incidence = np.hstack([np.repeat(by_condition, n_years, axis=0),
+                           np.tile(by_year, (len(by_condition), 1))])
+    cell = design.condition.astype(np.intp) * n_years + design.year
+    return _Cells(dense, cell, incidence, names, clusters), out_levels
 
 
 def build_matrix(
@@ -191,54 +307,45 @@ def build_matrix(
     levels: Mapping[str, tuple] | None = None,
     warn_unseen: bool = False,
 ) -> tuple[np.ndarray, list[str], dict]:
-    """Design matrix with explicit fixed-effect dummies.
-
-    ``levels`` pins the categorical layout (reference + levels) so a
-    matrix for new data aligns with a fitted model; unseen levels fold
-    into the reference.
-    """
-    fixed = levels or {}
-    cols = [np.ones(design.n_obs), design.z, design.d1, design.d2,
-            design.sqrt_enroll, design.placebo, design.mht]
-    names = ["const", "z_ph2", "d1", "d2", "sqrt_enroll", "placebo", "mht_adjusted"]
-    out_levels = {}
-    for label, prefix in (("condition", "cond"), ("year", "year")):
-        layout, dummies = _dummies(getattr(design, label), getattr(design.trials, f"{label}s"),
-                                   fixed.get(label), label, warn_unseen)
-        out_levels[label] = layout
-        cols += dummies
-        names += [f"{prefix}:{lv}" for lv in layout[1]]
-    # one (k, n) block transposed into place: much faster than np.column_stack
-    return np.array(cols, dtype=float).T.copy(), names, out_levels
+    """The dense design matrix, with explicit 0/1 fixed-effect dummies: the
+    factored matrix of the fits and predictions, materialised.  ``levels``
+    pins the categorical layout as in :func:`predict`."""
+    X, out_levels = _cells(design, levels, warn_unseen)
+    return X.materialise(), X.names, out_levels
 
 
 def _drop_collinear(
-    X: np.ndarray, names: Sequence[str], tol: float = 1e-8
+    X: _Cells, weights: np.ndarray | None = None, tol: float = 1e-8
 ) -> tuple[np.ndarray, list[str]]:
-    """Indices of the columns a greedy Gram-Schmidt pass keeps, and the
-    names it drops.  A column is kept when its residual on the kept
-    earlier columns exceeds ``tol`` times its norm (at least 1); earlier
-    columns win, so the core regressors (listed first) are always retained.
+    """Indices of the columns of X (rows scaled by the square roots of the
+    frequency ``weights``, so the Gram matrix is X'WX) that a greedy
+    Gram-Schmidt pass keeps, and the names it drops.  A column is kept when
+    its residual on the kept earlier columns exceeds ``tol`` times its
+    norm (at least 1); earlier columns win, so the core regressors (listed
+    first) are always retained.
 
     Columns of norm at most ``tol`` are dropped first: the greedy pass
     drops them and they leave its basis unchanged.  The residual norms of
-    the others are the pivots of the Cholesky factor of X'X; when every
-    pivot clears 100 times its tolerance, the greedy pass would keep every
-    column and is skipped.
+    the others are the pivots of the Cholesky factor of the Gram matrix;
+    when every pivot clears 100 times its tolerance, the greedy pass would
+    keep every column and is skipped.  Otherwise it runs on the
+    materialised columns: on the Gram matrix, an exactly collinear column
+    would leave a residual of about sqrt(eps) times its norm.
     """
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    c = np.ones(len(X.cell)) if weights is None else weights
+    G = X.gram(c)
+    norms = np.sqrt(np.diag(G))
     cols = np.flatnonzero(norms > tol)
-    Xc = X if len(cols) == X.shape[1] else X[:, cols]
     floor = tol * np.maximum(norms[cols], 1.0)
     try:
-        pivots = np.diag(np.linalg.cholesky(Xc.T @ Xc))
+        pivots = np.diag(np.linalg.cholesky(G[np.ix_(cols, cols)]))
         screened = bool(np.all(pivots > 100.0 * floor))
     except np.linalg.LinAlgError:
         screened = False
     if not screened:
-        cols = cols[_greedy_keep(Xc, floor)]
+        cols = cols[_greedy_keep(np.sqrt(c)[:, None] * X.materialise()[:, cols], floor)]
     kept = set(cols.tolist())
-    dropped = [nm for j, nm in enumerate(names) if j not in kept]
+    dropped = [nm for j, nm in enumerate(X.names) if j not in kept]
     if dropped:
         warnings.warn(f"dropping collinear columns: {dropped}")
     return cols, dropped
@@ -263,23 +370,16 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-free: 1/(1+e^-x) for x >= 0 and
     e^x/(1+e^x) below."""
     ex = np.exp(-np.abs(eta))
-    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    denom = 1.0 + ex
+    return np.where(eta >= 0, 1.0 / denom, ex / denom)
 
 
 def _log_likelihood(y: np.ndarray, p: np.ndarray, c: np.ndarray) -> float:
+    """Weighted Bernoulli log-likelihood of 0/1 labels ``y``.  One log per
+    row, of p or 1 - p: exactly y log p + (1 - y) log(1 - p), since the
+    labels (continuation, from ``Links.labels``) are exactly 0 or 1."""
     p = np.clip(p, 1e-12, 1.0 - 1e-12)
-    return float(np.sum(c * (y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
-
-
-def _cluster_sums(scores: np.ndarray, clusters: np.ndarray) -> np.ndarray:
-    """Row sums of ``scores`` within each cluster present, one row per
-    cluster, for integer cluster codes (rows already in code order are
-    not sorted)."""
-    if np.any(clusters[1:] < clusters[:-1]):
-        order = np.argsort(clusters, kind="stable")
-        scores, clusters = scores[order], clusters[order]
-    starts = np.flatnonzero(np.r_[True, clusters[1:] != clusters[:-1]])
-    return np.add.reduceat(scores, starts, axis=0)
+    return float(np.sum(c * np.log(np.where(y == 1, p, 1.0 - p))))
 
 
 @dataclass
@@ -292,19 +392,20 @@ class _Fit:
 
 
 def _irls(
-    X: np.ndarray,
+    X: _Cells,
     y: np.ndarray,
-    clusters: np.ndarray,
     beta: np.ndarray,
-    names: Sequence[str],
+    cols: np.ndarray,
     max_iter: int = 100,
     score_tol: float = 1e-8,
     ll_tol: float = 1e-12,
     weights: np.ndarray | None = None,
 ) -> _Fit:
-    """The logit fit on a screened matrix: IRLS from ``beta``, the
-    separation check and the clustered sandwich covariance (``clusters``
-    are integer codes) with its positive-semidefiniteness check.
+    """The logit fit on the columns ``cols`` of a factored matrix: IRLS
+    from ``beta``, the separation check and the sandwich covariance
+    clustered by ``X.clusters`` (integer codes) with its
+    positive-semidefiniteness check.  The other columns enter with
+    coefficient 0.
 
     ``weights`` are positive frequency weights: a row of weight c counts as
     c copies of it in every term, and the small-sample factor counts
@@ -312,13 +413,20 @@ def _irls(
     if y.size == 0 or y.min() == y.max():
         raise ValueError("need both outcome classes to fit a logit")
     c = np.ones(y.size) if weights is None else weights
-    n, k = float(c.sum()), X.shape[1]
-    p = _expit(X @ beta)
+    n, k = float(c.sum()), len(cols)
+    sub = np.ix_(cols, cols)
+    full = np.zeros(len(X.names))
+
+    def probabilities(b):
+        full[cols] = b
+        return _expit(X.dot(full))
+
+    p = probabilities(beta)
     ll = _log_likelihood(y, p, c)
     ll_old = -np.inf
     converged = False
     for _ in range(max_iter):
-        score = X.T @ (c * (y - p))
+        score = X.xt(c * (y - p))[cols]
         if np.max(np.abs(score)) < score_tol:
             converged = True
             break
@@ -327,39 +435,37 @@ def _irls(
             break
         ll_old = ll
         w = c * np.maximum(p * (1.0 - p), 1e-10)
-        XtWX = (X * w[:, None]).T @ X
         try:
-            delta = np.linalg.solve(XtWX, score)
+            delta = np.linalg.solve(X.gram(w)[sub], score)
         except np.linalg.LinAlgError as exc:
             raise SeparationError(f"singular information matrix: {exc}") from exc
         # dampened step if the likelihood would not improve
         step = 1.0
         for _ in range(8):
             cand = beta + step * delta
-            p_cand = _expit(X @ cand)
+            p_cand = probabilities(cand)
             ll_cand = _log_likelihood(y, p_cand, c)
             if ll_cand >= ll - 1e-12:
                 break
             step *= 0.5
         else:
             cand = beta + step * delta
-            p_cand = _expit(X @ cand)
+            p_cand = probabilities(cand)
             ll_cand = _log_likelihood(y, p_cand, c)
         beta, p, ll = cand, p_cand, ll_cand
 
     w = c * np.maximum(p * (1.0 - p), 1e-10)
-    XtWX = (X * w[:, None]).T @ X
-    bread = np.linalg.inv(XtWX)
+    bread = np.linalg.inv(X.gram(w)[sub])
 
     plain_se = np.sqrt(np.maximum(np.diag(bread), 0.0))
     blown = (np.abs(beta) > 15.0) & (plain_se > 5.0)
     if np.any(blown):
-        bad = [names[j] for j in np.where(blown)[0]]
+        bad = [X.names[cols[j]] for j in np.where(blown)[0]]
         raise SeparationError(
             f"complete separation suspected: runaway coefficient on {bad}"
         )
 
-    sums = _cluster_sums((c * (y - p))[:, None] * X, clusters)
+    sums = X.cluster_sums(c * (y - p))[:, cols]
     meat = sums.T @ sums
     n_clusters = len(sums)
     if n_clusters > 1:
@@ -372,6 +478,12 @@ def _irls(
     if eigs.min() < -1e-8 * max(eigs.max(), 1.0):
         raise RuntimeError("clustered covariance is not positive semidefinite")
     return _Fit(beta, converged, vcov, n_clusters, ll)
+
+
+def _coef(model: SelectionModel, names: Sequence[str]) -> np.ndarray:
+    """The model's coefficients on the columns ``names``, 0 where dropped."""
+    coef = model.coefficients
+    return np.array([coef.get(nm, 0.0) for nm in names])
 
 
 def fit_logit(
@@ -393,14 +505,14 @@ def fit_logit(
     """
     if cluster_by not in ("condition", "year", "trial_code"):
         raise ValueError(f"unknown cluster column {cluster_by!r}")
-    clusters = getattr(design, cluster_by)
     y = design.y.astype(float)
-    X_full, names_full, levels = build_matrix(design)
-    cols, dropped = _drop_collinear(X_full, names_full)
-    names = [names_full[j] for j in cols]
+    X, levels = _cells(design, clusters=getattr(design, cluster_by))
+    X, order = X.grouped()
+    cols, dropped = _drop_collinear(X)
+    names = [X.names[j] for j in cols]
     warm = warm_start or {}
     beta = np.array([warm.get(nm, 0.0) for nm in names])
-    fit = _irls(X_full[:, cols], y, clusters, beta, names, max_iter, score_tol, ll_tol)
+    fit = _irls(X, y[order], beta, cols, max_iter, score_tol, ll_tol)
     return SelectionModel(
         names=names,
         coef=fit.beta,
@@ -417,8 +529,9 @@ def fit_logit(
 
 
 class PinnedDesign:
-    """The matrix of a design, built once with its full-sample dummy
-    layout, for logit refits on reweightings of its rows (bootstrap reps).
+    """The factored matrix of a design, built once with its full-sample
+    dummy layout, for logit refits on reweightings of its rows (bootstrap
+    reps).
 
     Rows labelled NaN enter predictions but not fits.  A refit screens the
     columns of its weighted fitting rows, so a dummy level absent from
@@ -427,16 +540,14 @@ class PinnedDesign:
     """
 
     def __init__(self, design: SelectionDesign, labels: np.ndarray, start: SelectionModel):
-        self.X, self.names, _ = build_matrix(design)
-        clusters = design.condition
-        # fitting rows in cluster order, so a refit's cluster sums need no sort
+        self.X, _ = _cells(design, clusters=design.condition)
+        self.names = self.X.names
+        # fitting rows grouped by cell, so a refit's sums need no sort
         fitting = np.flatnonzero(~np.isnan(labels))
-        self.fitting = fitting[np.argsort(clusters[fitting], kind="stable")]
-        self.X_fit = self.X[self.fitting]
+        self.X_fit, order = self.X.take(fitting).grouped()
+        self.fitting = fitting[order]
         self.y_fit = labels[self.fitting]
-        self.clusters_fit = clusters[self.fitting]
-        warm = start.coefficients
-        self.beta0 = np.array([warm.get(nm, 0.0) for nm in self.names])
+        self.beta0 = _coef(start, self.names)
 
     def refit_predict(self, counts: np.ndarray) -> np.ndarray | None:
         """Continuation probabilities of every row from a refit in which
@@ -446,17 +557,14 @@ class PinnedDesign:
         counts = counts[self.fitting]
         drawn = np.flatnonzero(counts)
         c = counts[drawn].astype(float)
-        X_fit = self.X_fit[drawn]
-        # the screen sees sqrt(c) X, whose Gram matrix is that of the repeated rows
-        cols, _ = _drop_collinear(np.sqrt(c)[:, None] * X_fit, self.names)
-        X = self.X
-        if len(cols) < len(self.names):
-            X, X_fit = X[:, cols], X_fit[:, cols]
-        fit = _irls(
-            X_fit, self.y_fit[drawn], self.clusters_fit[drawn], self.beta0[cols],
-            [self.names[j] for j in cols], weights=c,
-        )
-        return _expit(X @ fit.beta) if fit.converged else None
+        X_fit = self.X_fit.take(drawn)
+        cols, _ = _drop_collinear(X_fit, c)
+        fit = _irls(X_fit, self.y_fit[drawn], self.beta0[cols], cols, weights=c)
+        if not fit.converged:
+            return None
+        beta = np.zeros(len(self.names))
+        beta[cols] = fit.beta
+        return _expit(self.X.dot(beta))
 
 
 def wald_equality(
@@ -491,10 +599,8 @@ def predict(model: SelectionModel, design: SelectionDesign) -> np.ndarray:
     """Continuation probabilities for rows sharing the design schema."""
     if not model.converged:
         raise ValueError("model did not converge")
-    X, names, _ = build_matrix(design, levels=model.levels, warn_unseen=True)
-    name_to_col = {nm: j for j, nm in enumerate(names)}
-    cols = [name_to_col[nm] for nm in model.names]
-    return _expit(X[:, cols] @ model.coef)
+    X, _ = _cells(design, levels=model.levels, warn_unseen=True)
+    return _expit(X.dot(_coef(model, X.names)))
 
 
 def predict_at_mean(
@@ -502,11 +608,10 @@ def predict_at_mean(
 ) -> np.ndarray:
     """Predicted continuation probability as a function of the z-score,
     every other regressor held at its sample mean (censor dummies off)."""
-    X, names, _ = build_matrix(design, levels=model.levels)
-    cols = [names.index(nm) for nm in model.names]
-    xbar = X[:, cols].mean(axis=0)
+    X, _ = _cells(design, levels=model.levels)
+    cells = np.bincount(X.cell, minlength=len(X.incidence)).astype(float)
+    xbar = np.concatenate([X.dense.mean(axis=0), cells @ X.incidence / design.n_obs])
     rows = np.tile(xbar, (len(z_grid), 1))
-    for special, value in (("z_ph2", np.asarray(z_grid, dtype=float)), ("d1", 0.0), ("d2", 0.0)):
-        if special in model.names:
-            rows[:, model.names.index(special)] = value
-    return _expit(rows @ model.coef)
+    # z_ph2, d1 and d2; a dropped column has coefficient 0 either way
+    rows[:, 1], rows[:, 2:4] = np.asarray(z_grid, dtype=float), 0.0
+    return _expit(rows @ _coef(model, X.names))

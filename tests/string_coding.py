@@ -2,9 +2,10 @@
 strings, sorted again by ``np.unique`` in every call: the reference for the
 integer codes that ``trialscope.selection`` reads through ``trial_code``.
 
-Dummy layouts and clusters are built here from the level names, as the
-selection function built them before the levels became trial codes; the
-screen and the IRLS core are the package's own."""
+Dummy layouts, cells and clusters are built here from the level names, as
+the selection function built them before the levels became trial codes;
+the screen and the IRLS core are the package's own, on the factored
+matrix."""
 
 import warnings
 
@@ -52,33 +53,50 @@ def clusters(design, cluster_by: str) -> np.ndarray:
     return np.unique(values.astype(str), return_inverse=True)[1]
 
 
+def cells(design, levels=None, warn_unseen=False, clusters=None):
+    """The factored matrix from the level names: a row's cell ranks its
+    (condition, year) pair of names, condition first, and a cell's dummies
+    are those of its rows."""
+    X, names, out_levels = build_matrix(design, levels, warn_unseen)
+    ranks = [np.unique(level_names(design, label).astype(str), return_inverse=True)
+             for label in ("condition", "year")]
+    (conditions, by_condition), (years, by_year) = ranks
+    cell = by_condition * len(years) + by_year
+    incidence = np.zeros((len(conditions) * len(years), X.shape[1] - len(sel.DENSE_COLUMNS)))
+    incidence[cell] = X[:, len(sel.DENSE_COLUMNS):]
+    dense = X[:, :len(sel.DENSE_COLUMNS)].copy()
+    return sel._Cells(dense, cell, incidence, names, clusters), out_levels
+
+
 def fit_logit(design, cluster_by="condition"):
     """The fit, kept coefficient names, layout and dropped names."""
-    X, names, levels = build_matrix(design)
-    cols, dropped = sel._drop_collinear(X, names)
-    kept = [names[j] for j in cols]
-    fit = sel._irls(X[:, cols], design.y.astype(float), clusters(design, cluster_by),
-                    np.zeros(len(cols)), kept)
-    return fit, kept, levels, dropped
+    X, levels = cells(design, clusters=clusters(design, cluster_by))
+    X, order = X.grouped()
+    cols, dropped = sel._drop_collinear(X)
+    fit = sel._irls(X, design.y.astype(float)[order], np.zeros(len(cols)), cols)
+    return fit, [X.names[j] for j in cols], levels, dropped
 
 
 def predict(model, design):
-    X, names, _ = build_matrix(design, levels=model.levels, warn_unseen=True)
-    return sel._expit(X[:, [names.index(nm) for nm in model.names]] @ model.coef)
+    X, _ = cells(design, levels=model.levels, warn_unseen=True)
+    return sel._expit(X.dot(np.array([model.coefficients.get(nm, 0.0) for nm in X.names])))
 
 
 def refit_predict(design, labels, start, counts):
     """A pinned refit with draw counts, clustered by condition."""
-    X, names, _ = build_matrix(design)
-    by_condition = clusters(design, "condition")
+    X, _ = cells(design, clusters=clusters(design, "condition"))
     fitting = np.flatnonzero(~np.isnan(labels))
-    fitting = fitting[np.argsort(by_condition[fitting], kind="stable")]
+    X_fit, order = X.take(fitting).grouped()
+    fitting = fitting[order]
     counts = counts[fitting]
     drawn = np.flatnonzero(counts)
     c = counts[drawn].astype(float)
-    X_fit = X[fitting][drawn]
-    cols, _ = sel._drop_collinear(np.sqrt(c)[:, None] * X_fit, names)
-    beta0 = np.array([start.coefficients.get(nm, 0.0) for nm in names])
-    fit = sel._irls(X_fit[:, cols], labels[fitting][drawn], by_condition[fitting][drawn],
-                    beta0[cols], [names[j] for j in cols], weights=c)
-    return sel._expit(X[:, cols] @ fit.beta) if fit.converged else None
+    X_fit = X_fit.take(drawn)
+    cols, _ = sel._drop_collinear(X_fit, c)
+    beta0 = np.array([start.coefficients.get(nm, 0.0) for nm in X.names])
+    fit = sel._irls(X_fit, labels[fitting][drawn], beta0[cols], cols, weights=c)
+    if not fit.converged:
+        return None
+    beta = np.zeros(len(X.names))
+    beta[cols] = fit.beta
+    return sel._expit(X.dot(beta))

@@ -103,6 +103,49 @@ class TestConfig:
         assert len(cli._CONFIG_KEYS) == 18
 
 
+class TestOutputDirectory:
+    """A command writes into a staging directory next to --out and moves
+    its files in after the manifest: a failure leaves --out as it was."""
+
+    def test_missing_input_leaves_no_out(self, tmp_path, capsys):
+        assert run(["report", "--trials", tmp_path / "missing.csv",
+                    "--out", tmp_path / "a" / "D"]) == 1
+        assert "missing.csv" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_stage_leaves_no_out(self, tmp_path, capsys):
+        # the simulated registry has no non-industry trial: the density
+        # stage fails after the simulation and zscores.csv were written
+        out = tmp_path / "D"
+        assert run(["report", "--n-trials", 2000, "--group", "non_industry",
+                    "--bootstrap-reps", 5, "--out", out]) == 1
+        assert "too few precise z-scores for phase2 density" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_keeps_an_existing_out(self, sim_dir, tmp_path):
+        out = tmp_path / "D"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        assert run(["decompose", "--trials", sim_dir / "trials.csv",
+                    "--outcomes", sim_dir / "outcomes.csv",
+                    "--bootstrap-reps", 5, "--group", "non_industry", "--out", out]) == 1
+        assert list(tmp_path.iterdir()) == [out]
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_success_moves_every_file_in(self, tmp_path):
+        out = tmp_path / "a" / "D"
+        assert run(["simulate", "--n-trials", 200, "--seed", 3, "--out", out]) == 0
+        assert list(tmp_path.iterdir()) == [tmp_path / "a"]
+        assert list((tmp_path / "a").iterdir()) == [out]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [*manifest["outputs"], "manifest.json"])
+        # a second run into the same directory replaces its files
+        (out / "trials.csv").write_text("stale")
+        assert run(["simulate", "--n-trials", 200, "--seed", 3, "--out", out]) == 0
+        assert (out / "trials.csv").read_text().startswith("trial_id,")
+
+
 class TestExitCodes:
     def test_negative_bootstrap_reps_exit_one(self, sim_dir, tmp_path, capsys):
         out = tmp_path / "o"

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import dense_logit
 import trialscope.selection as sel
 from trialscope.decompose import (
     DecompositionReport,
@@ -74,6 +75,33 @@ class TestShares:
         )
         reweighted = counterfactual_share(ph2, flat, cutoff=Z_SIG, bandwidth=h)
         assert reweighted == pytest.approx(unweighted, abs=1e-14)
+
+    def test_rep_shares_equal_censored_aware_share(self):
+        # a rep's two phase II shares read one kernel vector; each equals
+        # the share function on its own weights, bit for bit
+        reg, truth = generate(SimConfig(n_trials=2000, seed=20000))
+        links, _ = link_all(reg, synonyms=build_synonym_map(truth.synonym_pairs))
+        table = outcome_table(reg)
+        model = fit_logit(build_design(table, links))
+        ph2 = phase_scores(table, Phase.PHASE2)
+        pinned = PinnedDesign(ph2, links.labels(table.trials.ids)[ph2.trial_code], model)
+        sample = _PhaseSample(ph2)
+        for stream in np.random.SeedSequence(20001).spawn(50):
+            counts = sample.counts(np.random.default_rng(stream))
+            w = counts * pinned.refit_predict(counts)
+            h = sample.bandwidth(counts)
+            expected = [censored_aware_share(ph2.kind, ph2.share_z, weights, Z_SIG, h)
+                        for weights in (counts, w)]
+            assert sample.shares((counts, w), Z_SIG, h) == expected
+
+    def test_phase_sample_rejects_censored_rows_without_z(self):
+        design = SimpleNamespace(
+            kind=np.array(["precise", "other_censor"], dtype=object),
+            share_z=np.array([1.0, np.nan]), z=np.array([1.0, np.nan]),
+            trial_code=np.array([0, 1]),
+        )
+        with pytest.raises(ValueError, match="censored rows need a bound or an imputed z"):
+            _PhaseSample(design)
 
 
 class TestDecompose:
@@ -152,22 +180,24 @@ def resample_rows(trial_code, rng):
 
 
 def gather_rep(pinned, ph2, ph3, labels, rows2, rows3, cutoff=Z_SIG):
-    """A rep on gathered rows, the reference for the draw counts: the
-    pinned matrix's rows repeated as drawn, screened and refitted through
-    the unweighted IRLS core, and the bandwidths and shares of the gathered
-    samples.  Returns the weights of the gathered rows, the bandwidths and
-    the rep's six draws."""
-    X = pinned.X[rows2]
+    """A rep on gathered rows, the reference for the draw counts: the rows
+    of the dense matrix repeated as drawn, screened and refitted through
+    the unweighted dense IRLS core, and the bandwidths and shares of the
+    gathered samples.  Returns the weights of the gathered rows, the
+    bandwidths and the rep's six draws."""
+    X, names, _ = build_matrix(ph2)
+    assert names == pinned.names
+    X = X[rows2]
     fitting = ~np.isnan(labels[rows2])
-    cols, _ = sel._drop_collinear(X[fitting], pinned.names)
+    cols, _ = dense_logit.drop_collinear(X[fitting], names)
     clusters = ph2.condition
     fit_rows = rows2[fitting]
-    fit = sel._irls(
+    fit = dense_logit.irls(
         X[fitting][:, cols], labels[fit_rows], clusters[fit_rows], pinned.beta0[cols],
-        [pinned.names[j] for j in cols],
+        [names[j] for j in cols],
     )
     assert fit.converged
-    w = sel._expit(X[:, cols] @ fit.beta)
+    w = dense_logit.expit(X[:, cols] @ fit.beta)
     b2 = _auto_bandwidth(ph2.z[rows2][ph2.kind[rows2] == "precise"])
     b3 = _auto_bandwidth(ph3.z[rows3][ph3.kind[rows3] == "precise"])
     a = censored_aware_share(ph2.kind[rows2], ph2.share_z[rows2], np.ones(len(rows2)),
@@ -182,8 +212,8 @@ def count_rep(pinned, ph2, ph3, counts2, counts3, cutoff=Z_SIG):
     """The same rep from draw counts, as :func:`decompose` runs it."""
     p = pinned.refit_predict(counts2)
     b2, b3 = ph2.bandwidth(counts2), ph3.bandwidth(counts3)
-    a, b = ph2.share(counts2, cutoff, b2), ph3.share(counts3, cutoff, b3)
-    c = ph2.share(counts2 * p, cutoff, b2)
+    a, c = ph2.shares((counts2, counts2 * p), cutoff, b2)
+    (b,) = ph3.shares((counts3,), cutoff, b3)
     return p, (b2, b3), (a, b, c, b - a, b - c, c - a)
 
 
@@ -283,7 +313,7 @@ class TestPinnedDesign:
             p = pinned.refit_predict(counts2)
         assert np.max(np.abs(p[rows2] - w_gather)) < 1e-12
         assert np.max(np.abs(p[rows2] - w_ref)) < 1e-9
-        assert _PhaseSample(ph2).share(counts2 * p, Z_SIG, b2) == pytest.approx(
+        assert _PhaseSample(ph2).shares((counts2 * p,), Z_SIG, b2)[0] == pytest.approx(
             c, rel=0, abs=1e-9
         )
 
@@ -312,18 +342,18 @@ class TestPinnedDesign:
         real_irls, real_eigvalsh = sel._irls, np.linalg.eigvalsh
         raised = []
 
-        def irls(X, y, clusters, beta, names, *args, **kwargs):
+        def irls(X, y, beta, cols, *args, **kwargs):
             call = len(raised)
             raised.append(None)
             try:
                 if call == 0:  # labels that z separates: the fit runs away
-                    z = X[:, names.index("z_ph2")]
+                    z = X.dense[:, X.names.index("z_ph2")]
                     y = (z > np.median(z)).astype(float)
                 if call == 1:  # the clustered covariance gets a negative eigenvalue
                     with monkeypatch.context() as m:
                         m.setattr(np.linalg, "eigvalsh", lambda a: real_eigvalsh(a) - 1.0)
-                        return real_irls(X, y, clusters, beta, names, *args, **kwargs)
-                return real_irls(X, y, clusters, beta, names, *args, **kwargs)
+                        return real_irls(X, y, beta, cols, *args, **kwargs)
+                return real_irls(X, y, beta, cols, *args, **kwargs)
             except RuntimeError as exc:
                 raised[call] = str(exc)
                 raise

@@ -12,7 +12,8 @@ A change that alters numbers on purpose re-records the file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and lists the artifacts whose hashes changed.
+which prints, before it writes, every artifact whose hash changed and
+every artifact added or removed; the change lists them.
 """
 
 import hashlib
@@ -51,6 +52,25 @@ def artifact_hashes(work: Path) -> dict[str, str]:
     }
 
 
+def differences(expected: dict[str, str], got: dict[str, str]) -> list[str]:
+    """One line per artifact that changed, was added or was removed."""
+    lines = []
+    for name in sorted(expected.keys() | got.keys()):
+        if name not in got:
+            lines.append(f"removed {name}")
+        elif name not in expected:
+            lines.append(f"added {name}")
+        elif got[name] != expected[name]:
+            lines.append(f"changed {name}")
+    return lines
+
+
+def test_differences_name_changed_added_and_removed():
+    expected = {"a.csv": "1", "b.csv": "2", "c.svg": "3"}
+    got = {"a.csv": "1", "b.csv": "9", "d.csv": "4"}
+    assert differences(expected, got) == ["changed b.csv", "removed c.svg", "added d.csv"]
+
+
 def test_artifacts_match_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text())
     got = artifact_hashes(tmp_path)
@@ -64,5 +84,7 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         hashes = artifact_hashes(Path(tmp))
+    for line in differences(json.loads(GOLDEN.read_text()), hashes) or ["no artifact changed"]:
+        print(line)
     GOLDEN.write_text(json.dumps(hashes, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(hashes)} artifacts in {GOLDEN}")

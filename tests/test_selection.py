@@ -13,6 +13,8 @@ from trialscope.selection import (
     SelectionDesign,
     SelectionModel,
     SeparationError,
+    _Cells,
+    _cells,
     _drop_collinear,
     _irls,
     build_design,
@@ -181,13 +183,15 @@ class TestFit:
         # cluster sums, small-sample factor) counts a row of weight c c times
         rng = np.random.default_rng(7)
         design, _ = synthetic_design(rng, 600, n_cond=8, n_years=4)
-        X, names, _ = build_matrix(design)
-        clusters = design.condition
+        X, _ = _cells(design, clusters=design.condition)
         c = rng.integers(1, 4, design.n_obs)
         rows = np.repeat(np.arange(design.n_obs), c)
-        start = np.zeros(X.shape[1])
-        ref = _irls(X[rows], design.y[rows], clusters[rows], start, names)
-        got = _irls(X, design.y, clusters, start, names, weights=c.astype(float))
+        cols = np.arange(len(X.names))
+        start = np.zeros(len(cols))
+        X_rep, order_rep = X.take(rows).grouped()
+        ref = _irls(X_rep, design.y[rows][order_rep], start, cols)
+        X, order = X.grouped()
+        got = _irls(X, design.y[order], start, cols, weights=c[order].astype(float))
         assert got.converged and ref.converged
         assert got.n_clusters == ref.n_clusters
         np.testing.assert_allclose(got.beta, ref.beta, rtol=1e-10, atol=1e-12)
@@ -196,8 +200,8 @@ class TestFit:
 
 
 def greedy_columns(X, tol=1e-8):
-    """Columns kept by the greedy Gram-Schmidt filter, one column at a time:
-    the reference for the screened ``_drop_collinear``."""
+    """Columns kept by the greedy Gram-Schmidt filter over the dense X, one
+    column at a time: the reference for the screened ``_drop_collinear``."""
     Q = np.empty((X.shape[0], 0))
     keep = []
     for j in range(X.shape[1]):
@@ -210,45 +214,53 @@ def greedy_columns(X, tol=1e-8):
     return keep
 
 
+def with_columns(X, dense=None, incidence=None):
+    """X with its dense block or its cell dummies replaced."""
+    return _Cells(X.dense if dense is None else dense, X.cell,
+                  X.incidence if incidence is None else incidence, X.names)
+
+
 class TestColumnScreen:
     @pytest.fixture
     def matrix(self):
         design, _ = synthetic_design(np.random.default_rng(12), 800)
-        X, names, _ = build_matrix(design)
-        return X, names
+        X, _ = _cells(design)
+        return X.take(np.argsort(X.cell, kind="stable"))
 
-    def screened(self, X, names):
+    def screened(self, X):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _drop_collinear(X, names)[0].tolist()
+            return _drop_collinear(X)[0].tolist()
 
     def test_full_rank_keeps_all(self, matrix):
-        X, names = matrix
-        assert self.screened(X, names) == greedy_columns(X) == list(range(X.shape[1]))
+        X = matrix
+        assert self.screened(X) == greedy_columns(X.materialise()) == list(range(len(X.names)))
 
     @pytest.mark.parametrize("offset, kept", [(0.0, False), (1e-7, True), (1e-10, False)])
     def test_duplicate_and_near_duplicate(self, matrix, offset, kept):
-        X, names = matrix
         rng = np.random.default_rng(13)
-        noise = rng.normal(size=X.shape[0])
+        dense = matrix.dense.copy()
+        noise = rng.normal(size=dense.shape[0])
         # column 5 (placebo) is replaced by z plus a residual of relative size offset
-        X = X.copy()
-        X[:, 5] = X[:, 1] + offset * np.linalg.norm(X[:, 1]) * noise / np.linalg.norm(noise)
-        expected = greedy_columns(X)
+        scale = offset * np.linalg.norm(dense[:, 1]) / np.linalg.norm(noise)
+        dense[:, 5] = dense[:, 1] + scale * noise
+        X = with_columns(matrix, dense=dense)
+        expected = greedy_columns(X.materialise())
         assert (5 in expected) is kept
-        assert self.screened(X, names) == expected
+        assert self.screened(X) == expected
 
     def test_zero_and_constant_sum_columns(self, matrix):
-        X, names = matrix
-        X = X.copy()
-        X[:, 8] = 0.0  # a level absent from the rows
-        X[:, 9] = X[:, 0] - X[:, 10:].sum(axis=1)  # dummies summing to the constant
-        expected = greedy_columns(X)
-        assert len(expected) < X.shape[1] - 1
+        incidence = matrix.incidence.copy()
+        incidence[:, 1] = 0.0  # column 8: a level absent from the rows
+        # column 9: dummies summing to the constant with columns 10 on
+        incidence[:, 2] = 1.0 - incidence[:, 3:].sum(axis=1)
+        X = with_columns(matrix, incidence=incidence)
+        expected = greedy_columns(X.materialise())
+        assert len(expected) < len(X.names) - 1
         with pytest.warns(UserWarning, match="collinear"):
-            cols, dropped = _drop_collinear(X, names)
+            cols, dropped = _drop_collinear(X)
         assert cols.tolist() == expected
-        assert dropped == [names[j] for j in range(X.shape[1]) if j not in expected]
+        assert dropped == [X.names[j] for j in range(len(X.names)) if j not in expected]
 
 
 class TestWald:
