@@ -2,12 +2,13 @@
 provenance stamping.
 
 Configuration is a plain key=value file; any command-line flag overrides
-the file.  Every run writes its artifacts plus a manifest (input hashes,
-resolved config, package version, seed) into the output directory.  With
-a fixed seed the outputs are byte-identical across runs.  A run writes
-into a staging directory next to the output directory and moves its files
-in only once its manifest is written: a failed run leaves the output
-directory as it found it.
+the file, and every value is checked as it loads.  A command is a tuple
+of stages over one ``_Run``.  Every run writes its artifacts plus a
+manifest (input hashes, resolved config, package version, seed) into the
+output directory.  With a fixed seed the outputs are byte-identical
+across runs.  A run writes into a staging directory next to the output
+directory and moves its files in only once its manifest is written: a
+failed run leaves the output directory as it found it.
 """
 
 from __future__ import annotations
@@ -16,24 +17,23 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import shutil
 import sys
 import tempfile
 from contextlib import contextmanager, suppress
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__, density, pz, svg
 from .decompose import decompose, sponsor_split_sweep
 from .discontinuity import cjm_test, sponsor_sweep
-from .linker import (
-    Links,
-    link_all,
-    load_synonyms,
-)
+from .linker import Links, link_all, load_synonyms
 from .registry import (
     RANK_CRITERIA,
     Phase,
@@ -46,57 +46,92 @@ from .registry import (
     write_rankings_csv,
     write_trials_csv,
 )
-from .selection import build_design, fit_logit, predict, predict_at_mean
+from .selection import (SelectionDesign, SelectionModel, build_design, fit_logit, predict,
+                        predict_at_mean)
 from .simulate import Misreporting, SimConfig, generate, write_truth_csv
 
 __all__ = ["main", "PipelineConfig"]
 
-_CONFIG_KEYS = {
-    "trials": str, "outcomes": str, "rankings": str, "synonyms": str,
-    "sidedness": str, "cutoff": float, "split_criterion": str, "split_k": int,
-    "bootstrap_reps": int, "seed": int, "out": str, "group": str,
-    "poly_order": int, "bandwidth": float, "n_trials": int,
-    "misreporting": str, "misreport_q": float, "misreport_window": float,
-}
-
-_DEFAULTS = {
-    "sidedness": "two-sided", "split_criterion": "revenue2018", "split_k": 10,
-    "bootstrap_reps": 500, "seed": 0, "out": "out", "group": "all_industry",
-    "poly_order": 2, "n_trials": 2000, "misreporting": "none", "misreport_q": 0.0,
-    "misreport_window": 0.0,
-}
-
 _GROUPS = ("all", "non_industry", "all_industry", "small_industry", "top_industry")
+_INPUT_KEYS = ("trials", "outcomes", "rankings", "synonyms")
 
-# the values a choice key may take, in a config file or on the command line
-_CHOICES = {
-    "sidedness": tuple(s.value for s in pz.Sidedness),
-    "group": _GROUPS,
-    "misreporting": ("none", "suppress", "inflate"),
-    "split_criterion": RANK_CRITERIA,
+
+@dataclass(frozen=True)
+class _Key:
+    """A config key: its type, help, default (None: unset) and the values it
+    may take, as ``choices`` (the flag's too) or as a ``bound``, a
+    description and a test.  Its flag is ``--key-with-dashes`` unless
+    ``flag`` names another."""
+
+    type: type
+    help: str
+    default: object = None
+    choices: tuple | None = None
+    bound: tuple[str, Callable] | None = None
+    flag: str | None = None
+
+
+def _at_least(lo):
+    return f">= {lo}", lambda v: v >= lo
+
+
+_CONFIG_KEYS = {
+    "trials": _Key(str, "trials CSV"),
+    "outcomes": _Key(str, "outcomes CSV"),
+    "rankings": _Key(str, "sponsor rankings CSV"),
+    "synonyms": _Key(str, "drug synonyms CSV"),
+    "out": _Key(str, "output directory", "out"),
+    "seed": _Key(int, "random seed", 0, bound=_at_least(0)),
+    "cutoff": _Key(float, "significance cutoff on the z scale "
+                   "(default: the z of p = 0.05)", bound=("finite", math.isfinite)),
+    "sidedness": _Key(str, "p-value sidedness", "two-sided",
+                      choices=tuple(s.value for s in pz.Sidedness)),
+    "group": _Key(str, "sponsor group", "all_industry", choices=_GROUPS),
+    # checked when the config loads, so a bad flag exits 1, not 2
+    "split_criterion": _Key(str, "sponsor ranking of the industry split", "revenue2018",
+                            bound=(f"one of {', '.join(RANK_CRITERIA)}",
+                                   RANK_CRITERIA.__contains__)),
+    "split_k": _Key(int, "number of top-ranked sponsors in the split", 10,
+                    bound=("in [7, 20]", lambda v: 7 <= v <= 20)),
+    "bootstrap_reps": _Key(int, "bootstrap repetitions", 500, bound=_at_least(0)),
+    "poly_order": _Key(int, "local polynomial order of the discontinuity test", 2,
+                       bound=_at_least(2), flag="--order"),
+    "bandwidth": _Key(float, "discontinuity test bandwidth (default: plug-in per side)",
+                      bound=("> 0", lambda v: v > 0)),
+    "n_trials": _Key(int, "trials to simulate", 2000, bound=_at_least(1)),
+    "misreporting": _Key(str, "misreporting injected by the simulator", "none",
+                         choices=("none", "suppress", "inflate")),
+    "misreport_q": _Key(float, "fraction of results misreported", 0.0,
+                        bound=("in [0, 1]", lambda v: 0 <= v <= 1)),
+    "misreport_window": _Key(float, "inflation window below the cutoff", 0.0,
+                             bound=_at_least(0)),
 }
 
 
 def _typed(key: str, value):
-    """``value`` of config key ``key`` as the key's type, within its choices."""
-    typ = _CONFIG_KEYS.get(key)
-    if typ is None:
+    """``value`` of config key ``key`` as the key's type, within its choices
+    and bound."""
+    spec = _CONFIG_KEYS.get(key)
+    if spec is None:
         raise ValueError(f"unknown config key {key!r}")
     try:
-        value = typ(value)
+        value = spec.type(value)
     except ValueError:
-        raise ValueError(f"{key} must be {typ.__name__}, got {value!r}") from None
-    if key in _CHOICES and value not in _CHOICES[key]:
-        raise ValueError(f"{key} must be one of {', '.join(_CHOICES[key])}, got {value!r}")
+        raise ValueError(f"{key} must be {spec.type.__name__}, got {value!r}") from None
+    if spec.choices and value not in spec.choices:
+        raise ValueError(f"{key} must be one of {', '.join(spec.choices)}, got {value!r}")
+    if spec.bound and not spec.bound[1](value):
+        raise ValueError(f"{key} must be {spec.bound[0]}, got {value!r}")
     return value
 
 
 class PipelineConfig(dict):
-    """Resolved key=value configuration with typed access."""
+    """Resolved key=value configuration with typed access.  Every value is
+    checked as it loads, so a bad one stops a command before any stage."""
 
     @classmethod
     def load(cls, path: str | None, overrides: dict) -> "PipelineConfig":
-        cfg = cls(_DEFAULTS)
+        cfg = cls({k: s.default for k, s in _CONFIG_KEYS.items() if s.default is not None})
         if path:
             p = Path(path)
             if not p.exists():
@@ -122,10 +157,6 @@ class PipelineConfig(dict):
                 pz.Z_SIG if cfg.side() is pz.Sidedness.TWO_SIDED
                 else float(-pz.inv_norm_cdf(0.05))
             )
-        if not 7 <= int(cfg["split_k"]) <= 20:
-            raise ValueError(f"split_k must lie in [7,20], got {cfg['split_k']}")
-        if int(cfg["bootstrap_reps"]) < 0:
-            raise ValueError(f"bootstrap_reps must be >= 0, got {cfg['bootstrap_reps']}")
         return cfg
 
     def side(self) -> pz.Sidedness:
@@ -140,8 +171,9 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(stage: Path, cfg: PipelineConfig, inputs: list[Path]) -> None:
-    """The manifest of the outputs written into ``stage``."""
+def _write_manifest(stage: Path, cfg: PipelineConfig) -> None:
+    """The manifest of the outputs written into ``stage`` from the
+    configured input files."""
     def _name(p: Path) -> str:
         # inputs inside the output directory are recorded relative to it so
         # re-runs into different directories stay byte-identical
@@ -150,14 +182,15 @@ def _write_manifest(stage: Path, cfg: PipelineConfig, inputs: list[Path]) -> Non
         except ValueError:
             return str(p)
 
+    inputs = [Path(cfg[k]) for k in _INPUT_KEYS if cfg.get(k)]
     config = {k: cfg[k] for k in sorted(cfg) if k != "out"}
-    for key in ("trials", "outcomes", "rankings", "synonyms"):
+    for key in _INPUT_KEYS:
         if key in config:
             config[key] = _name(Path(config[key]))
     manifest = {
         "version": __version__,
         "config": config,
-        "inputs": {_name(p): _sha256(p) for p in inputs if p and Path(p).exists()},
+        "inputs": {_name(p): _sha256(p) for p in inputs if p.exists()},
         "outputs": sorted(
             str(p.relative_to(stage))
             for p in stage.rglob("*")
@@ -169,59 +202,64 @@ def _write_manifest(stage: Path, cfg: PipelineConfig, inputs: list[Path]) -> Non
     )
 
 
-def _load_registry(cfg: PipelineConfig, filtered: bool = True) -> Registry:
+def _exists(path: Path) -> Path:
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
+    return path
+
+
+def _read_registry(inputs: dict[str, Path]) -> Registry:
+    """The registry of the configured input files, before the sample filters."""
     for key in ("trials", "outcomes"):
-        if key not in cfg:
+        if key not in inputs:
             raise FileNotFoundError(f"missing required input: {key} CSV not configured")
-        if not Path(cfg[key]).exists():
-            raise FileNotFoundError(f"input file not found: {cfg[key]}")
-    rankings = cfg.get("rankings")
-    if rankings is not None and not Path(rankings).exists():
-        raise FileNotFoundError(f"input file not found: {rankings}")
-    reg = ingest(cfg["trials"], cfg["outcomes"], rankings)
-    if filtered:
-        reg, _ = apply_sample_filters(reg)
-    return reg
+        _exists(inputs[key])
+    rankings = inputs.get("rankings")
+    return ingest(inputs["trials"], inputs["outcomes"], rankings and _exists(rankings))
 
 
 def _rankings(reg: Registry) -> dict:
     return reg.rankings if any(reg.rankings.get(c) for c in reg.rankings) else default_rankings()
 
 
-def _links_for(reg: Registry, cfg: PipelineConfig):
-    synonyms = None
-    syn_path = cfg.get("synonyms")
-    if syn_path:
-        if not Path(syn_path).exists():
-            raise FileNotFoundError(f"input file not found: {syn_path}")
-        synonyms = load_synonyms(syn_path)
-    return link_all(reg, synonyms=synonyms)
-
-
-class _Inputs:
-    """The inputs of one command, each read, filtered, transformed and
-    linked at most once, so that ``report`` runs every stage off one pass.
-    The command writes into the staging directory ``stage``."""
+class _Run:
+    """One command's run: its config, the staging directory ``stage`` it
+    writes into, and its inputs, each read, filtered, transformed, linked
+    and fitted at most once, so that ``report`` runs every stage off one
+    pass.  Once the table, the links and the rankings are all taken from
+    the registry, the registry is let go: the heavy stages run without it
+    in memory."""
 
     def __init__(self, cfg: PipelineConfig, stage: Path | None = None):
         self.cfg, self.stage = cfg, stage
+        self.inputs = {k: Path(cfg[k]) for k in _INPUT_KEYS if cfg.get(k)}
+        self._taken: dict[str, object] = {}
         self._groups: dict[str, np.ndarray] = {}
-
-    def final(self, path: Path) -> Path:
-        """Where a path of the staging directory ends up."""
-        return Path(self.cfg["out"]) / path.relative_to(self.stage)
 
     @cached_property
     def registry(self) -> Registry:
-        return _load_registry(self.cfg)
+        return apply_sample_filters(_read_registry(self.inputs))[0]
 
-    @cached_property
+    def _take(self, name: str, build: Callable):
+        if name not in self._taken:
+            self._taken[name] = build(self.registry)
+            if len(self._taken) == 3:
+                del self.registry
+        return self._taken[name]
+
+    @property
     def table(self) -> pz.OutcomeTable:
-        return pz.outcome_table(self.registry, self.cfg.side())
+        return self._take("table", lambda reg: pz.outcome_table(reg, self.cfg.side()))
 
-    @cached_property
+    @property
     def links(self):
-        return _links_for(self.registry, self.cfg)
+        syn = self.inputs.get("synonyms")
+        return self._take("links", lambda reg: link_all(
+            reg, synonyms=syn and load_synonyms(_exists(syn))))
+
+    @property
+    def rankings(self) -> dict:
+        return self._take("rankings", _rankings)
 
     def group_mask(self, group: str) -> np.ndarray:
         """The trial mask of a sponsor group over the table's trials.  The
@@ -236,7 +274,7 @@ class _Inputs:
                 mask = industry
             else:
                 crit, k = str(self.cfg["split_criterion"]), int(self.cfg["split_k"])
-                split = [s for s in all_sponsor_splits(_rankings(self.registry), k_range=[k])
+                split = [s for s in all_sponsor_splits(self.rankings, k_range=[k])
                          if s.criterion == crit][0]
                 half = "Large" if group == "top_industry" else "Small"
                 mask = self.table.group_mask(split, half)
@@ -251,6 +289,17 @@ class _Inputs:
         """The links of a group's phase II trials, cut down to the group."""
         return self.links[0].within(self.group_mask(group))
 
+    @cached_property
+    def design(self) -> SelectionDesign:
+        """The selection design of ``--group``."""
+        group = str(self.cfg["group"])
+        return build_design(self.rows(group), self.group_links(group))
+
+    @cached_property
+    def model(self) -> SelectionModel:
+        """The selection model of ``--group``, fitted once for every stage."""
+        return fit_logit(self.design)
+
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -260,16 +309,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def _fnum(v) -> str:
-    if v is None:
-        return ""
-    return f"{v:.6g}"
+    return "" if v is None else f"{v:.6g}"
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Stages: each writes its artifacts into the run's staging directory
 
-def _cmd_ingest(inp: _Inputs, outdir: Path) -> None:
-    reg = _load_registry(inp.cfg, filtered=False)
+def _ingest(run: _Run) -> None:
+    outdir = run.stage
+    reg = _read_registry(run.inputs)
     filtered, audit = apply_sample_filters(reg)
     write_trials_csv(filtered, outdir / "trials_filtered.csv")
     write_outcomes_csv(filtered, outdir / "outcomes_filtered.csv")
@@ -285,8 +333,9 @@ def _cmd_ingest(inp: _Inputs, outdir: Path) -> None:
     )
 
 
-def _cmd_transform(inp: _Inputs, outdir: Path) -> None:
-    t = inp.table
+def _transform(run: _Run) -> None:
+    outdir = run.stage
+    t = run.table
     z_val = np.where(t.precise, t.z, t.bound)
     rows = [
         [tid, rank, kind, _fnum(v)]
@@ -296,28 +345,19 @@ def _cmd_transform(inp: _Inputs, outdir: Path) -> None:
     print(f"transformed {len(rows)} outcomes ({t.side.value})")
 
 
-def _cmd_density(inp: _Inputs, outdir: Path) -> None:
-    cfg = inp.cfg
-    t = inp.rows(str(cfg["group"]))
+def _density(run: _Run) -> None:
+    outdir, cfg = run.stage, run.cfg
+    t = run.rows(str(cfg["group"]))
     curves = []
     for phase, label in ((Phase.PHASE2, "phase2"), (Phase.PHASE3, "phase3")):
         z = t.z[t.sample(phase) & t.precise]
         if z.size < 10:
             raise ValueError(f"too few precise z-scores for {label} density")
-        curve = density.kde(
-            z, density.KdeSpec(), bootstrap_bands=True,
-            bootstrap_reps=200, seed=int(cfg["seed"]),
-        )
-        _write_csv(
-            outdir / f"density_{label}.csv",
-            ["grid", "value", "band_low", "band_high"],
-            [
-                [_fnum(g), _fnum(v), _fnum(lo), _fnum(hi)]
-                for g, v, lo, hi in zip(
-                    curve.grid, curve.values, curve.band_low, curve.band_high
-                )
-            ],
-        )
+        curve = density.kde(z, density.KdeSpec(), bootstrap_bands=True,
+                            bootstrap_reps=200, seed=int(cfg["seed"]))
+        _write_csv(outdir / f"density_{label}.csv", ["grid", "value", "band_low", "band_high"],
+                   [[_fnum(v) for v in row] for row in zip(
+                       curve.grid, curve.values, curve.band_low, curve.band_high)])
         curves.append((label, curve))
     svg.line_plot(
         [
@@ -335,23 +375,20 @@ def _cmd_density(inp: _Inputs, outdir: Path) -> None:
     print(f"densities written for {cfg['group']}")
 
 
-def _cmd_disctest(inp: _Inputs, outdir: Path) -> None:
-    cfg = inp.cfg
+def _disctest(run: _Run) -> None:
+    outdir, cfg = run.stage, run.cfg
     cutoff = float(cfg["cutoff"])
     bandwidth = cfg.get("bandwidth")
     rows = []
     for group in _GROUPS:
-        t = inp.rows(group)
+        t = run.rows(group)
         for phase, label in ((Phase.PHASE2, "phase2"), (Phase.PHASE3, "phase3")):
             z = t.z[t.sample(phase) & t.precise]
             try:
                 r = cjm_test(z, cutoff=cutoff, poly_order=int(cfg["poly_order"]),
                              bandwidth=bandwidth)
-                rows.append(
-                    [group, label, z.size, _fnum(r.f_left), _fnum(r.f_right),
-                     _fnum(r.jump), _fnum(r.std_err), _fnum(r.t_stat),
-                     _fnum(r.p_value), ""]
-                )
+                rows.append([group, label, z.size, *map(_fnum, (
+                    r.f_left, r.f_right, r.jump, r.std_err, r.t_stat, r.p_value)), ""])
             except ValueError as exc:
                 rows.append([group, label, z.size, "", "", "", "", "", "", str(exc)])
     _write_csv(
@@ -363,8 +400,9 @@ def _cmd_disctest(inp: _Inputs, outdir: Path) -> None:
     print(f"discontinuity tests at z={cutoff:g} written")
 
 
-def _cmd_link(inp: _Inputs, outdir: Path) -> None:
-    links, summary = inp.links
+def _link(run: _Run) -> None:
+    outdir = run.stage
+    links, summary = run.links
     ids, n = links.ids, links.n_matches
     _write_csv(outdir / "links.csv", ["phase2_id", "phase3_id"],
                ids[np.column_stack(links.pairs())].tolist())
@@ -387,10 +425,8 @@ def _cmd_link(inp: _Inputs, outdir: Path) -> None:
     )
 
 
-def _cmd_fit_selection(inp: _Inputs, outdir: Path) -> None:
-    cfg, group = inp.cfg, str(inp.cfg["group"])
-    design = build_design(inp.rows(group), inp.group_links(group))
-    model = fit_logit(design)
+def _fit_selection(run: _Run) -> None:
+    outdir, cfg, design, model = run.stage, run.cfg, run.design, run.model
     ses = model.se()
     rows = []
     for name, est in model.coefficients.items():
@@ -398,11 +434,10 @@ def _cmd_fit_selection(inp: _Inputs, outdir: Path) -> None:
         p = 2.0 * pz.norm_sf(abs(est) / se) if se > 0 else float("nan")
         stars = "***" if p < 0.01 else "**" if p < 0.05 else "*" if p < 0.1 else ""
         rows.append([name, _fnum(est), _fnum(se), stars])
-    rows.append(["mean_dependent_variable", _fnum(model.mean_dep), "", ""])
-    rows.append(["observations", model.n_obs, "", ""])
-    rows.append(["n_trials", model.n_trials, "", ""])
-    rows.append(["n_clusters", model.n_clusters, "", ""])
-    rows.append(["converged", str(model.converged).lower(), "", ""])
+    rows += [[term, value, "", ""] for term, value in (
+        ("mean_dependent_variable", _fnum(model.mean_dep)), ("observations", model.n_obs),
+        ("n_trials", model.n_trials), ("n_clusters", model.n_clusters),
+        ("converged", str(model.converged).lower()))]
     _write_csv(outdir / "selection_coefficients.csv",
                ["term", "estimate", "clustered_se", "stars"], rows)
     probs = predict(model, design)
@@ -411,7 +446,7 @@ def _cmd_fit_selection(inp: _Inputs, outdir: Path) -> None:
         ["trial_id", "row", "continuation", "p_hat"],
         [
             [tid, i, int(y), _fnum(p)] for i, (tid, y, p) in
-            enumerate(zip(inp.table.trials.ids[design.trial_code], design.y, probs))
+            enumerate(zip(run.table.trials.ids[design.trial_code], design.y, probs))
         ],
     )
     z_grid = np.linspace(0.0, 5.0, 101)
@@ -426,25 +461,23 @@ def _cmd_fit_selection(inp: _Inputs, outdir: Path) -> None:
     print(f"selection fit: {model.n_obs} rows, converged={model.converged}")
 
 
-def _cmd_decompose(inp: _Inputs, outdir: Path) -> None:
-    cfg, group = inp.cfg, str(inp.cfg["group"])
+def _decompose(run: _Run) -> None:
+    outdir, cfg, group = run.stage, run.cfg, str(run.cfg["group"])
     report = decompose(
-        inp.rows(group), inp.group_links(group), bootstrap_reps=int(cfg["bootstrap_reps"]),
-        seed=int(cfg["seed"]), cutoff=float(cfg["cutoff"]),
+        run.rows(group), run.group_links(group), model=run.model,
+        bootstrap_reps=int(cfg["bootstrap_reps"]), seed=int(cfg["seed"]),
+        cutoff=float(cfg["cutoff"]),
     )
-    rows = [
-        ["share_ph2", _fnum(report.shares["ph2"]), _fnum(report.std_errs["ph2"]), ""],
-        ["share_ph3", _fnum(report.shares["ph3"]), _fnum(report.std_errs["ph3"]), ""],
-        ["share_ph2_sc", _fnum(report.shares["ph2_sc"]), _fnum(report.std_errs["ph2_sc"]), ""],
-    ]
-    for key in ("ph3_minus_ph2", "ph3_minus_ph2_sc", "ph2_sc_minus_ph2"):
-        rows.append([key, _fnum(report.diffs[key]), _fnum(report.std_errs[key]), report.stars(key)])
-    rows.append(["observations_ph2", report.n_obs["ph2"], "", ""])
-    rows.append(["observations_ph3", report.n_obs["ph3"], "", ""])
-    rows.append(["n_trials_ph2", report.n_trials["ph2"], "", ""])
-    rows.append(["n_trials_ph3", report.n_trials["ph3"], "", ""])
-    rows.append(["bootstrap_reps", report.bootstrap_reps, "", ""])
-    rows.append(["dropped_reps", report.dropped_reps, "", ""])
+    rows = [[f"share_{k}", _fnum(report.shares[k]), _fnum(report.std_errs[k]), ""]
+            for k in ("ph2", "ph3", "ph2_sc")]
+    rows += [[k, _fnum(report.diffs[k]), _fnum(report.std_errs[k]), report.stars(k)]
+             for k in ("ph3_minus_ph2", "ph3_minus_ph2_sc", "ph2_sc_minus_ph2")]
+    rows += [["observations_ph2", report.n_obs["ph2"], "", ""],
+             ["observations_ph3", report.n_obs["ph3"], "", ""],
+             ["n_trials_ph2", report.n_trials["ph2"], "", ""],
+             ["n_trials_ph3", report.n_trials["ph3"], "", ""],
+             ["bootstrap_reps", report.bootstrap_reps, "", ""],
+             ["dropped_reps", report.dropped_reps, "", ""]]
     _write_csv(outdir / "decomposition.csv", ["quantity", "estimate", "bootstrap_se", "stars"], rows)
 
     explained = report.diffs["ph2_sc_minus_ph2"]
@@ -467,11 +500,11 @@ def _cmd_decompose(inp: _Inputs, outdir: Path) -> None:
     )
 
 
-def _cmd_sweep(inp: _Inputs, outdir: Path) -> None:
-    cfg = inp.cfg
-    splits = all_sponsor_splits(_rankings(inp.registry))
+def _sweep(run: _Run) -> None:
+    outdir, cfg = run.stage, run.cfg
+    splits = all_sponsor_splits(run.rankings)
     disc_rows = sponsor_sweep(
-        inp.table, splits, Phase.PHASE3, cutoff=float(cfg["cutoff"]),
+        run.table, splits, Phase.PHASE3, cutoff=float(cfg["cutoff"]),
         poly_order=int(cfg["poly_order"]),
     )
     _write_csv(
@@ -493,7 +526,7 @@ def _cmd_sweep(inp: _Inputs, outdir: Path) -> None:
         )
 
     exp_rows = sponsor_split_sweep(
-        inp.table, inp.group_links("all_industry"), splits, cutoff=float(cfg["cutoff"])
+        run.table, run.group_links("all_industry"), splits, cutoff=float(cfg["cutoff"])
     )
     _write_csv(
         outdir / "sweep_explained.csv",
@@ -519,71 +552,47 @@ def _cmd_sweep(inp: _Inputs, outdir: Path) -> None:
 
 
 def _sim_config(cfg: PipelineConfig) -> SimConfig:
-    kind = str(cfg["misreporting"])
-    if kind == "none":
-        mr = Misreporting.none()
-    elif kind == "suppress":
-        mr = Misreporting.suppress_share(float(cfg["misreport_q"]))
-    else:  # "inflate"; PipelineConfig.load checks the choices
-        mr = Misreporting.inflate_spike(
-            float(cfg["misreport_q"]), float(cfg["misreport_window"])
-        )
-    return SimConfig(
-        n_trials=int(cfg["n_trials"]), seed=int(cfg["seed"]), misreporting=mr
-    )
+    kind, q = str(cfg["misreporting"]), float(cfg["misreport_q"])
+    mr = (Misreporting.none() if kind == "none"
+          else Misreporting.suppress_share(q) if kind == "suppress"
+          else Misreporting.inflate_spike(q, float(cfg["misreport_window"])))
+    return SimConfig(n_trials=int(cfg["n_trials"]), seed=int(cfg["seed"]), misreporting=mr)
 
 
-def _cmd_simulate(inp: _Inputs, outdir: Path) -> None:
-    sim_cfg = _sim_config(inp.cfg)
+def _simulate(run: _Run, outdir: Path | None = None) -> None:
+    outdir = outdir or run.stage
+    sim_cfg = _sim_config(run.cfg)
     reg, truth = generate(sim_cfg)
     write_trials_csv(reg, outdir / "trials.csv")
     write_outcomes_csv(reg, outdir / "outcomes.csv")
     write_rankings_csv(reg, outdir / "rankings.csv")
-    _write_csv(
-        outdir / "synonyms.csv",
-        ["canonical_drug", "synonym"],
-        [[c, s] for c, s in truth.synonym_pairs],
-    )
+    _write_csv(outdir / "synonyms.csv", ["canonical_drug", "synonym"], truth.synonym_pairs)
     write_truth_csv(truth, outdir / "truth.csv")
     cont = sum(t.continued for t in truth.trials)
-    print(f"simulated {sim_cfg.n_trials} trials ({cont} continued) into {inp.final(outdir)}")
+    final = Path(run.cfg["out"]) / outdir.relative_to(run.stage)
+    print(f"simulated {sim_cfg.n_trials} trials ({cont} continued) into {final}")
 
 
-def _cmd_report(inp: _Inputs, outdir: Path) -> None:
-    if "trials" not in inp.cfg:
-        # self-contained run on a fresh simulation
-        sim_dir = outdir / "sim"
-        sim_dir.mkdir(parents=True, exist_ok=True)
-        _cmd_simulate(inp, sim_dir)
-        cfg = PipelineConfig(inp.cfg)
-        cfg["trials"] = str(sim_dir / "trials.csv")
-        cfg["outcomes"] = str(sim_dir / "outcomes.csv")
-        cfg["rankings"] = str(sim_dir / "rankings.csv")
-        cfg["synonyms"] = str(sim_dir / "synonyms.csv")
-        inp = _Inputs(cfg, inp.stage)
-    # take all the stages need from the registry up front and let it go:
-    # the heavy stages then run without it in memory
-    for group in _GROUPS:
-        inp.group_mask(group)
-    _ = inp.table, inp.links
-    del inp.registry
-    for stage in (_cmd_transform, _cmd_density, _cmd_disctest, _cmd_link,
-                  _cmd_fit_selection, _cmd_decompose):
-        stage(inp, outdir)
-    print(f"report artifacts in {inp.final(outdir)}")
+def _simulate_inputs(run: _Run) -> None:
+    """Simulate the registry of a ``report`` given no input file into
+    ``sim/`` and make it the run's input."""
+    sim = run.stage / "sim"
+    sim.mkdir()
+    _simulate(run, sim)
+    run.inputs = {k: sim / f"{k}.csv" for k in _INPUT_KEYS}
 
 
 _COMMANDS = {
-    "ingest": _cmd_ingest,
-    "transform": _cmd_transform,
-    "density": _cmd_density,
-    "disctest": _cmd_disctest,
-    "link": _cmd_link,
-    "fit-selection": _cmd_fit_selection,
-    "decompose": _cmd_decompose,
-    "sweep": _cmd_sweep,
-    "simulate": _cmd_simulate,
-    "report": _cmd_report,
+    "ingest": (_ingest,),
+    "transform": (_transform,),
+    "density": (_density,),
+    "disctest": (_disctest,),
+    "link": (_link,),
+    "fit-selection": (_fit_selection,),
+    "decompose": (_decompose,),
+    "sweep": (_sweep,),
+    "simulate": (_simulate,),
+    "report": (_transform, _density, _disctest, _link, _fit_selection, _decompose),
 }
 
 
@@ -596,24 +605,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value configuration file")
-        p.add_argument("--trials", help="trials CSV")
-        p.add_argument("--outcomes", help="outcomes CSV")
-        p.add_argument("--rankings", help="sponsor rankings CSV")
-        p.add_argument("--synonyms", help="drug synonyms CSV")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--cutoff", type=float)
-        p.add_argument("--sidedness", choices=_CHOICES["sidedness"])
-        p.add_argument("--group", choices=_CHOICES["group"])
-        p.add_argument("--split-criterion", dest="split_criterion")
-        p.add_argument("--split-k", dest="split_k", type=int)
-        p.add_argument("--bootstrap-reps", dest="bootstrap_reps", type=int)
-        p.add_argument("--order", dest="poly_order", type=int)
-        p.add_argument("--bandwidth", type=float)
-        p.add_argument("--n-trials", dest="n_trials", type=int)
-        p.add_argument("--misreporting", choices=_CHOICES["misreporting"])
-        p.add_argument("--misreport-q", dest="misreport_q", type=float)
-        p.add_argument("--misreport-window", dest="misreport_window", type=float)
+        for key, spec in _CONFIG_KEYS.items():
+            p.add_argument(spec.flag or "--" + key.replace("_", "-"), dest=key,
+                           type=spec.type, choices=spec.choices, help=spec.help)
     return parser
 
 
@@ -651,18 +645,18 @@ def _staging(outdir: Path):
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         cfg = PipelineConfig.load(args.config, overrides)
-        inputs = [
-            Path(cfg[k]) for k in ("trials", "outcomes", "rankings", "synonyms")
-            if cfg.get(k)
-        ]
         with _staging(Path(cfg["out"])) as stage:
-            _COMMANDS[args.command](_Inputs(cfg, stage), stage)
-            _write_manifest(stage, cfg, inputs)
+            run = _Run(cfg, stage)
+            stages = _COMMANDS[args.command]
+            if args.command == "report" and not run.inputs:
+                stages = (_simulate_inputs, *stages)
+            for fn in stages:
+                fn(run)
+            _write_manifest(stage, cfg)
     except (ValueError, FileNotFoundError, RuntimeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -112,14 +112,16 @@ def _n_distinct(x: np.ndarray) -> int:
     return int(np.count_nonzero(x[1:] != x[:-1])) + 1 if x.size else 0
 
 
-def _order_stat(x: np.ndarray, cum: np.ndarray, q: float) -> float:
-    """The ``q`` quantile of a sorted sample with cumulative counts ``cum``,
-    interpolated between order statistics as ``np.percentile`` does."""
+def _order_stat(x: np.ndarray, cum: np.ndarray, q: float):
+    """The ``q`` quantile of a sample sorted along axis 0 with cumulative
+    counts ``cum``, interpolated between order statistics as
+    ``np.percentile`` does; of each column, for a matrix.  Unlike
+    ``np.percentile`` it calls no ``np.unique``, which imports ``numpy.ma``."""
     pos = (cum[-1] - 1) * q
     k = math.floor(pos)
     t = pos - k
     a, b = x[np.searchsorted(cum, [k, min(k + 1, cum[-1] - 1)], side="right")]
-    return float(b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t)
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def _spread(x: np.ndarray, c: np.ndarray) -> tuple[float, float]:
@@ -129,7 +131,7 @@ def _spread(x: np.ndarray, c: np.ndarray) -> tuple[float, float]:
     mean = np.dot(c, x) / n
     sd = math.sqrt(np.dot(c, (x - mean) ** 2) / (n - 1)) if n > 1 else float("nan")
     cum = np.cumsum(c)
-    iqr = (_order_stat(x, cum, 0.75) - _order_stat(x, cum, 0.25)) / 1.349
+    iqr = float(_order_stat(x, cum, 0.75) - _order_stat(x, cum, 0.25)) / 1.349
     candidates = [s for s in (sd, iqr) if s > 0]
     if not candidates:
         raise ValueError("sample has zero spread")
@@ -467,7 +469,8 @@ def kde(
             if wr.sum() <= 0:
                 wr = counts.astype(float)
             reps[r] = sums(wr)
-        band_low = np.percentile(reps, 2.5, axis=0)
-        band_high = np.percentile(reps, 97.5, axis=0)
+        reps.sort(axis=0)
+        cum = np.arange(1, bootstrap_reps + 1)
+        band_low, band_high = (_order_stat(reps, cum, q) for q in (0.025, 0.975))
 
     return DensityCurve(grid=g, values=values, band_low=band_low, band_high=band_high, bandwidth=h)

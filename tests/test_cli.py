@@ -94,13 +94,49 @@ class TestConfig:
         # one option per config key plus --config, on every subcommand
         sub = cli._build_parser()._subparsers._group_actions[0]
         # split_criterion is checked by load, so a bad flag exits 1, not 2
-        flag_choices = {k: v for k, v in cli._CHOICES.items() if k != "split_criterion"}
+        flag_choices = {k: s.choices for k, s in cli._CONFIG_KEYS.items()
+                        if s.choices and k != "split_criterion"}
+        assert set(flag_choices) == {"sidedness", "group", "misreporting"}
         for name, parser in sub.choices.items():
             dests = [a.dest for a in parser._actions if a.dest != "help"]
             assert len(dests) == 19, name
             assert set(dests) - {"config"} == set(cli._CONFIG_KEYS), name
             assert {a.dest: a.choices for a in parser._actions if a.choices} == flag_choices
         assert len(cli._CONFIG_KEYS) == 18
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command, flags, key, value", [
+        ("disctest", [], "poly_order", "1"),
+        ("sweep", [], "poly_order", "1"),
+        ("disctest", [], "bandwidth", "0"),
+        ("report", [], "seed", "-1"),
+        ("report", [], "cutoff", "nan"),
+        ("simulate", [], "n_trials", "0"),
+        ("simulate", ["--misreporting", "suppress"], "misreport_q", "2"),
+        ("simulate", ["--misreporting", "inflate"], "misreport_window", "-1"),
+    ])
+    def test_bad_value_exits_one_before_any_stage(self, sim_dir, tmp_path, capsys,
+                                                  command, flags, key, value, where):
+        out = tmp_path / "o"
+        args = [command, *flags, "--out", out]
+        if command != "simulate":
+            args += [f"--{name}={sim_dir / name}.csv"
+                     for name in ("trials", "outcomes", "rankings", "synonyms")]
+        if where == "flag":
+            flag = "--order" if key == "poly_order" else "--" + key.replace("_", "-")
+            args += [flag, value]
+        else:
+            cfg_file = tmp_path / "bad.cfg"
+            cfg_file.write_text(f"# one bad value\n{key} = {value}\n")
+            args += ["--config", cfg_file]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        where_text = f"bad.cfg:2: {key} must be" if where == "config" else f"{key} must be"
+        assert err.startswith("error:") and where_text in err
+        assert "Traceback" not in err
+        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            [] if where == "flag" else ["bad.cfg"])
 
 
 class TestOutputDirectory:
@@ -172,6 +208,16 @@ class TestExitCodes:
         assert "bootstrap_reps must be >= 0, got -5" in capsys.readouterr().err
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ([] if where == "flag" else ["reps.cfg"])
+
+    @pytest.mark.parametrize("given", [("outcomes", "rankings"), ("synonyms",), ("outcomes",)])
+    def test_report_with_partial_inputs_exits_one(self, sim_dir, tmp_path, capsys, given):
+        # report simulates only when no input file is configured; with some
+        # but no trials CSV it stops rather than simulate over them
+        out = tmp_path / "o"
+        assert run(["report", *[f"--{name}={sim_dir / name}.csv" for name in given],
+                    "--bootstrap-reps", 0, "--out", out]) == 1
+        assert "missing required input: trials CSV not configured" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_input_exits_one_and_names_path(self, tmp_path, capsys):
         code = run(["transform", "--trials", "/nope/t.csv",
@@ -305,25 +351,46 @@ class TestHeavierSubcommands:
             assert all(a[4] != b[4] for a, b in cells)
 
     def test_report_reads_and_links_once(self, sim_dir, tmp_path, monkeypatch):
-        calls = {"ingest": 0, "link_all": 0}
+        # and fits the selection model once: fit-selection and decompose
+        # share the run's model, counted through both modules' bindings
+        calls = {"ingest": 0, "link_all": 0, "build_design": 0, "fit_logit": 0}
 
-        def counted(name):
-            fn = getattr(cli, name)
-
+        def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
+        for module in (cli, sys.modules["trialscope.decompose"]):
+            for name in calls:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         assert run(["report", "--trials", sim_dir / "trials.csv",
                     "--outcomes", sim_dir / "outcomes.csv",
                     "--synonyms", sim_dir / "synonyms.csv",
                     "--rankings", sim_dir / "rankings.csv",
                     "--bootstrap-reps", 0, "--out", tmp_path]) == 0
-        assert calls == {"ingest": 1, "link_all": 1}
+        assert calls == {"ingest": 1, "link_all": 1, "build_design": 1, "fit_logit": 1}
         assert (tmp_path / "decomposition.csv").exists()
+
+    def test_report_writes_what_its_commands_write(self, sim_csvs, tmp_path):
+        trials, outcomes, rankings, synonyms = sim_csvs
+        flags = ["--trials", trials, "--outcomes", outcomes, "--rankings", rankings,
+                 "--synonyms", synonyms, "--seed", 2, "--bootstrap-reps", 10]
+        assert run(["report", *flags, "--out", tmp_path / "report"]) == 0
+        written = {}
+        for command in ("transform", "density", "disctest", "link", "fit-selection",
+                        "decompose"):
+            out = tmp_path / command
+            assert run([command, *flags, "--out", out]) == 0
+            for p in out.iterdir():
+                if p.suffix in (".csv", ".svg"):
+                    assert p.name not in written
+                    written[p.name] = p.read_bytes()
+        report = {p.name: p.read_bytes() for p in (tmp_path / "report").iterdir()
+                  if p.suffix in (".csv", ".svg")}
+        assert sorted(report) == sorted(written)
+        assert [name for name in report if report[name] != written[name]] == []
 
     def test_fit_selection_artifacts(self, sim_dir, tmp_path):
         assert run(["fit-selection", "--trials", sim_dir / "trials.csv",
@@ -366,6 +433,24 @@ def test_simulate_report_and_sweep_load_no_scipy(tmp_path):
     assert scipy_modules_after(code, cwd=tmp_path) == "[]"
     assert (tmp_path / "report" / "decomposition.csv").exists()
     assert (tmp_path / "sweep" / "sweep_explained.csv").exists()
+
+
+def test_report_leaves_numpy_ma_unloaded(tmp_path):
+    # np.percentile and np.unique import numpy.ma, about 13 ms of every process
+    code = textwrap.dedent("""
+        import sys
+        from trialscope.cli import main
+
+        assert main(["report", "--n-trials", "600", "--seed", "5", "--bootstrap-reps", "5",
+                     "--out", "report"]) == 0
+        print("numpy.ma" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env, cwd=tmp_path)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+    assert (tmp_path / "report" / "density_phase2.csv").exists()
 
 
 def test_bandwidth_and_decompose_leave_scipy_optimize_unloaded():

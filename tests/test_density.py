@@ -14,7 +14,7 @@ from trialscope.density import (
     sj_bandwidth,
 )
 from trialscope.decompose import censored_aware_share
-from trialscope.density import _KernelSums
+from trialscope.density import _KernelSums, _order_stat
 from trialscope.pz import Z_D1, Z_D2, Z_SIG, ZKind, outcome_table
 from trialscope.registry import Phase
 from trialscope.simulate import SimConfig, end_to_end_truth_check, generate
@@ -298,6 +298,18 @@ class TestKde:
             [epanechnikov((g - centers) / h) @ mass / (w.sum() * h) for g in grid]
         )
         assert np.max(np.abs(curve.values - oracle)) < 5e-3
+
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_band_quantiles_equal_np_percentile(self, ties):
+        # the bands take their quantiles without np.percentile, which
+        # imports numpy.ma through np.unique; the values must not move
+        reps = np.random.default_rng(12).normal(size=(200, 512))
+        if ties:
+            reps = np.round(reps, 1)
+        sorted_reps, cum = np.sort(reps, axis=0), np.arange(1, 201)
+        for q in (2.5, 97.5):
+            band = _order_stat(sorted_reps, cum, q / 100)
+            assert (band == np.percentile(reps, q, axis=0)).all()
 
     def test_bands_seeded_and_cover_point(self):
         rng = np.random.default_rng(10)

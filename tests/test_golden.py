@@ -1,9 +1,11 @@
-"""Byte identity of the report and sweep artifacts.
+"""Byte identity of the report, sweep and ingest artifacts.
 
 ``report --seed 7 --n-trials 600 --bootstrap-reps 20`` simulates a registry
-and runs every stage on it; ``sweep`` then runs on the CSVs of that
-registry.  The sha256 of every CSV and SVG the two commands write must
-equal ``golden.json``.  The hashes there were recorded before the
+and runs every stage on it; ``sweep`` and ``ingest`` then run on the CSVs
+of that registry.  The sha256 of every CSV and SVG the three commands
+write must equal ``golden.json``.  The ``ingest`` entries were added
+later, recorded from the code as it stood before the commands became
+tuples of stages.  The hashes there were recorded before the
 condition category and the completion year became integer codes on
 ``Trials``, so they pin that refactor to the numbers of the string-coded
 pipeline.
@@ -38,14 +40,16 @@ def _cli(*args) -> None:
 
 
 def artifact_hashes(work: Path) -> dict[str, str]:
-    """Run the report and the sweep into ``work``; the sha256 of each CSV
-    and SVG written, by path relative to ``work``."""
+    """Run the report, then the sweep and the ingest on the report's
+    simulated CSVs, into ``work``; the sha256 of each CSV and SVG written,
+    by path relative to ``work``."""
     report, sweep = work / "report", work / "sweep"
     _cli("report", "--seed", 7, "--n-trials", 600, "--bootstrap-reps", 20, "--out", report)
     sim = report / "sim"
-    _cli("sweep", "--trials", sim / "trials.csv", "--outcomes", sim / "outcomes.csv",
-         "--rankings", sim / "rankings.csv", "--synonyms", sim / "synonyms.csv",
-         "--out", sweep)
+    inputs = ("--trials", sim / "trials.csv", "--outcomes", sim / "outcomes.csv",
+              "--rankings", sim / "rankings.csv", "--synonyms", sim / "synonyms.csv")
+    _cli("sweep", *inputs, "--out", sweep)
+    _cli("ingest", *inputs, "--out", work / "ingest")
     return {
         p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(work.rglob("*")) if p.suffix in (".csv", ".svg")

@@ -84,7 +84,7 @@ def test_sponsor_groups_read_the_table_keys(mixed_csvs, monkeypatch):
                                         lambda *a, **k: calls.append(a) or real(*a, **k))
     cfg = PipelineConfig.load(None, {"trials": str(trials), "outcomes": str(outcomes),
                                      "rankings": str(rankings), "synonyms": str(synonyms)})
-    inp = cli._Inputs(cfg)
+    inp = cli._Run(cfg)
     reg = inp.registry
     _ = inp.table
     # ingest and the table canonicalise each distinct sponsor string once
