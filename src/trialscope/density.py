@@ -450,6 +450,8 @@ def kde(
     resamples (observation, weight) pairs; per-rep streams are derived
     from the seed by counter so results do not depend on scheduling.
     """
+    if bootstrap_bands and bootstrap_reps < 1:
+        raise ValueError(f"bootstrap_reps must be >= 1 for bands, got {bootstrap_reps}")
     x, w, h = _resolve(sample, spec)
     g = default_grid(x, h) if grid is None else np.asarray(grid, dtype=float)
     if np.any(np.diff(g) < 0):

@@ -11,7 +11,6 @@ results is irrelevant.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -20,7 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .registry import NO_DATE, Phase, Ragged, Registry, SponsorClass, Trials
+from .registry import NO_DATE, Phase, Ragged, Registry, SponsorClass, Trials, _read_columns
 
 __all__ = [
     "Links",
@@ -87,16 +86,12 @@ def build_synonym_map(pairs: Iterable[tuple[str, str]]) -> dict[str, str]:
 
 
 def load_synonyms(path: str | Path) -> dict[str, str]:
-    """Read a synonyms CSV (canonical_drug, synonym) into a lookup map."""
-    pairs = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        expected = ["canonical_drug", "synonym"]
-        if list(reader.fieldnames or []) != expected:
-            raise ValueError(f"{path}: expected columns {expected}, got {reader.fieldnames}")
-        for row in reader:
-            pairs.append((row["canonical_drug"], row["synonym"]))
-    return build_synonym_map(pairs)
+    """Read a synonyms CSV (canonical_drug, synonym) into a lookup map;
+    a bad header or a row with another number of fields is a SchemaError."""
+    (canonical, synonym), _, fault = _read_columns(path, ["canonical_drug", "synonym"])
+    if fault is not None:
+        raise fault
+    return build_synonym_map(zip(canonical, synonym))
 
 
 def canonical_drug(name: str, synonyms: Mapping[str, str] | None = None) -> str:

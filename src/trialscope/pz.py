@@ -127,57 +127,22 @@ _ERF_U = (  # monic
 # exp(-x^2) underflows beyond x^2 = log(DBL_MAX)
 _MAXLOG = 7.09782712893383996843e2
 
-# The rational functions below take a float or an array, and evaluate in
-# Cephes' Horner order (polevl for P, R, T and p1evl for the monic Q, S, U),
-# unrolled: a float argument is the path of the scalar calls of the
-# simulator, and a loop over the coefficients would double its cost.
 
-
-def _erfc_near(x, e):
-    """erfc(x) for 1 <= x < 8 given e = exp(-x*x)."""
-    p0, p1, p2, p3, p4, p5, p6, p7, p8 = _ERFC_P
-    q0, q1, q2, q3, q4, q5, q6, q7 = _ERFC_Q
-    p = (((((((p0 * x + p1) * x + p2) * x + p3) * x + p4) * x + p5) * x + p6) * x + p7) * x + p8
-    q = (((((((x + q0) * x + q1) * x + q2) * x + q3) * x + q4) * x + q5) * x + q6) * x + q7
-    return (e * p) / q
-
-
-def _erfc_far(x, e):
-    """erfc(x) for x >= 8 given e = exp(-x*x)."""
-    r0, r1, r2, r3, r4, r5 = _ERFC_R
-    s0, s1, s2, s3, s4, s5 = _ERFC_S
-    p = ((((r0 * x + r1) * x + r2) * x + r3) * x + r4) * x + r5
-    q = (((((x + s0) * x + s1) * x + s2) * x + s3) * x + s4) * x + s5
-    return (e * p) / q
-
-
-def _erfc_small(a):
-    """erfc(a) for |a| < 1, as 1 - erf(a)."""
-    t0, t1, t2, t3, t4 = _ERF_T
-    u0, u1, u2, u3, u4 = _ERF_U
-    z = a * a
-    erf = a * ((((t0 * z + t1) * z + t2) * z + t3) * z + t4) / (
-        ((((z + u0) * z + u1) * z + u2) * z + u3) * z + u4)
-    return 1.0 - erf
+def _horner(coefficients, x, monic=False):
+    """The polynomial of ``coefficients``, highest degree first, at ``x``,
+    in Cephes' Horner order: polevl, or p1evl with the leading 1 implicit
+    when ``monic``."""
+    y = x + coefficients[0] if monic else coefficients[0]
+    for c in coefficients[1:]:
+        y = y * x + c
+    return y
 
 
 def _erfc(a):
-    """Cephes erfc of a float, or elementwise of an array.  NaN propagates
-    through the far branch."""
-    if type(a) is not float:
-        return _erfc_array(a)
-    x = abs(a)
-    if x < 1.0:
-        return _erfc_small(a)
-    z = -a * a
-    if z < -_MAXLOG:
-        return 2.0 if a < 0.0 else 0.0
-    y = _erfc_near(x, math.exp(z)) if x < 8.0 else _erfc_far(x, math.exp(z))
-    return 2.0 - y if a < 0.0 else y
-
-
-def _erfc_array(a: np.ndarray) -> np.ndarray:
-    """Cephes erfc, elementwise; each element evaluates only its own branch."""
+    """Cephes erfc, elementwise, of an array or a number; a float for a
+    number or a 0-d array.  Each element evaluates only its own branch, and
+    NaN propagates."""
+    a = np.asarray(a, dtype=float)
     flat = a.ravel()
     x = np.abs(flat)
     with np.errstate(over="ignore"):  # past 1e154 -x^2 is -inf, and underflows
@@ -185,32 +150,30 @@ def _erfc_array(a: np.ndarray) -> np.ndarray:
     out = (flat < 0.0) * 2.0  # where exp(-x^2) underflows
     out[np.isnan(flat)] = np.nan
     small = np.flatnonzero(x < 1.0)
-    out[small] = _erfc_small(flat[small])
-    for rows, branch in ((np.flatnonzero((x >= 1.0) & (x < 8.0)), _erfc_near),
-                         (np.flatnonzero((x >= 8.0) & (z >= -_MAXLOG)), _erfc_far)):
-        e = np.fromiter(map(math.exp, z[rows].tolist()), float, count=rows.size)
-        y = branch(x[rows], e)
-        out[rows] = np.where(flat[rows] < 0.0, 2.0 - y, y)
-    return out.reshape(a.shape)
-
-
-def _float_or_array(z):
-    """``z`` as a float if it is a scalar or 0-d, else as a float array."""
-    if isinstance(z, float):
-        return float(z)
-    z = np.asarray(z, dtype=float)
-    return z if z.ndim else float(z)
+    if small.size:  # erfc = 1 - erf
+        v = flat[small]
+        out[small] = 1.0 - v * _horner(_ERF_T, v * v) / _horner(_ERF_U, v * v, monic=True)
+    for rows, num, den in ((np.flatnonzero((x >= 1.0) & (x < 8.0)), _ERFC_P, _ERFC_Q),
+                           (np.flatnonzero((x >= 8.0) & (z >= -_MAXLOG)), _ERFC_R, _ERFC_S)):
+        if rows.size:
+            e = np.fromiter(map(math.exp, z[rows].tolist()), float, count=rows.size)
+            y = (e * _horner(num, x[rows])) / _horner(den, x[rows], monic=True)
+            out[rows] = np.where(flat[rows] < 0.0, 2.0 - y, y)
+    return out.reshape(a.shape) if a.ndim else float(out[0])
 
 
 def norm_cdf(z):
     """Standard normal CDF via the complementary error function."""
-    return 0.5 * _erfc(-_float_or_array(z) / _SQRT2)
+    return norm_sf(-np.asarray(z, dtype=float))
 
 
 def norm_sf(z):
     """Upper-tail probability 1 - CDF(z), accurate in the far tail where
-    the literal subtraction would cancel."""
-    return 0.5 * _erfc(_float_or_array(z) / _SQRT2)
+    the literal subtraction would cancel; a float for a number or a 0-d
+    array."""
+    z = np.asarray(z, dtype=float)
+    sf = 0.5 * _erfc(z / _SQRT2)
+    return sf if z.ndim else float(sf)
 
 
 def _acklam(q: np.ndarray) -> np.ndarray:

@@ -548,23 +548,48 @@ def _parse_superiority(raw: str) -> bool:
     return raw.strip().casefold() == StudyType.INTERVENTIONAL_SUPERIORITY.value
 
 
+def _among(chosen, values: Sequence) -> np.ndarray:
+    """The mask of the ``values`` in the collection ``chosen``."""
+    if not chosen:
+        return np.zeros(len(values), bool)
+    return np.fromiter(map(chosen.__contains__, values), bool, count=len(values))
+
+
 class _Parsed(dict):
-    """Each cell -> ``parse(cell)``, parsed on its first lookup."""
+    """Each cell -> ``parse(cell)``, parsed on its first lookup, or
+    ``filler`` where that raises ValueError, whose message goes in
+    ``errors``."""
 
-    def __init__(self, parse):
+    def __init__(self, parse, filler):
         super().__init__()
-        self.parse = parse
+        self.parse, self.filler, self.errors = parse, filler, {}
 
-    def __missing__(self, cell: str):
-        value = self[cell] = self.parse(cell)
+    def __missing__(self, cell):
+        try:
+            value = self[cell] = self.parse(cell)
+        except ValueError as exc:
+            value = self[cell] = self.filler
+            self.errors[cell] = str(exc)
         return value
 
 
-def _distinct(parse, cells: Sequence[str], dtype=None):
+def _parsed(parse, cells: Sequence, dtype=None, filler=None):
     """``parse`` of every cell, called once per distinct cell, as a list or
-    as an array of ``dtype``."""
-    values = map(_Parsed(parse).__getitem__, cells)
-    return list(values) if dtype is None else np.fromiter(values, dtype, count=len(cells))
+    as an array of ``dtype``, with ``filler`` where it raises ValueError;
+    and the failure of a rule on those cells: their mask, and the message
+    of the cell at a position."""
+    table = _Parsed(parse, filler)
+    values = map(table.__getitem__, cells)
+    values = list(values) if dtype is None else np.fromiter(values, dtype, count=len(cells))
+    return values, (_among(table.errors, cells), lambda i: table.errors[cells[i]])
+
+
+def _first_positions(values: Sequence) -> tuple[dict, np.ndarray]:
+    """Each distinct value -> its first position, and the mask of the
+    values equal to a value at an earlier position."""
+    n = len(values)
+    first = dict(zip(values[::-1], range(n - 1, -1, -1)))
+    return first, _lookup(first, values) != np.arange(n)
 
 
 def _extend(columns: list[list[str]], chunk: list[list[str]]) -> None:
@@ -573,7 +598,7 @@ def _extend(columns: list[list[str]], chunk: list[list[str]]) -> None:
     chunk.clear()
 
 
-def _read_columns(path: Path, expected: Sequence[str]):
+def _read_columns(path: str | Path, expected: Sequence[str]):
     """The cells of the records after a header of the ``expected`` columns,
     one list per column, the line each record starts on, and the error of
     a record with another number of fields, where reading stopped (None
@@ -605,94 +630,40 @@ def _read_columns(path: Path, expected: Sequence[str]):
     return columns, lines, fault
 
 
-# Each file's columns are converted and checked a column at a time.  Only
-# when a check fails are its records checked again one at a time, every
-# check of a record before the next record, which raises the first failing
-# record's first failing check.
+# Each file is checked against one list of rules in docs/schemas.md order.
+# A rule is (column, the mask of the records that fail it, the message of a
+# failing record at its position).  A rule that reads an earlier column sees
+# a neutral filler in the cells that failed to parse; only the same
+# record's earlier rules fail there, and the earlier rule wins.
 
-class _Record:
-    """The checks of the CSV record at ``line`` of ``file``, each raising
-    its SchemaError."""
-
-    def __init__(self, file: str, line: int):
-        self.file, self.line = file, line
-
-    def check(self, column: str, ok: bool, message: str) -> None:
-        if not ok:
-            raise SchemaError(self.file, self.line, column, message)
-
-    def cell(self, column: str, parse, raw):
-        """``parse(raw)``, whose ValueError fails the check of ``column``."""
-        try:
-            return parse(raw)
-        except ValueError as exc:
-            raise SchemaError(self.file, self.line, column, str(exc)) from None
-
-
-def _check_rankings(file: str, lines: Sequence[int], records: Iterable,
-                    keys: Mapping[str, str]) -> None:
-    seen = set()
-    for line, (name, criterion, rank) in zip(lines, records):
-        at = _Record(file, line)
-        crit = at.cell("criterion", _parse_criterion, criterion)
-        at.check("rank", at.cell("rank", _parse_int, rank) >= 1, "rank must be >= 1")
-        entry = (crit, keys[name])
-        at.check("sponsor_name", entry not in seen,
-                 f"duplicate rank entry for {name!r} under {crit}")
-        seen.add(entry)
-
-
-def _check_trials(file: str, lines: Sequence[int], records: Iterable,
-                  keys: Mapping[str, str], ranked: set[str]) -> None:
-    seen = set()
-    for line, record in zip(lines, records):
-        tid, _, sponsor, sclass, _, _, start, completion, enrollment, placebo, _ = record
-        tid, sponsor = tid.strip(), sponsor.strip()
-        at = _Record(file, line)
-        at.check("trial_id", tid != "", "empty trial id")
-        at.check("trial_id", tid not in seen, f"duplicate trial id {tid!r}")
-        seen.add(tid)
-        at.check("sponsor_name", ";" not in sponsor,
-                 "multiple sponsors listed; supply the single lead sponsor")
-        industry = at.cell("sponsor_class", _parse_industry, sclass)
-        at.check("enrollment", at.cell("enrollment", _parse_int, enrollment) >= 0,
-                 "enrollment must be >= 0")
-        first = at.cell("start_date", _parse_date, start)
-        last = at.cell("completion_date", _parse_date, completion)
-        at.check("completion_date", NO_DATE in (first, last) or first <= last,
-                 "completion before start")
-        at.check("sponsor_class", industry or keys[sponsor] not in ranked,
-                 f"sponsor {sponsor!r} is ranked but classed non_industry")
-        at.cell("placebo_comparator", _parse_bool, placebo)
-
-
-def _check_outcomes(file: str, lines: Sequence[int], records: Iterable,
-                    row_of: Mapping[str, int]) -> None:
-    for line, (tid, rank, kind, value, mht) in zip(lines, records):
-        if tid.strip() not in row_of:
-            continue  # rows of absent trials are listed, not validated
-        at = _Record(file, line)
-        at.cell("outcome_rank", _parse_rank, rank)
-        kind = at.cell("p_kind", _parse_p_kind, kind)
-        at.cell("p_value", lambda p: ReportedP(kind, p), at.cell("p_value", _parse_float, value))
-        at.cell("mht_adjusted", _parse_bool, mht)
+def _check(file: str, lines: Sequence[int], rules, fault: SchemaError | None) -> None:
+    """Raise the SchemaError of the first record that fails a rule, at its
+    first failing rule, else ``fault``, the error of the row with the wrong
+    number of fields where reading stopped."""
+    failed = [(int(np.argmax(mask)), at) for at, (_, mask, _) in enumerate(rules) if mask.any()]
+    if failed:
+        i, at = min(failed)
+        column, _, message = rules[at]
+        raise SchemaError(file, lines[i], column, message(i))
+    if fault is not None:
+        raise fault
 
 
 def _read_rankings(path: Path, keys: dict[str, str]) -> dict[str, dict[str, int]]:
     columns, lines, fault = _read_columns(path, RANKINGS_COLUMNS)
     names, criteria, ranks = columns
     _sponsor_keys(names, keys)
-    try:
-        crit = _distinct(_parse_criterion, criteria)
-        rank = list(map(int, ranks))
-        entries = list(zip(crit, map(keys.__getitem__, names)))
-        ok = min(rank, default=1) >= 1 and len(set(entries)) == len(entries)
-    except ValueError:
-        ok = False
-    if not ok:
-        _check_rankings(str(path), lines, zip(*columns), keys)
-    if fault is not None:
-        raise fault
+    crit, bad_crit = _parsed(_parse_criterion, criteria, filler=RANK_CRITERIA[0])
+    rank, bad_rank = _parsed(_parse_int, ranks, filler=1)
+    entries = list(zip(crit, map(keys.__getitem__, names)))
+    _, repeated = _first_positions(entries)
+    _check(str(path), lines, (
+        ("criterion", *bad_crit),
+        ("rank", *bad_rank),
+        ("rank", _among({r for r in rank if r < 1}, rank), lambda i: "rank must be >= 1"),
+        ("sponsor_name", repeated,
+         lambda i: f"duplicate rank entry for {names[i]!r} under {crit[i]}"),
+    ), fault)
     rankings: dict[str, dict[str, int]] = {c: {} for c in RANK_CRITERIA}
     for (c, key), value in zip(entries, rank):
         rankings[c][key] = value
@@ -706,55 +677,60 @@ def _read_trials(path: Path, keys: dict[str, str],
     (tid, phase, sponsor, sclass, interventions, mesh, start, completion, enrollment,
      placebo, study_type) = columns
     ids, names = list(map(str.strip, tid)), list(map(str.strip, sponsor))
-    row_of = dict(zip(ids, range(len(ids))))
+    row_of, repeated = _first_positions(ids)
     distinct = set(names)
     _sponsor_keys(distinct, keys)
     ranked_names = {n for n in distinct if keys[n] in ranked}
-    try:
-        industry = _distinct(_parse_industry, sclass, bool)
-        enrollment = list(map(int, enrollment))
-        start = _distinct(_parse_date, start, np.int64)
-        completion = _distinct(_parse_date, completion, np.int64)
-        placebo = _distinct(_parse_bool, placebo, bool)
-        listed = np.fromiter(map(ranked_names.__contains__, names), bool, count=len(names))
-        ok = (len(row_of) == len(ids) and "" not in row_of
-              and not any(";" in n for n in distinct) and min(enrollment, default=0) >= 0
-              and not ((start != NO_DATE) & (completion != NO_DATE) & (start > completion)).any()
-              and industry[listed].all())
-    except ValueError:
-        ok = False
-    if not ok:
-        _check_trials(str(path), lines, zip(*columns), keys, ranked)
-    if fault is not None:
-        raise fault
-    return dict(ids=ids, phase=_distinct(_parse_phase, phase), sponsor_name=names,
+    several = {n for n in distinct if ";" in n}
+    industry, bad_class = _parsed(_parse_industry, sclass, bool, True)
+    enrollment, bad_enrollment = _parsed(_parse_int, enrollment, filler=0)
+    start, bad_start = _parsed(_parse_date, start, np.int64, NO_DATE)
+    completion, bad_completion = _parsed(_parse_date, completion, np.int64, NO_DATE)
+    placebo, bad_placebo = _parsed(_parse_bool, placebo, bool, False)
+    _check(str(path), lines, (
+        ("trial_id", _among({""}.intersection(row_of), ids), lambda i: "empty trial id"),
+        ("trial_id", repeated, lambda i: f"duplicate trial id {ids[i]!r}"),
+        ("sponsor_name", _among(several, names),
+         lambda i: "multiple sponsors listed; supply the single lead sponsor"),
+        ("sponsor_class", *bad_class),
+        ("enrollment", *bad_enrollment),
+        ("enrollment", _among({e for e in set(enrollment) if e < 0}, enrollment),
+         lambda i: "enrollment must be >= 0"),
+        ("start_date", *bad_start),
+        ("completion_date", *bad_completion),
+        ("completion_date", (start != NO_DATE) & (completion != NO_DATE) & (start > completion),
+         lambda i: "completion before start"),
+        ("sponsor_class", ~industry & _among(ranked_names, names),
+         lambda i: f"sponsor {names[i]!r} is ranked but classed non_industry"),
+        ("placebo_comparator", *bad_placebo),
+    ), fault)
+    return dict(ids=ids, phase=_parsed(_parse_phase, phase)[0], sponsor_name=names,
                 industry=industry, interventions=interventions, mesh=mesh, start=start,
                 completion=completion, enrollment=enrollment, placebo=placebo,
-                superiority=_distinct(_parse_superiority, study_type, bool)), row_of
+                superiority=_parsed(_parse_superiority, study_type, bool)[0]), row_of
 
 
 def _read_outcomes(path: Path, row_of: Mapping[str, int]) -> dict[str, Sequence]:
     columns, lines, fault = _read_columns(path, OUTCOMES_COLUMNS)
     tid, rank, kind, value, mht = columns
     ids = list(map(str.strip, tid))
-    trial = list(map(row_of.get, ids))
-    try:
-        rank = _distinct(_parse_rank, rank)
-        kind = _distinct(_parse_p_kind, kind)
-        p = np.fromiter(map(float, value), float, count=len(value))
-        exact = np.fromiter(map("exact".__eq__, kind), bool, count=len(kind))
-        ok = np.where(exact, (p >= 0.0) & (p <= 1.0), (p > 0.0) & (p < 1.0)).all()
-        mht = _distinct(_parse_bool, mht, bool)
-    except ValueError:
-        ok = False
-    if not ok:  # also when only rows of absent trials fail
-        _check_outcomes(str(path), lines, zip(*columns), row_of)
-    if fault is not None:
-        raise fault
-    if None in trial:
+    absent = set(ids).difference(row_of)
+    rank, bad_rank = _parsed(_parse_rank, rank, filler=OutcomeRank.PRIMARY.value)
+    kind, bad_kind = _parsed(_parse_p_kind, kind, filler="exact")
+    p, bad_p = _parsed(lambda cell: ReportedP(cell[0], _parse_float(cell[1])).value,
+                       list(zip(kind, value)), float, 0.5)  # a number, then in range
+    mht, bad_mht = _parsed(_parse_bool, mht, bool, False)
+    present = ~_among(absent, ids)  # rows of absent trials are not checked
+    _check(str(path), lines, [(column, mask & present, message) for column, mask, message in (
+        ("outcome_rank", *bad_rank),
+        ("p_kind", *bad_kind),
+        ("p_value", *bad_p),
+        ("mht_adjusted", *bad_mht),
+    )], fault)
+    if absent:
         raise ValueError("outcome rows reference absent trials:\n  " + "\n  ".join(
-            f"{path}:{line} -> {i!r}" for line, i, t in zip(lines, ids, trial) if t is None))
-    return dict(trial=trial, rank=rank, p_kind=kind, p_value=p, mht=mht)
+            f"{path}:{line} -> {i!r}" for line, i in zip(lines, ids) if i in absent))
+    return dict(trial=_lookup(row_of, ids), rank=rank, p_kind=kind, p_value=p, mht=mht)
 
 
 def ingest(

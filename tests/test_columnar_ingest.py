@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import random
 
 import pytest
@@ -239,6 +240,17 @@ def test_two_faults_in_either_order(tmp_path, base_rows):
             got = assert_same_ingest(write_files(
                 tmp_path, corrupted(base_rows, faults, rng), f"{tag}{k}"))
             kinds.add(got[0])
+    assert "SchemaError" in kinds
+
+
+@pytest.mark.parametrize("which", FILES)
+def test_every_ordered_pair_of_faults_in_one_record(tmp_path, base_rows, which):
+    rng = random.Random(f"pairs-{which}")
+    kinds = set()
+    for a, b in itertools.permutations(sorted(FAULTS[which]), 2):
+        r = rng.randrange(1, len(base_rows[which]))
+        rows = corrupted(base_rows, [(which, a, r), (which, b, r)], rng)
+        kinds.add(assert_same_ingest(write_files(tmp_path, rows, "pair"))[0])
     assert "SchemaError" in kinds
 
 

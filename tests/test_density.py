@@ -342,6 +342,13 @@ class TestKde:
         with pytest.raises(ValueError):
             KdeSpec(bandwidth=-1.0)
 
+    @pytest.mark.parametrize("reps", [0, -3])
+    def test_bands_need_a_rep(self, reps):
+        x = np.linspace(-2.0, 2.0, 50)
+        with pytest.raises(ValueError, match=f"bootstrap_reps must be >= 1 for bands, got {reps}"):
+            kde(x, KdeSpec(bandwidth=0.5), bootstrap_bands=True, bootstrap_reps=reps)
+        assert kde(x, KdeSpec(bandwidth=0.5), bootstrap_reps=reps).band_low is None
+
     def test_stochastic_dominance_of_increasing_weights(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=2000)

@@ -14,7 +14,7 @@ from trialscope.linker import (
     load_synonyms,
 )
 from trialscope.pz import outcome_table
-from trialscope.registry import Phase, write_outcomes_csv, write_trials_csv
+from trialscope.registry import Phase, SchemaError, write_outcomes_csv, write_trials_csv
 from trialscope.selection import build_design
 
 from linear_linker import link
@@ -171,6 +171,32 @@ class TestCanonicalization:
         bad.write_text("x,y\na,b\n", encoding="utf-8")
         with pytest.raises(ValueError, match="expected columns"):
             load_synonyms(bad)
+
+    @pytest.mark.parametrize("row, fields", [("a", 1), ("a,b,c", 3)], ids=["short", "long"])
+    def test_load_synonyms_row_of_another_length(self, tmp_path, row, fields):
+        f = tmp_path / "syn.csv"
+        f.write_text(f"canonical_drug,synonym\n\na,b\n{row}\nc,d\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=f"expected 2 fields, got {fields}") as exc:
+            load_synonyms(f)
+        assert (exc.value.file, exc.value.line, exc.value.column) == (str(f), 4, "<row>")
+
+    @pytest.mark.parametrize("row", ["a", "a,b,c"], ids=["short", "long"])
+    def test_link_with_a_synonyms_row_of_another_length_exits_one(
+            self, tmp_path, capsys, row):
+        reg = registry_of([make_trial("P2", Phase.PHASE2, [{"druga"}], {"C14:X"},
+                                      date(2012, 1, 1), date(2014, 1, 1))])
+        write_trials_csv(reg, tmp_path / "trials.csv")
+        write_outcomes_csv(reg, tmp_path / "outcomes.csv")
+        syn = tmp_path / "syn.csv"
+        syn.write_text(f"canonical_drug,synonym\na,b\n{row}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["link", "--trials", str(tmp_path / "trials.csv"),
+                     "--outcomes", str(tmp_path / "outcomes.csv"),
+                     "--synonyms", str(syn), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {syn}:3 column '<row>': expected 2 fields")
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 class TestLinkAll:
