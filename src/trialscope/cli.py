@@ -14,7 +14,6 @@ failed run leaves the output directory as it found it.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -42,6 +41,7 @@ from .registry import (
     apply_sample_filters,
     default_rankings,
     ingest,
+    write_csv,
     write_outcomes_csv,
     write_rankings_csv,
     write_trials_csv,
@@ -301,13 +301,6 @@ class _Run:
         return fit_logit(self.design)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _fnum(v) -> str:
     return "" if v is None else f"{v:.6g}"
 
@@ -322,7 +315,7 @@ def _ingest(run: _Run) -> None:
     write_trials_csv(filtered, outdir / "trials_filtered.csv")
     write_outcomes_csv(filtered, outdir / "outcomes_filtered.csv")
     write_rankings_csv(filtered, outdir / "rankings_filtered.csv")
-    _write_csv(
+    write_csv(
         outdir / "filter_audit.csv",
         ["rule", "trials_removed", "outcomes_removed", "note"],
         [[e["rule"], e["trials_removed"], e["outcomes_removed"], e["note"]] for e in audit.entries],
@@ -337,12 +330,10 @@ def _transform(run: _Run) -> None:
     outdir = run.stage
     t = run.table
     z_val = np.where(t.precise, t.z, t.bound)
-    rows = [
-        [tid, rank, kind, _fnum(v)]
-        for tid, rank, kind, v in zip(t.trial_id, t.rank, t.kind, z_val)
-    ]
-    _write_csv(outdir / "zscores.csv", ["trial_id", "outcome_rank", "z_kind", "z_value"], rows)
-    print(f"transformed {len(rows)} outcomes ({t.side.value})")
+    write_csv(outdir / "zscores.csv", ["trial_id", "outcome_rank", "z_kind", "z_value"],
+              zip(t.trial_id.tolist(), t.rank.tolist(), t.kind.tolist(),
+                  map(_fnum, z_val.tolist())))
+    print(f"transformed {len(z_val)} outcomes ({t.side.value})")
 
 
 def _density(run: _Run) -> None:
@@ -355,9 +346,9 @@ def _density(run: _Run) -> None:
             raise ValueError(f"too few precise z-scores for {label} density")
         curve = density.kde(z, density.KdeSpec(), bootstrap_bands=True,
                             bootstrap_reps=200, seed=int(cfg["seed"]))
-        _write_csv(outdir / f"density_{label}.csv", ["grid", "value", "band_low", "band_high"],
-                   [[_fnum(v) for v in row] for row in zip(
-                       curve.grid, curve.values, curve.band_low, curve.band_high)])
+        write_csv(outdir / f"density_{label}.csv", ["grid", "value", "band_low", "band_high"],
+                  [[_fnum(v) for v in row] for row in zip(
+                      curve.grid, curve.values, curve.band_low, curve.band_high)])
         curves.append((label, curve))
     svg.line_plot(
         [
@@ -391,7 +382,7 @@ def _disctest(run: _Run) -> None:
                     r.f_left, r.f_right, r.jump, r.std_err, r.t_stat, r.p_value)), ""])
             except ValueError as exc:
                 rows.append([group, label, z.size, "", "", "", "", "", "", str(exc)])
-    _write_csv(
+    write_csv(
         outdir / "disctest.csv",
         ["group", "phase", "n", "f_left", "f_right", "jump", "std_err",
          "t_stat", "p_value", "error"],
@@ -404,14 +395,14 @@ def _link(run: _Run) -> None:
     outdir = run.stage
     links, summary = run.links
     ids, n = links.ids, links.n_matches
-    _write_csv(outdir / "links.csv", ["phase2_id", "phase3_id"],
-               ids[np.column_stack(links.pairs())].tolist())
-    _write_csv(
+    write_csv(outdir / "links.csv", ["phase2_id", "phase3_id"],
+              ids[np.column_stack(links.pairs())].tolist())
+    write_csv(
         outdir / "links_summary.csv", ["phase2_id", "continued", "n_matches", "skip_reason"],
-        list(zip(ids[links.phase2].tolist(), np.where(n > 0, "true", "false").tolist(),
-                 n.tolist(), links.skip_reason.tolist())),
+        zip(ids[links.phase2].tolist(), np.where(n > 0, "true", "false").tolist(),
+            n.tolist(), links.skip_reason.tolist()),
     )
-    _write_csv(
+    write_csv(
         outdir / "links_rates.csv",
         ["sponsor_class", "n_eligible", "n_continued", "rate"],
         [
@@ -438,10 +429,10 @@ def _fit_selection(run: _Run) -> None:
         ("mean_dependent_variable", _fnum(model.mean_dep)), ("observations", model.n_obs),
         ("n_trials", model.n_trials), ("n_clusters", model.n_clusters),
         ("converged", str(model.converged).lower()))]
-    _write_csv(outdir / "selection_coefficients.csv",
-               ["term", "estimate", "clustered_se", "stars"], rows)
+    write_csv(outdir / "selection_coefficients.csv",
+              ["term", "estimate", "clustered_se", "stars"], rows)
     probs = predict(model, design)
-    _write_csv(
+    write_csv(
         outdir / "selection_predictions.csv",
         ["trial_id", "row", "continuation", "p_hat"],
         [
@@ -478,7 +469,7 @@ def _decompose(run: _Run) -> None:
              ["n_trials_ph3", report.n_trials["ph3"], "", ""],
              ["bootstrap_reps", report.bootstrap_reps, "", ""],
              ["dropped_reps", report.dropped_reps, "", ""]]
-    _write_csv(outdir / "decomposition.csv", ["quantity", "estimate", "bootstrap_se", "stars"], rows)
+    write_csv(outdir / "decomposition.csv", ["quantity", "estimate", "bootstrap_se", "stars"], rows)
 
     explained = report.diffs["ph2_sc_minus_ph2"]
     residual = report.diffs["ph3_minus_ph2_sc"]
@@ -507,7 +498,7 @@ def _sweep(run: _Run) -> None:
         run.table, splits, Phase.PHASE3, cutoff=float(cfg["cutoff"]),
         poly_order=int(cfg["poly_order"]),
     )
-    _write_csv(
+    write_csv(
         outdir / "sweep_discontinuity.csv",
         ["criterion", "k", "group", "n", "p_value", "jump", "error"],
         [
@@ -528,7 +519,7 @@ def _sweep(run: _Run) -> None:
     exp_rows = sponsor_split_sweep(
         run.table, run.group_links("all_industry"), splits, cutoff=float(cfg["cutoff"])
     )
-    _write_csv(
+    write_csv(
         outdir / "sweep_explained.csv",
         ["criterion", "k", "group", "ph2", "ph3", "ph2_sc", "explained_fraction", "error"],
         [
@@ -566,9 +557,9 @@ def _simulate(run: _Run, outdir: Path | None = None) -> None:
     write_trials_csv(reg, outdir / "trials.csv")
     write_outcomes_csv(reg, outdir / "outcomes.csv")
     write_rankings_csv(reg, outdir / "rankings.csv")
-    _write_csv(outdir / "synonyms.csv", ["canonical_drug", "synonym"], truth.synonym_pairs)
+    write_csv(outdir / "synonyms.csv", ["canonical_drug", "synonym"], truth.synonym_pairs)
     write_truth_csv(truth, outdir / "truth.csv")
-    cont = sum(t.continued for t in truth.trials)
+    cont = int(truth.continued.sum())
     final = Path(run.cfg["out"]) / outdir.relative_to(run.stage)
     print(f"simulated {sim_cfg.n_trials} trials ({cont} continued) into {final}")
 

@@ -44,6 +44,7 @@ __all__ = [
     "ingest",
     "apply_sample_filters",
     "all_sponsor_splits",
+    "write_csv",
     "write_trials_csv",
     "write_outcomes_csv",
     "write_rankings_csv",
@@ -497,6 +498,9 @@ _PHASES = {"phase2": Phase.PHASE2, "phase3": Phase.PHASE3}
 # records moved from rows into the columns at a time
 _CHUNK = 4096
 
+# the largest enrollment a column of int64 holds
+_MAX_ENROLLMENT = int(np.iinfo(np.int64).max)
+
 
 def _parser(convert, expected: str):
     """A cell parser: ``convert(cell)``, or a ValueError naming the cell when
@@ -696,6 +700,8 @@ def _read_trials(path: Path, keys: dict[str, str],
         ("enrollment", *bad_enrollment),
         ("enrollment", _among({e for e in set(enrollment) if e < 0}, enrollment),
          lambda i: "enrollment must be >= 0"),
+        ("enrollment", _among({e for e in set(enrollment) if e > _MAX_ENROLLMENT}, enrollment),
+         lambda i: f"enrollment must be <= {_MAX_ENROLLMENT}"),
         ("start_date", *bad_start),
         ("completion_date", *bad_completion),
         ("completion_date", (start != NO_DATE) & (completion != NO_DATE) & (start > completion),
@@ -825,60 +831,51 @@ def default_rankings() -> dict[str, dict[str, int]]:
 # ---------------------------------------------------------------------------
 # Canonical serialization (round-trips bit-identically through ingest)
 
-def _format_bool(v: bool) -> str:
-    return "true" if v else "false"
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the ``header`` and then the ``rows`` of cells as one CSV file."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _format_date(ordinal: int) -> str:
-    return "" if ordinal == NO_DATE else date.fromordinal(ordinal).isoformat()
+def _either(mask: np.ndarray, yes: str = "true", no: str = "false") -> list[str]:
+    return np.where(mask, yes, no).tolist()
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
+def _dates(ordinals: np.ndarray) -> list[str]:
+    """The ISO date of each ordinal, "" for NO_DATE, formatted once per
+    distinct ordinal."""
+    days, at = np.unique(ordinals, return_inverse=True)
+    text = ["" if d == NO_DATE else date.fromordinal(d).isoformat() for d in days.tolist()]
+    return np.array(text, dtype=object)[at].tolist()
 
 
-def _joined(rows: Ragged, names: np.ndarray, sep: str) -> list[str]:
+def _joined(rows: Ragged, names: np.ndarray, sep: str) -> np.ndarray:
     names = names.tolist()
-    return [sep.join(names[v] for v in row) for row in rows.rows()]
+    return np.array([sep.join(names[v] for v in row) for row in rows.rows()], dtype=object)
 
 
 def write_trials_csv(reg: Registry, path: str | Path) -> None:
-    t = reg.trials
-    combos = _joined(t.combos, t.drug_names, "+")
-    mesh = _joined(t.mesh_sets, t.mesh_terms, ";")
-    interventions = [";".join(combos[c] for c in row) for row in t.interventions.rows()]
-    sponsor_class = {True: SponsorClass.INDUSTRY.value, False: SponsorClass.NON_INDUSTRY.value}
-    study_type = {True: StudyType.INTERVENTIONAL_SUPERIORITY.value, False: StudyType.OTHER.value}
-    cols = [c.tolist() for c in (t.ids, t.phase, t.sponsor_name, t.industry, t.mesh, t.start,
-                                 t.completion, t.enrollment, t.placebo, t.superiority)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRIALS_COLUMNS)
-        for c in t.order.tolist():
-            tid, phase, name, industry, m, start, completion, enroll, placebo, sup = (
-                col[c] for col in cols)
-            w.writerow([
-                tid, phase, name, sponsor_class[industry], interventions[c], mesh[m],
-                _format_date(start), _format_date(completion), enroll,
-                _format_bool(placebo), study_type[sup],
-            ])
+    t, o = reg.trials, reg.trials.order
+    interventions = _joined(t.interventions, _joined(t.combos, t.drug_names, "+"), ";")[o]
+    mesh = _joined(t.mesh_sets, t.mesh_terms, ";")[t.mesh[o]]
+    write_csv(path, TRIALS_COLUMNS, zip(
+        t.ids[o].tolist(), t.phase[o].tolist(), t.sponsor_name[o].tolist(),
+        _either(t.industry[o], SponsorClass.INDUSTRY.value, SponsorClass.NON_INDUSTRY.value),
+        interventions.tolist(), mesh.tolist(), _dates(t.start[o]), _dates(t.completion[o]),
+        t.enrollment[o].tolist(), _either(t.placebo[o]), _either(
+            t.superiority[o], StudyType.INTERVENTIONAL_SUPERIORITY.value, StudyType.OTHER.value)))
 
 
 def write_outcomes_csv(reg: Registry, path: str | Path) -> None:
     o = reg.outcomes
-    ids = reg.trials.ids[o.trial].tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(OUTCOMES_COLUMNS)
-        for tid, rank, kind, value, mht in zip(ids, o.rank.tolist(), o.p_kind.tolist(),
-                                               o.p_value.tolist(), o.mht.tolist()):
-            w.writerow([tid, rank, kind, _format_float(value), _format_bool(mht)])
+    write_csv(path, OUTCOMES_COLUMNS, zip(
+        reg.trials.ids[o.trial].tolist(), o.rank.tolist(), o.p_kind.tolist(),
+        map(repr, o.p_value.tolist()), _either(o.mht)))
 
 
 def write_rankings_csv(reg: Registry, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RANKINGS_COLUMNS)
-        for criterion in RANK_CRITERIA:
-            for name, rank in sorted(reg.rankings.get(criterion, {}).items(), key=lambda kv: kv[1]):
-                w.writerow([name, criterion, rank])
+    write_csv(path, RANKINGS_COLUMNS, [
+        (name, criterion, rank) for criterion in RANK_CRITERIA
+        for name, rank in sorted(reg.rankings.get(criterion, {}).items(), key=lambda kv: kv[1])])

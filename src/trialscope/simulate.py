@@ -14,7 +14,6 @@ pipeline stage a known ground truth.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date
@@ -29,19 +28,22 @@ from .registry import (
     Phase,
     Registry,
     build_registry,
+    write_csv,
 )
 
 __all__ = [
     "Misreporting",
     "SimConfig",
     "SimTruth",
-    "TrialTruth",
     "generate",
     "end_to_end_truth_check",
     "write_truth_csv",
 ]
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
+# trials per block of the Gauss-Hermite grid, which bounds its
+# (trials, nodes) arrays
+_GH_BLOCK = 1000
 
 _CONDITION_CODES = (
     "C14", "F03", "C18", "C19", "C10", "C08", "C06", "C05",
@@ -117,50 +119,53 @@ class SimConfig:
             raise ValueError(f"unknown decision rule {self.decision_rule!r}")
 
 
-@dataclass
-class TrialTruth:
-    trial_id: str
-    theta: float
-    t2: float
-    z2: float
-    p_continue: float
-    continued: bool
-    phase3_id: str = ""
-    z3_true: float = float("nan")
-    z3_reported: float = float("nan")
-    suppressed: bool = False
-    inflated: bool = False
+TRUTH_COLUMNS = ["trial_id", "theta", "t2", "z2", "p_continue", "continued",
+                 "phase3_id", "z3_true", "z3_reported", "suppressed", "inflated"]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimTruth:
-    trials: list[TrialTruth]
+    """The latent truth of a simulated registry as columns, one entry per
+    phase II trial in trial order.  ``phase3_id`` is "" and ``z3_true`` and
+    ``z3_reported`` are NaN where a trial did not continue; ``suppressed``
+    and ``inflated`` are false there."""
+
+    trial_id: np.ndarray
+    theta: np.ndarray
+    t2: np.ndarray
+    z2: np.ndarray
+    p_continue: np.ndarray
+    continued: np.ndarray
+    phase3_id: np.ndarray
+    z3_true: np.ndarray
+    z3_reported: np.ndarray
+    suppressed: np.ndarray
+    inflated: np.ndarray
     config: SimConfig
     synonym_pairs: list[tuple[str, str]] = field(default_factory=list)
 
+    @property
+    def reported(self) -> np.ndarray:
+        """The mask of the trials whose phase III result was reported."""
+        return self.continued & ~self.suppressed
+
     def continued_ids(self) -> set[str]:
-        return {t.trial_id for t in self.trials if t.continued}
+        return set(self.trial_id[self.continued].tolist())
 
     def phase3_share_full(self, cutoff: float = pz.Z_SIG) -> float:
         """Share significant among all generated phase III results,
         before any misreporting (enumeration oracle)."""
-        zs = [t.z3_true for t in self.trials if t.continued]
-        if not zs:
-            return float("nan")
-        return float(np.mean([z >= cutoff for z in zs]))
+        return _share(self.z3_true[self.continued], cutoff)
 
     def phase3_share_reported(self, cutoff: float = pz.Z_SIG) -> float:
-        zs = [
-            t.z3_reported
-            for t in self.trials
-            if t.continued and not t.suppressed
-        ]
-        if not zs:
-            return float("nan")
-        return float(np.mean([z >= cutoff for z in zs]))
+        return _share(self.z3_reported[self.reported], cutoff)
 
     def suppression_effect(self, cutoff: float = pz.Z_SIG) -> float:
         return self.phase3_share_reported(cutoff) - self.phase3_share_full(cutoff)
+
+
+def _share(z: np.ndarray, cutoff: float) -> float:
+    return float(np.mean(z >= cutoff)) if z.size else float("nan")
 
 
 def _norm_pdf(x: np.ndarray) -> np.ndarray:
@@ -192,12 +197,13 @@ def expected_phase3_value(
         post_mean = (cfg.effect_mean / prior_var + s2 * t2) / precision
         post_var = 1.0 / precision
     s3 = s2 * math.sqrt(cfg.phase3_enroll_mult)
-    # theta nodes: shape (n, nodes)
-    theta = post_mean[:, None] + np.sqrt(2.0 * post_var)[:, None] * _GH_NODES[None, :]
-    mu3 = s3[:, None] * theta
-    vals = _tail_payoff(mu3, cfg.significance_z)
-    ev = vals @ _GH_WEIGHTS / math.sqrt(math.pi)
-    return cfg.payoff_slope * ev
+    ev = np.empty(len(t2))
+    for a in range(0, len(t2), _GH_BLOCK):
+        b = slice(a, a + _GH_BLOCK)
+        # theta nodes: shape (block, nodes)
+        theta = post_mean[b, None] + np.sqrt(2.0 * post_var[b])[:, None] * _GH_NODES[None, :]
+        ev[b] = _tail_payoff(s3[b, None] * theta, cfg.significance_z) @ _GH_WEIGHTS
+    return cfg.payoff_slope * (ev / math.sqrt(math.pi))
 
 
 def continuation_probability(
@@ -301,6 +307,8 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
         return out.tolist()
 
     number = [f"{i:05d}" for i in range(1, n + 1)]
+    ids2 = np.array([f"SIM2-{k}" for k in number])
+    ids3 = np.array([f"SIM3-{number[i]}" for i in p3.tolist()], dtype=str)
     drug = np.array([f"drug-{k}" for k in number])
     listed_drug = np.array([f"drug-{number[i]}-alt" if use_synonym[i] else drug[i]
                             for i in p3.tolist()], dtype=str)
@@ -309,8 +317,7 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
                       for y, m in zip(start_year.tolist(), start_month.tolist())])
     p3_start = start[p3] + gap_days[p3]
     trials = dict(
-        ids=rows(np.array([f"SIM2-{k}" for k in number]),
-                 np.array([f"SIM3-{number[i]}" for i in p3.tolist()], dtype=str)),
+        ids=rows(ids2, ids3),
         phase=rows(np.full(n, Phase.PHASE2.value), np.full(len(p3), Phase.PHASE3.value)),
         sponsor_name=rows(sponsors, sponsors[p3]), industry=np.ones(n + len(p3), dtype=bool),
         interventions=rows(drug, listed_drug), mesh=rows(mesh, mesh[p3]),
@@ -340,19 +347,8 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
         mht=np.concatenate((mht, np.zeros(n * k + len(reported), dtype=bool)))[by_trial],
     )
 
-    ids = trials["ids"]
-    truth_rows = [
-        TrialTruth(trial_id=ids[r], theta=th, t2=t, z2=z, p_continue=pc, continued=c)
-        for r, th, t, z, pc, c in zip(row2.tolist(), theta.tolist(), t2.tolist(), z2.tolist(),
-                                      p_cont.tolist(), continued.tolist())
-    ]
-    for i, r in zip(p3.tolist(), row3.tolist()):
-        tt = truth_rows[i]
-        tt.phase3_id = ids[r]
-        tt.z3_true = float(z3[i])
-        tt.suppressed = bool(suppressed[i])
-        tt.inflated = bool(inflated[i])
-        tt.z3_reported = float(z3_rep[i])
+    phase3_id = np.full(n, "", dtype=ids3.dtype)
+    phase3_id[p3] = ids3
     synonym_pairs = [(d, alt) for d, alt, syn in zip(drug[p3].tolist(), listed_drug.tolist(),
                                                      use_synonym[p3].tolist()) if syn]
 
@@ -365,27 +361,32 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
         rankings[crit] = {names[j]: int(r + 1) for r, j in enumerate(order)}
 
     reg = build_registry(trials, outcomes, rankings)
-    truth = SimTruth(trials=truth_rows, config=cfg, synonym_pairs=synonym_pairs)
+    truth = SimTruth(
+        trial_id=ids2, theta=theta, t2=t2, z2=z2, p_continue=p_cont, continued=continued,
+        phase3_id=phase3_id, z3_true=np.where(continued, z3, np.nan),
+        z3_reported=np.where(continued, z3_rep, np.nan), suppressed=suppressed,
+        inflated=inflated, config=cfg, synonym_pairs=synonym_pairs)
     return reg, truth
 
 
 def write_truth_csv(truth: SimTruth, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["trial_id", "theta", "t2", "z2", "p_continue", "continued",
-             "phase3_id", "z3_true", "z3_reported", "suppressed", "inflated"]
-        )
-        for t in truth.trials:
-            w.writerow(
-                [t.trial_id, repr(t.theta), repr(t.t2), repr(t.z2),
-                 repr(t.p_continue), "true" if t.continued else "false",
-                 t.phase3_id,
-                 repr(t.z3_true) if t.continued else "",
-                 repr(t.z3_reported) if t.continued else "",
-                 "true" if t.suppressed else "false",
-                 "true" if t.inflated else "false"]
-            )
+    """The truth columns as truth.csv: floats by ``repr``, the phase III
+    cells empty where a trial did not continue."""
+    cont = truth.continued
+
+    def phase3(col: np.ndarray) -> list[str]:
+        text = np.full(len(col), "", dtype=object)
+        text[cont] = list(map(repr, col[cont].tolist()))
+        return text.tolist()
+
+    def flags(mask: np.ndarray) -> list[str]:
+        return np.where(mask, "true", "false").tolist()
+
+    write_csv(path, TRUTH_COLUMNS, zip(
+        truth.trial_id.tolist(), *(map(repr, c.tolist()) for c in (
+            truth.theta, truth.t2, truth.z2, truth.p_continue)),
+        flags(cont), truth.phase3_id.tolist(), phase3(truth.z3_true),
+        phase3(truth.z3_reported), flags(truth.suppressed), flags(truth.inflated)))
 
 
 def end_to_end_truth_check(
@@ -441,9 +442,7 @@ def end_to_end_truth_check(
         ),
     }
     if run_discontinuity:
-        z3_rep = np.array(
-            [t.z3_reported for t in truth.trials if t.continued and not t.suppressed]
-        )
+        z3_rep = truth.z3_reported[truth.reported]
         try:
             out["cjm_phase3"] = cjm_test(z3_rep, cutoff=cfg.significance_z)
         except ValueError as exc:

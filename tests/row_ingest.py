@@ -34,6 +34,8 @@ from trialscope.registry import (
 
 _PHASES = {"phase2": Phase.PHASE2, "phase3": Phase.PHASE3}
 _BOOLS = {"true": True, "false": False, "1": True, "0": False}
+# the largest enrollment an int64 column holds
+_MAX_ENROLLMENT = 2**63 - 1
 
 
 def _ragged(rows: Sequence[Sequence[int]]) -> Ragged:
@@ -235,6 +237,8 @@ def ingest(
             ) from None
         if enrollment < 0:
             raise SchemaError(fname, line, "enrollment", "enrollment must be >= 0")
+        if enrollment > _MAX_ENROLLMENT:
+            raise SchemaError(fname, line, "enrollment", f"enrollment must be <= {_MAX_ENROLLMENT}")
         start = _parse_date(row["start_date"], fname, line, "start_date")
         completion = _parse_date(row["completion_date"], fname, line, "completion_date")
         if start != NO_DATE and completion != NO_DATE and start > completion:

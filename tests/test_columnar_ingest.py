@@ -161,6 +161,7 @@ FAULTS = {
         "sponsor_class": _cell("sponsor_class", "pharma"),
         "enrollment_not_int": _cell("enrollment", "many"),
         "enrollment_negative": _cell("enrollment", "-5"),
+        "enrollment_overflow": _cell("enrollment", "99999999999999999999"),
         "start_date": _cell("start_date", "2010-13-01"),
         "completion_date": _cell("completion_date", "June 2012"),
         "completion_before_start": _cell("start_date", "2031-07-01"),
@@ -312,7 +313,8 @@ def test_bad_header(tmp_path, base_rows):
 # the accepted cell language
 
 CELLS = [
-    ("trials", "enrollment", v) for v in (" 12 ", "+5", "1_000", "-0", "١٢", "1.0", "")
+    ("trials", "enrollment", v) for v in (" 12 ", "+5", "1_000", "-0", "١٢", "1.0", "",
+                                          "9223372036854775807", "9223372036854775808")
 ] + [
     ("outcomes", "p_value", v) for v in ("1e-3", " .5", "nan", "inf", "-0.0", "1_0", "0x1")
 ] + [

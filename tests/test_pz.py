@@ -145,6 +145,7 @@ class TestErfcPort:
         for a in branches.values():
             assert_same_floats(pz._erfc(a), scipy_erfc(a))
 
+    @pytest.mark.slow
     def test_python_floats_in_every_branch(self, branches):
         for a in branches.values():
             a = a[:100_000]

@@ -157,6 +157,7 @@ _SCHEMA_CASES = {
     "duplicate_trial_id": ("trials", _GOOD_TRIAL + "\n" + _GOOD_TRIAL, 3, "trial_id"),
     "sponsor_class": ("trials", _trial(sponsor_class="pharma"), 2, "sponsor_class"),
     "enrollment_not_int": ("trials", _trial(enrollment="many"), 2, "enrollment"),
+    "enrollment_overflow": ("trials", _trial(enrollment="99999999999999999999"), 2, "enrollment"),
     "start_date": ("trials", _trial(start_date="2010-13-01"), 2, "start_date"),
     "completion_date": ("trials", _trial(completion_date="June 2012"), 2, "completion_date"),
     "completion_before_start": (
@@ -220,6 +221,36 @@ def test_row_field_count_through_cli(tmp_path, toy_csvs, capsys, row, n_fields):
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {bad}:2 column '<row>': expected 11 fields, got {n_fields}"]
+
+
+def test_enrollment_up_to_the_int64_maximum(tmp_path, toy_csvs):
+    _, outcomes, rankings = toy_csvs
+    largest = 2**63 - 1
+    trials = tmp_path / "trials.csv"
+    for second in (900, largest + 1):
+        trials.write_text(f"{_TRIALS_HEADER}\n{_trial(enrollment=f' {largest} ')}\n"
+                          f"{_trial(trial_id='NCT002', enrollment=str(second))}\n", encoding="utf-8")
+        if second == 900:
+            assert ingest(trials, outcomes, rankings).trials.enrollment.tolist() == [largest, 900]
+            continue
+        with pytest.raises(SchemaError) as exc:
+            ingest(trials, outcomes, rankings)
+        assert (exc.value.line, exc.value.column) == (3, "enrollment")
+        assert str(exc.value).endswith(f"enrollment must be <= {largest}")
+
+
+def test_enrollment_overflow_through_cli(tmp_path, toy_csvs, capsys):
+    _, outcomes, rankings = toy_csvs
+    bad = tmp_path / "big.csv"
+    bad.write_text(f"{_TRIALS_HEADER}\n{_trial(enrollment='99999999999999999999')}\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["ingest", "--trials", str(bad), "--outcomes", str(outcomes),
+                 "--rankings", str(rankings), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}:2 column 'enrollment': enrollment must be <= {2**63 - 1}"]
+    assert not out.exists()
 
 
 class TestFilters:

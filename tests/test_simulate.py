@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -13,6 +14,7 @@ from trialscope.simulate import (
     continuation_probability,
     expected_phase3_value,
     generate,
+    write_truth_csv,
 )
 
 from records import records
@@ -57,9 +59,7 @@ class TestGenerate:
         n = 50_000
         reg_l, truth_l = generate(SimConfig(n_trials=n, seed=5, decision_rule="logistic"))
         reg_s, truth_s = generate(SimConfig(n_trials=n, seed=5, decision_rule="shocks"))
-        cont_l = np.array([t.continued for t in truth_l.trials])
-        cont_s = np.array([t.continued for t in truth_s.trials])
-        p = np.array([t.p_continue for t in truth_l.trials])
+        cont_l, cont_s, p = truth_l.continued, truth_s.continued, truth_l.p_continue
         # each empirical frequency within 3 MC standard errors of the mean
         # closed-form probability
         se = np.sqrt(np.sum(p * (1 - p))) / n
@@ -72,12 +72,12 @@ class TestGenerate:
 
     def test_huge_cost_stops_everything(self):
         _, truth = generate(SimConfig(n_trials=2000, seed=6, cost=1e6))
-        assert sum(t.continued for t in truth.trials) == 0
+        assert truth.continued.sum() == 0
 
     def test_zero_effect_gives_half_normal(self):
         cfg = SimConfig(n_trials=20_000, seed=7, effect_mean=0.0, effect_sd=0.0)
         _, truth = generate(cfg)
-        z2 = np.array([t.z2 for t in truth.trials])
+        z2 = truth.z2
 
         def half_normal_cdf(x):
             from scipy.stats import norm
@@ -88,26 +88,26 @@ class TestGenerate:
 
     def test_carryover_keeps_phase3_equal(self):
         _, truth = generate(SimConfig(n_trials=500, seed=8))
-        for t in truth.trials:
-            if t.continued:
-                assert t.z3_true == pytest.approx(t.z2, abs=1e-12)
+        cont = truth.continued
+        for z3, z2 in zip(truth.z3_true[cont].tolist(), truth.z2[cont].tolist()):
+            assert z3 == pytest.approx(z2, abs=1e-12)
 
     def test_fresh_noise_decorrelates(self):
         _, truth = generate(SimConfig(n_trials=4000, seed=9, phase3_fresh_noise=1.0))
-        z2 = np.array([t.z2 for t in truth.trials if t.continued])
-        z3 = np.array([t.z3_true for t in truth.trials if t.continued])
+        z2, z3 = truth.z2[truth.continued], truth.z3_true[truth.continued]
         corr = np.corrcoef(z2, z3)[0, 1]
         assert 0.05 < corr < 0.95
 
     def test_registry_consistency(self, sim_small):
         reg, truth, _, _ = sim_small
         trials = records(reg)
-        for t in truth.trials:
-            if t.continued:
-                p3 = trials[t.phase3_id]
-                p2 = trials[t.trial_id]
-                assert p2.start_date < p3.start_date
-                assert p2.mesh_conditions <= p3.mesh_conditions
+        cont = truth.continued
+        for trial_id, phase3_id in zip(truth.trial_id[cont].tolist(),
+                                       truth.phase3_id[cont].tolist()):
+            p3 = trials[phase3_id]
+            p2 = trials[trial_id]
+            assert p2.start_date < p3.start_date
+            assert p2.mesh_conditions <= p3.mesh_conditions
 
     def test_structural_value_monotone_in_z(self):
         cfg = SimConfig(n_trials=10, seed=0)
@@ -119,22 +119,61 @@ class TestGenerate:
         assert np.all(np.diff(p) > -1e-9)
 
 
+# truth.csv of a run with each misreporting kind: its config and sha256,
+# recorded from the writer of per-trial truth records that the columns replaced
+TRUTH_SHA256 = {
+    "suppress": (SimConfig(n_trials=400, seed=21, misreporting=Misreporting.suppress_share(0.3)),
+                 "dfe76002f2be0bd4d3a59536921458c0163caecf5e7fd486d433aec7f4c75935"),
+    "inflate": (SimConfig(n_trials=400, seed=22,
+                          misreporting=Misreporting.inflate_spike(0.3, 0.4)),
+                "c66d415e72fd436537c07fccec9c64a89e8ec22e70135cfd6419671a6d6c8ad7"),
+}
+
+
+class TestTruth:
+    @pytest.mark.parametrize("kind", sorted(TRUTH_SHA256))
+    def test_truth_csv_bytes(self, tmp_path, kind):
+        cfg, sha256 = TRUTH_SHA256[kind]
+        _, truth = generate(cfg)
+        assert (truth.suppressed if kind == "suppress" else truth.inflated).any()
+        path = tmp_path / "truth.csv"
+        write_truth_csv(truth, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+    def test_phase3_cells_are_empty_where_a_trial_stopped(self):
+        cfg, _ = TRUTH_SHA256["inflate"]
+        _, truth = generate(cfg)
+        cont, stop = truth.continued, ~truth.continued
+        assert cont.any() and stop.any()
+        assert {len(getattr(truth, c)) for c in ("trial_id", "theta", "t2", "z2", "p_continue",
+                                                 "continued", "phase3_id", "z3_true",
+                                                 "z3_reported", "suppressed",
+                                                 "inflated")} == {cfg.n_trials}
+        assert (truth.phase3_id[stop] == "").all()
+        assert np.isnan(truth.z3_true[stop]).all() and np.isnan(truth.z3_reported[stop]).all()
+        assert not (truth.suppressed[stop] | truth.inflated[stop]).any()
+        assert not np.isnan(truth.z3_true[cont]).any()
+        assert [i.replace("SIM3", "SIM2") for i in truth.phase3_id[cont].tolist()] == \
+            truth.trial_id[cont].tolist()
+        assert truth.continued_ids() == set(truth.trial_id[cont].tolist())
+
+
 class TestMisreporting:
     def test_suppression_bookkeeping(self):
         cfg = SimConfig(n_trials=4000, seed=10, misreporting=Misreporting.suppress_share(0.3))
         reg, truth = generate(cfg)
-        nonsig = [t for t in truth.trials if t.continued and t.z3_true < Z_SIG]
-        suppressed = [t for t in nonsig if t.suppressed]
-        assert 0.2 < len(suppressed) / len(nonsig) < 0.4
-        sig = [t for t in truth.trials if t.continued and t.z3_true >= Z_SIG]
-        assert not any(t.suppressed for t in sig)
+        nonsig = truth.continued & (truth.z3_true < Z_SIG)
+        suppressed = nonsig & truth.suppressed
+        assert 0.2 < suppressed.sum() / nonsig.sum() < 0.4
+        sig = truth.continued & (truth.z3_true >= Z_SIG)
+        assert not truth.suppressed[sig].any()
         # suppressed results leave no outcome rows
         reported_p3 = {t for t in reg.trials.ids[reg.outcomes.trial] if t.startswith("SIM3")}
-        for t in suppressed:
-            assert t.phase3_id not in reported_p3
+        for phase3_id in truth.phase3_id[suppressed].tolist():
+            assert phase3_id not in reported_p3
         # but the phase III registration itself remains for linking
-        for t in suppressed:
-            assert t.phase3_id in reg.trials.ids
+        for phase3_id in truth.phase3_id[suppressed].tolist():
+            assert phase3_id in reg.trials.ids
 
     def test_suppression_effect_sign(self):
         cfg = SimConfig(n_trials=6000, seed=11, misreporting=Misreporting.suppress_share(0.5))
@@ -146,9 +185,9 @@ class TestMisreporting:
             n_trials=6000, seed=12, misreporting=Misreporting.inflate_spike(0.1, 0.0)
         )
         _, truth = generate(cfg)
-        inflated = [t for t in truth.trials if t.inflated]
+        inflated = truth.z3_reported[truth.inflated].tolist()
         assert inflated
-        assert all(t.z3_reported == pytest.approx(Z_SIG) for t in inflated)
+        assert all(z == pytest.approx(Z_SIG) for z in inflated)
 
     @pytest.mark.slow
     def test_inflate_detected_by_binned_test(self):
@@ -160,9 +199,7 @@ class TestMisreporting:
                 misreporting=Misreporting.inflate_spike(0.1, 0.0),
             )
             _, truth = generate(cfg)
-            z = np.array(
-                [t.z3_reported for t in truth.trials if t.continued][:3000]
-            )
+            z = truth.z3_reported[truth.continued][:3000]
             r = binned_test(z, cutoff=Z_SIG, bin_width=0.08)
             hits += r.p_value < 0.05
         assert hits / reps >= 0.8
@@ -173,7 +210,7 @@ class TestMisreporting:
         reps = 60
         for s in range(reps):
             _, truth = generate(SimConfig(n_trials=7000, seed=2000 + s))
-            z = np.array([t.z3_reported for t in truth.trials if t.continued])
+            z = truth.z3_reported[truth.continued]
             r = cjm_test(z, cutoff=Z_SIG)
             rejections += r.p_value < 0.05
         assert rejections / reps <= 0.12
