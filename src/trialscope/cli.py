@@ -25,7 +25,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -48,7 +48,9 @@ from .registry import (
 )
 from .selection import (SelectionDesign, SelectionModel, build_design, fit_logit, predict,
                         predict_at_mean)
-from .simulate import Misreporting, SimConfig, generate, write_truth_csv
+
+if TYPE_CHECKING:
+    from .simulate import SimConfig
 
 __all__ = ["main", "PipelineConfig"]
 
@@ -543,6 +545,10 @@ def _sweep(run: _Run) -> None:
 
 
 def _sim_config(cfg: PipelineConfig) -> SimConfig:
+    # the simulator is imported by the commands that simulate only: the
+    # others would pay its import on every run
+    from .simulate import Misreporting, SimConfig
+
     kind, q = str(cfg["misreporting"]), float(cfg["misreport_q"])
     mr = (Misreporting.none() if kind == "none"
           else Misreporting.suppress_share(q) if kind == "suppress"
@@ -551,6 +557,8 @@ def _sim_config(cfg: PipelineConfig) -> SimConfig:
 
 
 def _simulate(run: _Run, outdir: Path | None = None) -> None:
+    from .simulate import generate, write_truth_csv  # see _sim_config
+
     outdir = outdir or run.stage
     sim_cfg = _sim_config(run.cfg)
     reg, truth = generate(sim_cfg)

@@ -29,6 +29,7 @@ from .pz import Z_SIG, OutcomeTable, ZKind, norm_sf
 from .registry import OutcomeRank, Phase
 from .selection import (
     PinnedDesign,
+    PinnedRows,
     SelectionDesign,
     SelectionModel,
     build_design,
@@ -150,26 +151,41 @@ def counterfactual_share(
     return censored_aware_share(design.kind, design.share_z, w, cutoff, bandwidth)
 
 
+def _in_z_order(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The precise rows ``rows`` in stable order of their z."""
+    return rows[np.argsort(z[rows], kind="stable")]
+
+
 class _PhaseSample:
     """The share and bandwidth inputs of one phase, pinned once.  A
     bootstrap rep is this sample reweighted by its draw counts: each row
     counts as often as its trial was drawn."""
 
     def __init__(self, design: SelectionDesign):
+        is_precise = design.kind == ZKind.PRECISE.value
+        self._pin(design.trial_code, is_precise, design.share_z,
+                  _in_z_order(np.flatnonzero(is_precise), design.z))
+
+    @classmethod
+    def of_rows(cls, trial_code, is_precise, share_z, precise) -> "_PhaseSample":
+        """The sample of rows given by their trial codes, precise mask and
+        share z, with ``precise``, its precise rows in stable z order."""
+        sample = cls.__new__(cls)
+        sample._pin(trial_code, is_precise, share_z, precise)
+        return sample
+
+    def _pin(self, trial_code, is_precise, share_z, precise) -> None:
         # trial i of a rep's draw is the sample's i-th smallest trial code,
         # and codes ascend with the trial ids, whatever the registry order
-        present = np.bincount(design.trial_code) > 0
-        self.trial = (np.cumsum(present) - 1)[design.trial_code]
+        present = np.bincount(trial_code) > 0
+        self.trial = (np.cumsum(present) - 1)[trial_code]
         self.n_trials = int(np.count_nonzero(present))
-        self.is_precise = design.kind == ZKind.PRECISE.value
-        self.is_censored = ~self.is_precise
-        share_z = design.share_z
-        self.z_precise = share_z[self.is_precise]
+        self.n_obs = len(trial_code)
+        self.is_precise, self.is_censored = is_precise, ~is_precise
+        self.z_precise = share_z[is_precise]
         self.z_censored = _censored_z(share_z[self.is_censored])
-        precise = np.flatnonzero(self.is_precise)
-        order = np.argsort(design.z[precise], kind="stable")
-        self.precise = precise[order]
-        self.z_sorted = design.z[self.precise]
+        self.precise = precise
+        self.z_sorted = share_z[precise]
 
     def counts(self, rng: np.random.Generator) -> np.ndarray:
         """Draw counts per row of ``n_trials`` trials drawn with replacement."""
@@ -188,6 +204,56 @@ class _PhaseSample:
         above = self.z_censored >= cutoff
         return [_share(w[self.is_precise], w[self.is_censored], survival, above)
                 for w in weightings]
+
+
+class _PinnedPhase:
+    """One phase sample of a table, pinned once for the samples of its
+    trial subsets (a sponsor sweep's cells): its design rows and its
+    precise rows in stable z order.  A stable sort restricted to a subset
+    is the subset's own stable sort, so a subset's order, and with it its
+    bandwidth, is read off, not sorted."""
+
+    def __init__(self, table: OutcomeTable, phase: Phase, outcome_rank: OutcomeRank):
+        self.rows = PinnedRows(table, table.industry & table.sample(phase, outcome_rank))
+        self.precise = _in_z_order(np.flatnonzero(self.rows.is_precise), self.rows.z_raw)
+
+    def sample(self, trials: np.ndarray) -> tuple[np.ndarray, np.ndarray, _PhaseSample]:
+        """The rows of the trials in the mask ``trials``, their z with
+        other censors imputed within them, and their phase sample: what
+        :func:`phase_scores` gives on the table of these trials."""
+        rows = self.rows
+        at = trials[rows.trial_code]
+        idx = np.flatnonzero(at)
+        z = rows.imputed(idx)
+        precise = (np.cumsum(at) - 1)[self.precise[at[self.precise]]]
+        sample = _PhaseSample.of_rows(rows.trial_code[idx], rows.is_precise[idx],
+                                      np.where(rows.bounded[idx], rows.bound[idx], z), precise)
+        return idx, z, sample
+
+
+def _point(
+    ph2: _PhaseSample, ph3: _PhaseSample, p: np.ndarray, cutoff: float
+) -> DecompositionReport:
+    """The point decomposition of two phase samples, ``p`` the predicted
+    continuation probabilities of the phase II rows; no standard errors."""
+    if float(p.sum()) <= 0:
+        raise ValueError("all predicted weights are zero")
+    h2, h3 = ph2.bandwidth(), ph3.bandwidth()
+    s_ph2, s_sc = ph2.shares((np.ones(ph2.n_obs), p), cutoff, h2)
+    (s_ph3,) = ph3.shares((np.ones(ph3.n_obs),), cutoff, h3)
+    return DecompositionReport(
+        shares={"ph2": s_ph2, "ph3": s_ph3, "ph2_sc": s_sc},
+        diffs={
+            "ph3_minus_ph2": s_ph3 - s_ph2,
+            "ph3_minus_ph2_sc": s_ph3 - s_sc,
+            "ph2_sc_minus_ph2": s_sc - s_ph2,
+        },
+        std_errs={k: float("nan") for k in (*SHARE_KEYS, *DIFF_KEYS)},
+        n_obs={"ph2": ph2.n_obs, "ph3": ph3.n_obs},
+        n_trials={"ph2": ph2.n_trials, "ph3": ph3.n_trials},
+        bootstrap_reps=0,
+        bandwidths={"ph2": h2, "ph3": h3},
+    )
 
 
 def decompose(
@@ -212,20 +278,8 @@ def decompose(
     ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)
     ph3_design = phase_scores(table, Phase.PHASE3, outcome_rank)
     ph2, ph3 = _PhaseSample(ph2_design), _PhaseSample(ph3_design)
+    report = _point(ph2, ph3, predict(model, ph2_design), cutoff)
 
-    h2, h3 = ph2.bandwidth(), ph3.bandwidth()
-    (s_ph2,) = ph2.shares((np.ones(ph2_design.n_obs),), cutoff, h2)
-    (s_ph3,) = ph3.shares((np.ones(ph3_design.n_obs),), cutoff, h3)
-    s_sc = counterfactual_share(ph2_design, model, cutoff, h2)
-
-    shares = {"ph2": s_ph2, "ph3": s_ph3, "ph2_sc": s_sc}
-    diffs = {
-        "ph3_minus_ph2": s_ph3 - s_ph2,
-        "ph3_minus_ph2_sc": s_ph3 - s_sc,
-        "ph2_sc_minus_ph2": s_sc - s_ph2,
-    }
-
-    std_errs = {k: float("nan") for k in (*SHARE_KEYS, *DIFF_KEYS)}
     dropped = 0
     if bootstrap_reps > 0:
         pinned = PinnedDesign(
@@ -256,20 +310,10 @@ def decompose(
                 f"{dropped}/{bootstrap_reps} bootstrap repetitions failed"
             )
         kept = draws[~np.isnan(draws[:, 0])]
-        keys = (*SHARE_KEYS, *DIFF_KEYS)
-        for j, k in enumerate(keys):
-            std_errs[k] = float(np.std(kept[:, j], ddof=1))
-
-    return DecompositionReport(
-        shares=shares,
-        diffs=diffs,
-        std_errs=std_errs,
-        n_obs={"ph2": ph2_design.n_obs, "ph3": ph3_design.n_obs},
-        n_trials={"ph2": ph2_design.n_trials, "ph3": ph3_design.n_trials},
-        bootstrap_reps=bootstrap_reps,
-        dropped_reps=dropped,
-        bandwidths={"ph2": h2, "ph3": h3},
-    )
+        for j, k in enumerate((*SHARE_KEYS, *DIFF_KEYS)):
+            report.std_errs[k] = float(np.std(kept[:, j], ddof=1))
+        report.bootstrap_reps, report.dropped_reps = bootstrap_reps, dropped
+    return report
 
 
 def sponsor_split_sweep(
@@ -283,8 +327,14 @@ def sponsor_split_sweep(
     """Explained fraction (ph2_sc - ph2) / (ph3 - ph2) for Large and Small
     groups under every sponsor-split definition; degenerate or failing
     cells are flagged with a reason.  A cell's links are cut down to the
-    cell's trials."""
+    cell's trials.
+
+    A cell is what :func:`decompose` without reps gives on the table rows
+    and the cut links of its trials.  The all-industry phase samples are
+    pinned once, and each cell is a trial mask over them, with its own
+    imputation of other censors and its own selection fit (cold start)."""
     links.check(table.trials.ids)
+    ph2, ph3 = (_PinnedPhase(table, phase, outcome_rank) for phase in (Phase.PHASE2, Phase.PHASE3))
     rows: list[dict] = []
     cache: dict[tuple, dict] = {}
     for split in splits:
@@ -293,10 +343,7 @@ def sponsor_split_sweep(
             key = (group, trials.tobytes())
             if key not in cache:
                 try:
-                    rep = decompose(
-                        table.subset(trials[table.trial_code]), links.within(trials),
-                        bootstrap_reps=0, cutoff=cutoff, outcome_rank=outcome_rank,
-                    )
+                    rep = _cell(ph2, ph3, trials, links.within(trials), cutoff)
                     gap, explained = rep.diffs["ph3_minus_ph2"], rep.diffs["ph2_sc_minus_ph2"]
                     flat = abs(gap) < min_gap
                     cell = {
@@ -312,3 +359,16 @@ def sponsor_split_sweep(
                 {"criterion": split.criterion, "k": split.k, "group": group, **cache[key]}
             )
     return rows
+
+
+def _cell(
+    ph2: _PinnedPhase, ph3: _PinnedPhase, trials: np.ndarray, links: Links, cutoff: float
+) -> DecompositionReport:
+    """The point decomposition of the trials in the mask ``trials``, whose
+    links ``links`` are cut down to them, over the pinned phase samples."""
+    labels = links.labels(links.ids)[ph2.rows.trial_code]
+    fitting = np.flatnonzero(trials[ph2.rows.trial_code] & ~np.isnan(labels))
+    model = ph2.rows.fit(fitting, ph2.rows.imputed(fitting), labels[fitting])
+    rows2, z2, s2 = ph2.sample(trials)
+    s3 = ph3.sample(trials)[2]
+    return _point(s2, s3, ph2.rows.predict(model, rows2, z2), cutoff)

@@ -28,6 +28,7 @@ from .registry import OutcomeRank, Phase, Registry, ReportedP, Trials
 
 __all__ = [
     "PinnedDesign",
+    "PinnedRows",
     "SelectionDesign",
     "SelectionModel",
     "SeparationError",
@@ -213,12 +214,14 @@ class _Cells:
     """
 
     def __init__(self, dense, cell, incidence, names, clusters=None):
-        self.dense, self.cell, self.incidence = dense, cell, incidence
-        self.names, self.clusters = names, clusters
+        # column-major: each product and sum over rows reads contiguous columns
+        self.dense, self.cell = np.asfortranarray(dense), cell
+        self.incidence, self.names, self.clusters = incidence, names, clusters
 
     def take(self, rows: np.ndarray) -> "_Cells":
         clusters = None if self.clusters is None else self.clusters[rows]
-        return _Cells(self.dense[rows], self.cell[rows], self.incidence, self.names, clusters)
+        return _Cells(_take_rows(self.dense, rows), self.cell[rows], self.incidence, self.names,
+                      clusters)
 
     def grouped(self) -> tuple["_Cells", np.ndarray]:
         """The rows sorted by cell, then cluster, and the sorting order.
@@ -247,10 +250,10 @@ class _Cells:
         Dw = self.dense * w[:, None]
         S = np.add.reduceat(Dw, starts)  # per cell; column 0 sums w
         G = np.empty((k + M.shape[1],) * 2)
-        G[:k, :k] = Dw.T @ self.dense
-        G[:k, k:] = S.T @ M
+        np.matmul(Dw.T, self.dense, out=G[:k, :k])
+        np.matmul(S.T, M, out=G[:k, k:])
         G[k:, :k] = G[:k, k:].T
-        G[k:, k:] = (M.T * S[:, 0]) @ M
+        np.matmul(M.T * S[:, 0], M, out=G[k:, k:])
         return G
 
     def xt(self, r: np.ndarray) -> np.ndarray:
@@ -273,6 +276,19 @@ class _Cells:
         return np.add.reduceat(scores, np.flatnonzero(np.r_[True, clusters[1:] != clusters[:-1]]))
 
 
+def _take_rows(dense: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows ``rows`` of a column-major matrix, column-major."""
+    return dense.T[:, rows].T
+
+
+def _dense(trials: Trials, trial_code, z, d1, d2, mht) -> np.ndarray:
+    """The dense columns of rows of trials ``trial_code``, column-major."""
+    # one (7, n) block, whose transpose is column-major: much faster than
+    # np.column_stack
+    return np.array([np.ones(len(z)), z, d1, d2, np.sqrt(trials.enrollment[trial_code]),
+                     trials.placebo[trial_code], mht], dtype=float).T
+
+
 def _cells(
     design: SelectionDesign,
     levels: Mapping[str, tuple] | None = None,
@@ -283,13 +299,27 @@ def _cells(
     its categorical layout.  ``levels`` pins the layout (reference +
     levels) so a matrix for new data aligns with a fitted model; unseen
     levels fold into the reference."""
+    dense = _dense(design.trials, design.trial_code, design.z, design.d1, design.d2, design.mht)
+    return _factored(dense, design.condition, design.year, design.trials, levels, warn_unseen,
+                     clusters)
+
+
+def _factored(
+    dense: np.ndarray,
+    condition: np.ndarray,
+    year: np.ndarray,
+    trials: Trials,
+    levels: Mapping[str, tuple] | None = None,
+    warn_unseen: bool = False,
+    clusters: np.ndarray | None = None,
+) -> tuple[_Cells, dict]:
+    """The factored matrix of rows with dense columns ``dense`` and the
+    condition and year codes into ``trials``' vocabularies, and its
+    layout, as :func:`_cells`."""
     fixed = levels or {}
-    # one (7, n) block transposed into place: much faster than np.column_stack
-    dense = np.array([np.ones(design.n_obs), design.z, design.d1, design.d2,
-                      design.sqrt_enroll, design.placebo, design.mht], dtype=float).T.copy()
     names, out_levels, blocks = list(DENSE_COLUMNS), {}, []
-    for label, prefix in (("condition", "cond"), ("year", "year")):
-        layout, block = _layout(getattr(design, label), getattr(design.trials, f"{label}s"),
+    for label, prefix, codes in (("condition", "cond", condition), ("year", "year", year)):
+        layout, block = _layout(codes, getattr(trials, f"{label}s"),
                                 fixed.get(label), label, warn_unseen)
         out_levels[label] = layout
         blocks.append(block)
@@ -298,7 +328,7 @@ def _cells(
     n_years = len(by_year)
     incidence = np.hstack([np.repeat(by_condition, n_years, axis=0),
                            np.tile(by_year, (len(by_condition), 1))])
-    cell = design.condition.astype(np.intp) * n_years + design.year
+    cell = condition.astype(np.intp) * n_years + year
     return _Cells(dense, cell, incidence, names, clusters), out_levels
 
 
@@ -378,7 +408,7 @@ def _log_likelihood(y: np.ndarray, p: np.ndarray, c: np.ndarray) -> float:
     """Weighted Bernoulli log-likelihood of 0/1 labels ``y``.  One log per
     row, of p or 1 - p: exactly y log p + (1 - y) log(1 - p), since the
     labels (continuation, from ``Links.labels``) are exactly 0 or 1."""
-    p = np.clip(p, 1e-12, 1.0 - 1e-12)
+    p = np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)  # np.clip, with less overhead
     return float(np.sum(c * np.log(np.where(y == 1, p, 1.0 - p))))
 
 
@@ -414,7 +444,7 @@ def _irls(
         raise ValueError("need both outcome classes to fit a logit")
     c = np.ones(y.size) if weights is None else weights
     n, k = float(c.sum()), len(cols)
-    sub = np.ix_(cols, cols)
+    sub = slice(None) if k == len(X.names) else np.ix_(cols, cols)  # no copy if all kept
     full = np.zeros(len(X.names))
 
     def probabilities(b):
@@ -505,21 +535,36 @@ def fit_logit(
     """
     if cluster_by not in ("condition", "year", "trial_code"):
         raise ValueError(f"unknown cluster column {cluster_by!r}")
-    y = design.y.astype(float)
     X, levels = _cells(design, clusters=getattr(design, cluster_by))
     X, order = X.grouped()
+    return _fit(X, design.y.astype(float)[order], levels, design.n_trials,
+                max_iter, score_tol, ll_tol, warm_start)
+
+
+def _fit(
+    X: _Cells,
+    y: np.ndarray,
+    levels: dict,
+    n_trials: int,
+    max_iter: int = 100,
+    score_tol: float = 1e-8,
+    ll_tol: float = 1e-12,
+    warm_start: Mapping[str, float] | None = None,
+) -> SelectionModel:
+    """The model of :func:`fit_logit` on a factored matrix whose rows are
+    grouped (:meth:`_Cells.grouped`), labels ``y`` in the same order."""
     cols, dropped = _drop_collinear(X)
     names = [X.names[j] for j in cols]
     warm = warm_start or {}
     beta = np.array([warm.get(nm, 0.0) for nm in names])
-    fit = _irls(X, y[order], beta, cols, max_iter, score_tol, ll_tol)
+    fit = _irls(X, y, beta, cols, max_iter, score_tol, ll_tol)
     return SelectionModel(
         names=names,
         coef=fit.beta,
         vcov=fit.vcov,
         converged=fit.converged,
         n_obs=len(y),
-        n_trials=design.n_trials,
+        n_trials=n_trials,
         n_clusters=fit.n_clusters,
         log_likelihood=fit.log_likelihood,
         mean_dep=float(y.mean()),
@@ -565,6 +610,72 @@ class PinnedDesign:
         beta = np.zeros(len(self.names))
         beta[cols] = fit.beta
         return _expit(self.X.dot(beta))
+
+
+class PinnedRows:
+    """The design rows of a table's row mask, pinned once for the designs
+    of their subsets (the phase samples of a sponsor sweep's cells).
+
+    A subset, given as ascending indices ``rows`` into the pinned rows, is
+    the design that :func:`design_rows` would build from its table rows:
+    :meth:`imputed` imputes its other censors within it, :meth:`fit` is
+    :func:`fit_logit` on it and :meth:`predict` is :func:`predict` on it,
+    each on its own dummy layout.  Only the layout is built per subset:
+    the dense columns, the cells and the grouped row order are read off
+    the pinned ones.
+    """
+
+    def __init__(self, table: OutcomeTable, rows: np.ndarray):
+        t = self._table = table.subset(rows)
+        self.trials, self.trial_code, self.bound = t.trials, t.trial_code, t.bound
+        self.z_raw = t.z  # NaN on censored rows
+        self.is_precise = t.kind == ZKind.PRECISE.value
+        d1, d2 = t.kind == ZKind.ABOVE_D1.value, t.kind == ZKind.ABOVE_D2.value
+        self.bounded = d1 | d2
+        self._other = (t.kind == ZKind.OTHER_CENSOR.value) & np.isnan(t.z)
+        # z_ph2 is set per subset
+        self._dense = _dense(t.trials, t.trial_code, np.zeros(len(t.z)), d1, d2, t.mht)
+        self._condition = self.trials.condition[self.trial_code]
+        self._year = self.trials.year[self.trial_code]
+        # every row by cell, then condition cluster, as _Cells.grouped sorts:
+        # the rows of a subset in this order are grouped
+        cells = self._condition.astype(np.intp) * len(self.trials.years) + self._year
+        self._grouped = np.lexsort((self._condition, cells))
+
+    def imputed(self, rows: np.ndarray) -> np.ndarray:
+        """The z of the rows, other censors imputed within them; NaN on
+        D1/D2 rows."""
+        if not len(rows):
+            raise ValueError("selection design is empty")
+        t = self._table
+        if not self._other[rows].any():
+            return t.z[rows]
+        return impute_other_censors(t.kind[rows], t.z[rows], t.bound[rows], t.below[rows])
+
+    def _matrix(self, rows, z, levels=None, warn_unseen=False, clusters=False):
+        dense = _take_rows(self._dense, rows)
+        dense[:, 1] = np.where(self.bounded[rows], 0.0, z)
+        condition = self._condition[rows]
+        return _factored(dense, condition, self._year[rows], self.trials, levels, warn_unseen,
+                         condition if clusters else None)
+
+    def fit(self, rows: np.ndarray, z: np.ndarray, y: np.ndarray) -> SelectionModel:
+        """:func:`fit_logit` of the subset ``rows`` with z from :meth:`imputed`
+        and labels ``y``, clustered by condition."""
+        at = np.zeros(len(self.trial_code), dtype=bool)
+        at[rows] = True
+        grouped = self._grouped[at[self._grouped]]
+        pos = (np.cumsum(at) - 1)[grouped]
+        X, levels = self._matrix(grouped, z[pos], clusters=True)
+        n_trials = int(np.count_nonzero(np.bincount(self.trial_code[rows])))
+        return _fit(X, y[pos].astype(float), levels, n_trials)
+
+    def predict(self, model: SelectionModel, rows: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """:func:`predict` on the subset ``rows`` with z from :meth:`imputed`."""
+        if not model.converged:
+            raise ValueError("model did not converge")
+        X, _ = self._matrix(rows, z, model.levels, warn_unseen=True)
+        return _expit(X.dot(_coef(model, X.names)))
 
 
 def wald_equality(

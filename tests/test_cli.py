@@ -420,6 +420,17 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert scipy_modules_after("import trialscope.cli") == "[]"
 
 
+def test_cli_import_leaves_the_simulator_unloaded():
+    # only simulate and a report without inputs run the simulator; every
+    # other command would pay its import
+    code = "import sys\nimport trialscope.cli\nprint('trialscope.simulate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120, env=env)
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_simulate_report_and_sweep_load_no_scipy(tmp_path):
     code = textwrap.dedent("""
         from trialscope.cli import main
