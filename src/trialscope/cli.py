@@ -61,15 +61,15 @@ _INPUT_KEYS = ("trials", "outcomes", "rankings", "synonyms")
 @dataclass(frozen=True)
 class _Key:
     """A config key: its type, help, default (None: unset) and the values it
-    may take, as ``choices`` (the flag's too) or as a ``bound``, a
-    description and a test.  Its flag is ``--key-with-dashes`` unless
-    ``flag`` names another."""
+    may take, as ``choices`` (the flag's too) or as ``bounds``, each a
+    description and a test, checked in order.  Its flag is
+    ``--key-with-dashes`` unless ``flag`` names another."""
 
     type: type
     help: str
     default: object = None
     choices: tuple | None = None
-    bound: tuple[str, Callable] | None = None
+    bounds: tuple[tuple[str, Callable], ...] = ()
     flag: str | None = None
 
 
@@ -83,30 +83,32 @@ _CONFIG_KEYS = {
     "rankings": _Key(str, "sponsor rankings CSV"),
     "synonyms": _Key(str, "drug synonyms CSV"),
     "out": _Key(str, "output directory", "out"),
-    "seed": _Key(int, "random seed", 0, bound=_at_least(0)),
+    "seed": _Key(int, "random seed", 0, bounds=(_at_least(0),)),
     "cutoff": _Key(float, "significance cutoff on the z scale "
-                   "(default: the z of p = 0.05)", bound=("finite", math.isfinite)),
+                   "(default: the z of p = 0.05)", bounds=(("finite", math.isfinite),)),
     "sidedness": _Key(str, "p-value sidedness", "two-sided",
                       choices=tuple(s.value for s in pz.Sidedness)),
     "group": _Key(str, "sponsor group", "all_industry", choices=_GROUPS),
     # checked when the config loads, so a bad flag exits 1, not 2
     "split_criterion": _Key(str, "sponsor ranking of the industry split", "revenue2018",
-                            bound=(f"one of {', '.join(RANK_CRITERIA)}",
-                                   RANK_CRITERIA.__contains__)),
+                            bounds=((f"one of {', '.join(RANK_CRITERIA)}",
+                                     RANK_CRITERIA.__contains__),)),
     "split_k": _Key(int, "number of top-ranked sponsors in the split", 10,
-                    bound=("in [7, 20]", lambda v: 7 <= v <= 20)),
-    "bootstrap_reps": _Key(int, "bootstrap repetitions", 500, bound=_at_least(0)),
+                    bounds=(("in [7, 20]", lambda v: 7 <= v <= 20),)),
+    # one rep has no standard error
+    "bootstrap_reps": _Key(int, "bootstrap repetitions", 500,
+                           bounds=(_at_least(0), ("0 or at least 2", lambda v: v != 1))),
     "poly_order": _Key(int, "local polynomial order of the discontinuity test", 2,
-                       bound=_at_least(2), flag="--order"),
+                       bounds=(_at_least(2),), flag="--order"),
     "bandwidth": _Key(float, "discontinuity test bandwidth (default: plug-in per side)",
-                      bound=("> 0", lambda v: v > 0)),
-    "n_trials": _Key(int, "trials to simulate", 2000, bound=_at_least(1)),
+                      bounds=(("> 0", lambda v: v > 0),)),
+    "n_trials": _Key(int, "trials to simulate", 2000, bounds=(_at_least(1),)),
     "misreporting": _Key(str, "misreporting injected by the simulator", "none",
                          choices=("none", "suppress", "inflate")),
     "misreport_q": _Key(float, "fraction of results misreported", 0.0,
-                        bound=("in [0, 1]", lambda v: 0 <= v <= 1)),
+                        bounds=(("in [0, 1]", lambda v: 0 <= v <= 1),)),
     "misreport_window": _Key(float, "inflation window below the cutoff", 0.0,
-                             bound=_at_least(0)),
+                             bounds=(_at_least(0),)),
 }
 
 
@@ -122,8 +124,9 @@ def _typed(key: str, value):
         raise ValueError(f"{key} must be {spec.type.__name__}, got {value!r}") from None
     if spec.choices and value not in spec.choices:
         raise ValueError(f"{key} must be one of {', '.join(spec.choices)}, got {value!r}")
-    if spec.bound and not spec.bound[1](value):
-        raise ValueError(f"{key} must be {spec.bound[0]}, got {value!r}")
+    for text, test in spec.bounds:
+        if not test(value):
+            raise ValueError(f"{key} must be {text}, got {value!r}")
     return value
 
 

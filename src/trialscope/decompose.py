@@ -121,10 +121,14 @@ def phase_scores(
     return design_rows(table, rows, np.zeros(int(rows.sum())))
 
 
-def _auto_bandwidth(z_precise: np.ndarray, counts: np.ndarray | None = None) -> float:
+def _auto_bandwidth(
+    z_precise: np.ndarray, counts: np.ndarray | None = None, *, drawn: bool = False
+) -> float:
     """Sheather-Jones bandwidth of the precise scores, Silverman's below 10
-    distinct values, 0.5 without spread.  ``counts`` are draw counts."""
-    x, c = _draws(z_precise, counts)
+    distinct values, 0.5 without spread.  ``counts`` are draw counts; with
+    ``drawn`` the scores ascend and every count is positive, as
+    :func:`_draws` gives them, and they are not checked again."""
+    x, c = (z_precise, counts) if drawn else _draws(z_precise, counts)
     distinct = _n_distinct(x)
     if distinct >= 10:
         return float(sj_bandwidth(x, c, drawn=True))
@@ -193,9 +197,13 @@ class _PhaseSample:
         return np.bincount(drawn, minlength=self.n_trials)[self.trial]
 
     def bandwidth(self, counts: np.ndarray | None = None) -> float:
-        return _auto_bandwidth(
-            self.z_sorted, None if counts is None else counts[self.precise]
-        )
+        """The bandwidth of the sample, or of a rep's draw ``counts`` per
+        row: the drawn precise scores, read off the sorted ones."""
+        if counts is None:
+            return _auto_bandwidth(self.z_sorted)
+        c = counts[self.precise]
+        drawn = c > 0
+        return _auto_bandwidth(self.z_sorted[drawn], c[drawn], drawn=True)
 
     def shares(self, weightings, cutoff: float, bandwidth: float) -> list[float]:
         """The share of the sample under each row weighting, all at one
@@ -273,6 +281,8 @@ def decompose(
     phase samples by them."""
     if bootstrap_reps < 0:
         raise ValueError(f"bootstrap_reps must be >= 0, got {bootstrap_reps}")
+    if bootstrap_reps == 1:  # one draw has no standard deviation
+        raise ValueError("bootstrap_reps must be 0 or at least 2, got 1")
     if model is None:
         model = fit_logit(build_design(table, links, outcome_rank=outcome_rank))
     ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)

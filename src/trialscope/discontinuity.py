@@ -99,7 +99,7 @@ def _side_fit(
     weights; returns the u-scale slope and the influence row a such that
     slope = a . y."""
     k = 1.0 - np.abs(t)
-    U = t[:, None] ** np.arange(q + 1)[None, :]
+    U = np.vander(t, q + 1, increasing=True)
     A = U * k[:, None]
     M = U.T @ A
     try:
@@ -130,7 +130,7 @@ def _pilot_curvature(
     The design is scale-normalized so conditioning, and hence the result,
     is exactly location/scale equivariant."""
     s = x_side / span
-    U = s[:, None] ** np.arange(5)[None, :]
+    U = np.vander(s, 5, increasing=True)
     beta, *_ = np.linalg.lstsq(U, y_side, rcond=None)
     f = max(float(beta[1]) / span, 1e-12)
     fpp = 6.0 * float(beta[3]) / span**3

@@ -240,7 +240,7 @@ class _Cells:
     @cached_property
     def _runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The first row of each cell run and the dummies of its cell."""
-        starts = np.flatnonzero(np.r_[True, self.cell[1:] != self.cell[:-1]])
+        starts = _run_starts(self.cell[1:] != self.cell[:-1])
         return starts, self.incidence[self.cell[starts]]
 
     def gram(self, w: np.ndarray) -> np.ndarray:
@@ -266,14 +266,20 @@ class _Cells:
         one row per cluster in code order.  Each (cell, cluster) run is
         summed first; the runs are sorted by cluster only when out of order."""
         split = (self.cell[1:] != self.cell[:-1]) | (self.clusters[1:] != self.clusters[:-1])
-        starts = np.flatnonzero(np.r_[True, split])
+        starts = _run_starts(split)
         U = np.add.reduceat(r[:, None] * self.dense, starts)  # column 0 sums r
         scores = np.hstack([U, U[:, :1] * self.incidence[self.cell[starts]]])
         clusters = self.clusters[starts]
         if np.any(clusters[1:] < clusters[:-1]):
             order = np.argsort(clusters, kind="stable")
             scores, clusters = scores[order], clusters[order]
-        return np.add.reduceat(scores, np.flatnonzero(np.r_[True, clusters[1:] != clusters[:-1]]))
+        return np.add.reduceat(scores, _run_starts(clusters[1:] != clusters[:-1]))
+
+
+def _run_starts(change: np.ndarray) -> np.ndarray:
+    """The first index of each run of a sequence, given ``change``, where
+    each element after the first differs from the one before it."""
+    return np.concatenate(([0], np.flatnonzero(change) + 1))
 
 
 def _take_rows(dense: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -368,7 +374,7 @@ def _drop_collinear(
     cols = np.flatnonzero(norms > tol)
     floor = tol * np.maximum(norms[cols], 1.0)
     try:
-        pivots = np.diag(np.linalg.cholesky(G[np.ix_(cols, cols)]))
+        pivots = np.diag(np.linalg.cholesky(G if len(cols) == len(G) else G[np.ix_(cols, cols)]))
         screened = bool(np.all(pivots > 100.0 * floor))
     except np.linalg.LinAlgError:
         screened = False
@@ -400,16 +406,16 @@ def _expit(eta: np.ndarray) -> np.ndarray:
     """Logistic function, overflow-free: 1/(1+e^-x) for x >= 0 and
     e^x/(1+e^x) below."""
     ex = np.exp(-np.abs(eta))
-    denom = 1.0 + ex
-    return np.where(eta >= 0, 1.0 / denom, ex / denom)
+    return np.where(eta >= 0, 1.0, ex) / (1.0 + ex)
 
 
-def _log_likelihood(y: np.ndarray, p: np.ndarray, c: np.ndarray) -> float:
-    """Weighted Bernoulli log-likelihood of 0/1 labels ``y``.  One log per
-    row, of p or 1 - p: exactly y log p + (1 - y) log(1 - p), since the
-    labels (continuation, from ``Links.labels``) are exactly 0 or 1."""
+def _log_likelihood(one: np.ndarray, p: np.ndarray, c: np.ndarray) -> float:
+    """Weighted Bernoulli log-likelihood of 0/1 labels, ``one`` where they
+    are 1 (the labels themselves mark the same rows).  One log per row, of
+    p or 1 - p: exactly y log p + (1 - y) log(1 - p), since the labels
+    (continuation, from ``Links.labels``) are exactly 0 or 1."""
     p = np.minimum(np.maximum(p, 1e-12), 1.0 - 1e-12)  # np.clip, with less overhead
-    return float(np.sum(c * np.log(np.where(y == 1, p, 1.0 - p))))
+    return float(np.sum(c * np.log(np.where(one, p, 1.0 - p))))
 
 
 @dataclass
@@ -444,19 +450,26 @@ def _irls(
         raise ValueError("need both outcome classes to fit a logit")
     c = np.ones(y.size) if weights is None else weights
     n, k = float(c.sum()), len(cols)
-    sub = slice(None) if k == len(X.names) else np.ix_(cols, cols)  # no copy if all kept
-    full = np.zeros(len(X.names))
+    one = y == 1
+    if k == len(X.names):  # every column kept: no scatter, no copy
+        pick = sub = slice(None)
 
-    def probabilities(b):
-        full[cols] = b
-        return _expit(X.dot(full))
+        def probabilities(b):
+            return _expit(X.dot(b))
+    else:
+        pick, sub = cols, np.ix_(cols, cols)
+        full = np.zeros(len(X.names))
+
+        def probabilities(b):
+            full[cols] = b
+            return _expit(X.dot(full))
 
     p = probabilities(beta)
-    ll = _log_likelihood(y, p, c)
+    ll = _log_likelihood(one, p, c)
     ll_old = -np.inf
     converged = False
     for _ in range(max_iter):
-        score = X.xt(c * (y - p))[cols]
+        score = X.xt(c * (y - p))[pick]
         if np.max(np.abs(score)) < score_tol:
             converged = True
             break
@@ -474,14 +487,14 @@ def _irls(
         for _ in range(8):
             cand = beta + step * delta
             p_cand = probabilities(cand)
-            ll_cand = _log_likelihood(y, p_cand, c)
+            ll_cand = _log_likelihood(one, p_cand, c)
             if ll_cand >= ll - 1e-12:
                 break
             step *= 0.5
         else:
             cand = beta + step * delta
             p_cand = probabilities(cand)
-            ll_cand = _log_likelihood(y, p_cand, c)
+            ll_cand = _log_likelihood(one, p_cand, c)
         beta, p, ll = cand, p_cand, ll_cand
 
     w = c * np.maximum(p * (1.0 - p), 1e-10)
@@ -495,7 +508,7 @@ def _irls(
             f"complete separation suspected: runaway coefficient on {bad}"
         )
 
-    sums = X.cluster_sums(c * (y - p))[:, cols]
+    sums = X.cluster_sums(c * (y - p))[:, pick]
     meat = sums.T @ sums
     n_clusters = len(sums)
     if n_clusters > 1:

@@ -209,6 +209,25 @@ class TestExitCodes:
         written = sorted(p.name for p in tmp_path.iterdir())
         assert written == ([] if where == "flag" else ["reps.cfg"])
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_one_bootstrap_rep_exits_before_out_exists(self, sim_dir, tmp_path, capsys, where):
+        # one rep would write a NaN standard error: rejected as the config
+        # loads, before any stage, as a negative count is
+        out = tmp_path / "o"
+        args = ["decompose", "--trials", sim_dir / "trials.csv",
+                "--outcomes", sim_dir / "outcomes.csv", "--synonyms", sim_dir / "synonyms.csv",
+                "--out", out]
+        if where == "flag":
+            args += ["--bootstrap-reps", 1]
+        else:
+            cfg_file = tmp_path / "reps.cfg"
+            cfg_file.write_text("bootstrap_reps = 1\n")
+            args += ["--config", cfg_file]
+        assert run(args) == 1
+        assert "bootstrap_reps must be 0 or at least 2, got 1" in capsys.readouterr().err
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ([] if where == "flag" else ["reps.cfg"])
+
     @pytest.mark.parametrize("given", [("outcomes", "rankings"), ("synonyms",), ("outcomes",)])
     def test_report_with_partial_inputs_exits_one(self, sim_dir, tmp_path, capsys, given):
         # report simulates only when no input file is configured; with some

@@ -161,6 +161,15 @@ class TestDecompose:
         with pytest.raises(ValueError, match="bootstrap_reps must be >= 0"):
             decompose(outcome_table(reg), links, bootstrap_reps=-1)
 
+    def test_one_rep_rejected(self, sim_small, monkeypatch):
+        # one draw has no standard deviation: rejected before any fit
+        import trialscope.decompose as dec
+
+        reg, truth, links, _ = sim_small
+        monkeypatch.setattr(dec, "fit_logit", lambda *a, **k: pytest.fail("fitted"))
+        with pytest.raises(ValueError, match="bootstrap_reps must be 0 or at least 2, got 1"):
+            decompose(outcome_table(reg), links, bootstrap_reps=1)
+
     def test_stars_formatting(self):
         rep = DecompositionReport(
             shares={"ph2": 0.4}, diffs={"d": 0.2}, std_errs={"d": 0.05, "ph2": 0.1},

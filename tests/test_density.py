@@ -20,6 +20,7 @@ from trialscope.registry import Phase
 from trialscope.simulate import SimConfig, end_to_end_truth_check, generate
 
 import bisection_bandwidth
+import parent_bandwidth
 
 
 def lscv_bandwidth(x, lo, hi):
@@ -580,3 +581,57 @@ class TestBisectionReplay:
         assert sj_bandwidth(x) == silverman
         assert len(calls) == 3
         assert bisection_bandwidth.sj_bandwidth(x) == silverman
+
+
+class TestParentBandwidth:
+    """The kernel without float powers (squared pair distances, Horner
+    sums) moves the objective by rounding only, which leaves the
+    bisection's midpoints, and with them h, where they were: compared with
+    the kernel before it (``parent_bandwidth``) by ``==``."""
+
+    def test_pipeline_samples(self, pipeline_bandwidth_samples):
+        for x, c in pipeline_bandwidth_samples:
+            assert sj_bandwidth(x, c) == parent_bandwidth.sj_bandwidth(x, c)
+
+    @pytest.mark.parametrize("case", ["bimodal", "heavy tails", "rounded ties", "normal"])
+    def test_samples(self, case):
+        # the samples of TestBisectionReplay.test_samples
+        rng = np.random.default_rng(41)
+        x = {
+            "bimodal": np.r_[rng.normal(-4, 0.3, 300), rng.normal(4, 0.3, 300)],
+            "heavy tails": rng.standard_t(2, size=800),
+            "rounded ties": np.round(np.abs(rng.normal(1.5, 1.2, size=1500)), 2),
+            "normal": rng.normal(size=500),
+        }[case]
+        assert sj_bandwidth(x) == parent_bandwidth.sj_bandwidth(x)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(x.size)
+            c = np.random.default_rng(seed).integers(0, 3, size=x.size)
+            assert sj_bandwidth(x[perm], c[perm]) == parent_bandwidth.sj_bandwidth(x, c)
+
+    @pytest.mark.parametrize("scale, shift", [(1.0, 0.0), (0.37, 2.5), (5.0, -1.0)])
+    def test_ties_at_bin_edges(self, scale, shift):
+        # tied values on the edges of the 1,024 pair-count bins, where the
+        # binning of a value is a matter of rounding
+        rng = np.random.default_rng(47)
+        d = 1.01 / 1024  # the bin width of a sample spanning [0, 1]
+        k = np.minimum(rng.binomial(1013, 0.4, size=900), 1013)
+        x = np.r_[0.0, k * d, 1.0] * scale + shift
+        assert np.unique(x).size < x.size / 2
+        c = rng.integers(0, 4, size=x.size)
+        c[[0, -1]] = 1
+        for weights in (None, c):
+            got = sj_bandwidth(x, weights)
+            assert got == parent_bandwidth.sj_bandwidth(x, weights)
+            assert not got.fallback
+
+    @pytest.mark.parametrize("outlier", [1e4, 1e2, -3e3])
+    def test_fallbacks(self, outlier):
+        # a tight cluster and one far outlier: no sign change, Silverman
+        x = np.r_[np.random.default_rng(0).normal(size=200) * 1e-3, outlier]
+        got = sj_bandwidth(x)
+        assert got.fallback and got == parent_bandwidth.sj_bandwidth(x)
+        for sample in ([1.0, 2.0, 3.0] * 10, x[:9]):
+            for bandwidth in (sj_bandwidth, parent_bandwidth.sj_bandwidth):
+                with pytest.raises(ValueError, match="distinct"):
+                    bandwidth(sample)
