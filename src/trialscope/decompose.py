@@ -49,6 +49,7 @@ __all__ = [
 
 SHARE_KEYS = ("ph2", "ph3", "ph2_sc")
 DIFF_KEYS = ("ph3_minus_ph2", "ph3_minus_ph2_sc", "ph2_sc_minus_ph2")
+MAX_DROPPED_FRAC = 0.10  # of the bootstrap reps that may fail before decompose raises
 
 
 @dataclass
@@ -155,30 +156,14 @@ def counterfactual_share(
     return censored_aware_share(design.kind, design.share_z, w, cutoff, bandwidth)
 
 
-def _in_z_order(rows: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The precise rows ``rows`` in stable order of their z."""
-    return rows[np.argsort(z[rows], kind="stable")]
-
-
 class _PhaseSample:
     """The share and bandwidth inputs of one phase, pinned once.  A
     bootstrap rep is this sample reweighted by its draw counts: each row
     counts as often as its trial was drawn."""
 
-    def __init__(self, design: SelectionDesign):
-        is_precise = design.kind == ZKind.PRECISE.value
-        self._pin(design.trial_code, is_precise, design.share_z,
-                  _in_z_order(np.flatnonzero(is_precise), design.z))
-
-    @classmethod
-    def of_rows(cls, trial_code, is_precise, share_z, precise) -> "_PhaseSample":
+    def __init__(self, trial_code, is_precise, share_z, precise):
         """The sample of rows given by their trial codes, precise mask and
         share z, with ``precise``, its precise rows in stable z order."""
-        sample = cls.__new__(cls)
-        sample._pin(trial_code, is_precise, share_z, precise)
-        return sample
-
-    def _pin(self, trial_code, is_precise, share_z, precise) -> None:
         # trial i of a rep's draw is the sample's i-th smallest trial code,
         # and codes ascend with the trial ids, whatever the registry order
         present = np.bincount(trial_code) > 0
@@ -216,14 +201,15 @@ class _PhaseSample:
 
 class _PinnedPhase:
     """One phase sample of a table, pinned once for the samples of its
-    trial subsets (a sponsor sweep's cells): its design rows and its
-    precise rows in stable z order.  A stable sort restricted to a subset
-    is the subset's own stable sort, so a subset's order, and with it its
-    bandwidth, is read off, not sorted."""
+    trial subsets (all its trials, or a sponsor sweep's cells): its design
+    rows and its precise rows in stable z order.  A stable sort restricted
+    to a subset is the subset's own stable sort, so a subset's order, and
+    with it its bandwidth, is read off, not sorted."""
 
     def __init__(self, table: OutcomeTable, phase: Phase, outcome_rank: OutcomeRank):
         self.rows = PinnedRows(table, table.industry & table.sample(phase, outcome_rank))
-        self.precise = _in_z_order(np.flatnonzero(self.rows.is_precise), self.rows.z_raw)
+        precise = np.flatnonzero(self.rows.is_precise)
+        self.precise = precise[np.argsort(self.rows.z_raw[precise], kind="stable")]
 
     def sample(self, trials: np.ndarray) -> tuple[np.ndarray, np.ndarray, _PhaseSample]:
         """The rows of the trials in the mask ``trials``, their z with
@@ -234,8 +220,8 @@ class _PinnedPhase:
         idx = np.flatnonzero(at)
         z = rows.imputed(idx)
         precise = (np.cumsum(at) - 1)[self.precise[at[self.precise]]]
-        sample = _PhaseSample.of_rows(rows.trial_code[idx], rows.is_precise[idx],
-                                      np.where(rows.bounded[idx], rows.bound[idx], z), precise)
+        sample = _PhaseSample(rows.trial_code[idx], rows.is_precise[idx],
+                              np.where(rows.bounded[idx], rows.bound[idx], z), precise)
         return idx, z, sample
 
 
@@ -272,57 +258,57 @@ def decompose(
     seed: int | None = None,
     cutoff: float = Z_SIG,
     outcome_rank: OutcomeRank = OutcomeRank.PRIMARY,
-    max_dropped_frac: float = 0.10,
 ) -> DecompositionReport:
     """Point decomposition plus trial-clustered bootstrap of the whole
     estimation procedure (selection refit, reweighting, share
     computation in every repetition).  A rep is a set of trial draw
     counts; the refit, the bandwidths and the shares reweight the pinned
-    phase samples by them."""
+    phase samples by them.  More than ``MAX_DROPPED_FRAC`` of the reps
+    failing raises."""
     if bootstrap_reps < 0:
         raise ValueError(f"bootstrap_reps must be >= 0, got {bootstrap_reps}")
     if bootstrap_reps == 1:  # one draw has no standard deviation
         raise ValueError("bootstrap_reps must be 0 or at least 2, got 1")
     if model is None:
         model = fit_logit(build_design(table, links, outcome_rank=outcome_rank))
-    ph2_design = phase_scores(table, Phase.PHASE2, outcome_rank)
-    ph3_design = phase_scores(table, Phase.PHASE3, outcome_rank)
-    ph2, ph3 = _PhaseSample(ph2_design), _PhaseSample(ph3_design)
-    report = _point(ph2, ph3, predict(model, ph2_design), cutoff)
+    ph2 = _PinnedPhase(table, Phase.PHASE2, outcome_rank)
+    every = np.ones(len(table.trials.ids), dtype=bool)
+    rows2, z2, s2 = ph2.sample(every)
+    s3 = _PinnedPhase(table, Phase.PHASE3, outcome_rank).sample(every)[2]
+    report = _point(s2, s3, ph2.rows.predict(model, rows2, z2), cutoff)
+    if bootstrap_reps == 0:
+        return report
+    pinned = PinnedDesign(ph2.rows, z2, links.labels(table.trials.ids)[ph2.rows.trial_code],
+                          model)
+    del ph2  # the reps read the samples and the refit matrix only
 
+    streams = np.random.SeedSequence(seed).spawn(bootstrap_reps)
+    draws = np.full((bootstrap_reps, 6), np.nan)
     dropped = 0
-    if bootstrap_reps > 0:
-        pinned = PinnedDesign(
-            ph2_design, links.labels(table.trials.ids)[ph2_design.trial_code], model
-        )
-        streams = np.random.SeedSequence(seed).spawn(bootstrap_reps)
-        draws = np.full((bootstrap_reps, 6), np.nan)
-        for r in range(bootstrap_reps):
-            rng = np.random.default_rng(streams[r])
-            counts2, counts3 = ph2.counts(rng), ph3.counts(rng)
-            try:
-                p = pinned.refit_predict(counts2)
-                if p is None:
-                    dropped += 1
-                    continue
-                w = counts2 * p
-                if float(w.sum()) <= 0:
-                    raise ValueError("all predicted weights are zero")
-                b2, b3 = ph2.bandwidth(counts2), ph3.bandwidth(counts3)
-                a, c = ph2.shares((counts2, w), cutoff, b2)
-                (b,) = ph3.shares((counts3,), cutoff, b3)
-                draws[r] = (a, b, c, b - a, b - c, c - a)
-            except (ValueError, np.linalg.LinAlgError, RuntimeError):
+    for r in range(bootstrap_reps):
+        rng = np.random.default_rng(streams[r])
+        counts2, counts3 = s2.counts(rng), s3.counts(rng)
+        try:
+            p = pinned.refit_predict(counts2)
+            if p is None:
                 dropped += 1
                 continue
-        if dropped > max_dropped_frac * bootstrap_reps:
-            raise RuntimeError(
-                f"{dropped}/{bootstrap_reps} bootstrap repetitions failed"
-            )
-        kept = draws[~np.isnan(draws[:, 0])]
-        for j, k in enumerate((*SHARE_KEYS, *DIFF_KEYS)):
-            report.std_errs[k] = float(np.std(kept[:, j], ddof=1))
-        report.bootstrap_reps, report.dropped_reps = bootstrap_reps, dropped
+            w = counts2 * p
+            if float(w.sum()) <= 0:
+                raise ValueError("all predicted weights are zero")
+            b2, b3 = s2.bandwidth(counts2), s3.bandwidth(counts3)
+            a, c = s2.shares((counts2, w), cutoff, b2)
+            (b,) = s3.shares((counts3,), cutoff, b3)
+            draws[r] = (a, b, c, b - a, b - c, c - a)
+        except (ValueError, np.linalg.LinAlgError, RuntimeError):
+            dropped += 1
+            continue
+    if dropped > MAX_DROPPED_FRAC * bootstrap_reps:
+        raise RuntimeError(f"{dropped}/{bootstrap_reps} bootstrap repetitions failed")
+    kept = draws[~np.isnan(draws[:, 0])]
+    for j, k in enumerate((*SHARE_KEYS, *DIFF_KEYS)):
+        report.std_errs[k] = float(np.std(kept[:, j], ddof=1))
+    report.bootstrap_reps, report.dropped_reps = bootstrap_reps, dropped
     return report
 
 

@@ -42,6 +42,11 @@ __all__ = [
 
 CORE_COEFS = ("const", "z_ph2", "d1", "d2")
 
+# IRLS stops after MAX_ITER Newton steps, or once the largest score
+# component falls below SCORE_TOL or the relative log-likelihood change
+# below LL_TOL
+MAX_ITER, SCORE_TOL, LL_TOL = 100, 1e-8, 1e-12
+
 
 class SeparationError(RuntimeError):
     pass
@@ -432,9 +437,6 @@ def _irls(
     y: np.ndarray,
     beta: np.ndarray,
     cols: np.ndarray,
-    max_iter: int = 100,
-    score_tol: float = 1e-8,
-    ll_tol: float = 1e-12,
     weights: np.ndarray | None = None,
 ) -> _Fit:
     """The logit fit on the columns ``cols`` of a factored matrix: IRLS
@@ -468,12 +470,12 @@ def _irls(
     ll = _log_likelihood(one, p, c)
     ll_old = -np.inf
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         score = X.xt(c * (y - p))[pick]
-        if np.max(np.abs(score)) < score_tol:
+        if np.max(np.abs(score)) < SCORE_TOL:
             converged = True
             break
-        if np.isfinite(ll_old) and abs(ll - ll_old) < ll_tol * (abs(ll_old) + 1e-30):
+        if np.isfinite(ll_old) and abs(ll - ll_old) < LL_TOL * (abs(ll_old) + 1e-30):
             converged = True
             break
         ll_old = ll
@@ -532,15 +534,13 @@ def _coef(model: SelectionModel, names: Sequence[str]) -> np.ndarray:
 def fit_logit(
     design: SelectionDesign,
     cluster_by: str = "condition",
-    max_iter: int = 100,
-    score_tol: float = 1e-8,
-    ll_tol: float = 1e-12,
     warm_start: Mapping[str, float] | None = None,
 ) -> SelectionModel:
     """IRLS maximum likelihood with a clustered sandwich covariance.
 
-    Convergence when the largest score component falls below ``score_tol``
-    or the relative log-likelihood change falls below ``ll_tol``.
+    Convergence when the largest score component falls below
+    ``SCORE_TOL`` or the relative log-likelihood change falls below
+    ``LL_TOL``, within ``MAX_ITER`` Newton steps.
     Clusters are the codes of the design column ``cluster_by``:
     "condition" (the default), "year" or "trial_code".  The sandwich
     carries the G/(G-1) * (N-1)/(N-K) small-sample factor.  ``warm_start``
@@ -550,8 +550,7 @@ def fit_logit(
         raise ValueError(f"unknown cluster column {cluster_by!r}")
     X, levels = _cells(design, clusters=getattr(design, cluster_by))
     X, order = X.grouped()
-    return _fit(X, design.y.astype(float)[order], levels, design.n_trials,
-                max_iter, score_tol, ll_tol, warm_start)
+    return _fit(X, design.y.astype(float)[order], levels, design.n_trials, warm_start)
 
 
 def _fit(
@@ -559,9 +558,6 @@ def _fit(
     y: np.ndarray,
     levels: dict,
     n_trials: int,
-    max_iter: int = 100,
-    score_tol: float = 1e-8,
-    ll_tol: float = 1e-12,
     warm_start: Mapping[str, float] | None = None,
 ) -> SelectionModel:
     """The model of :func:`fit_logit` on a factored matrix whose rows are
@@ -570,7 +566,7 @@ def _fit(
     names = [X.names[j] for j in cols]
     warm = warm_start or {}
     beta = np.array([warm.get(nm, 0.0) for nm in names])
-    fit = _irls(X, y, beta, cols, max_iter, score_tol, ll_tol)
+    fit = _irls(X, y, beta, cols)
     return SelectionModel(
         names=names,
         coef=fit.beta,
@@ -587,9 +583,9 @@ def _fit(
 
 
 class PinnedDesign:
-    """The factored matrix of a design, built once with its full-sample
-    dummy layout, for logit refits on reweightings of its rows (bootstrap
-    reps).
+    """The factored matrix of pinned design rows, built once with their
+    dummy layout, for logit refits on reweightings of the rows (bootstrap
+    reps).  ``z`` is every row's z, as :meth:`PinnedRows.imputed` gives it.
 
     Rows labelled NaN enter predictions but not fits.  A refit screens the
     columns of its weighted fitting rows, so a dummy level absent from
@@ -597,8 +593,9 @@ class PinnedDesign:
     ``start``.
     """
 
-    def __init__(self, design: SelectionDesign, labels: np.ndarray, start: SelectionModel):
-        self.X, _ = _cells(design, clusters=design.condition)
+    def __init__(self, rows: PinnedRows, z: np.ndarray, labels: np.ndarray,
+                 start: SelectionModel):
+        self.X, _ = rows._matrix(np.arange(len(z)), z, clusters=True)
         self.names = self.X.names
         # fitting rows grouped by cell, so a refit's sums need no sort
         fitting = np.flatnonzero(~np.isnan(labels))
@@ -627,7 +624,8 @@ class PinnedDesign:
 
 class PinnedRows:
     """The design rows of a table's row mask, pinned once for the designs
-    of their subsets (the phase samples of a sponsor sweep's cells).
+    of their subsets (a phase sample and the samples of a sponsor sweep's
+    cells).
 
     A subset, given as ascending indices ``rows`` into the pinned rows, is
     the design that :func:`design_rows` would build from its table rows:
@@ -639,9 +637,10 @@ class PinnedRows:
     """
 
     def __init__(self, table: OutcomeTable, rows: np.ndarray):
-        t = self._table = table.subset(rows)
+        t = table.subset(rows)
         self.trials, self.trial_code, self.bound = t.trials, t.trial_code, t.bound
         self.z_raw = t.z  # NaN on censored rows
+        self._kind, self._below = t.kind, t.below  # for imputing other censors
         self.is_precise = t.kind == ZKind.PRECISE.value
         d1, d2 = t.kind == ZKind.ABOVE_D1.value, t.kind == ZKind.ABOVE_D2.value
         self.bounded = d1 | d2
@@ -650,20 +649,24 @@ class PinnedRows:
         self._dense = _dense(t.trials, t.trial_code, np.zeros(len(t.z)), d1, d2, t.mht)
         self._condition = self.trials.condition[self.trial_code]
         self._year = self.trials.year[self.trial_code]
-        # every row by cell, then condition cluster, as _Cells.grouped sorts:
-        # the rows of a subset in this order are grouped
+
+    @cached_property
+    def _grouped(self) -> np.ndarray:
+        """Every row by cell, then condition cluster, as :meth:`_Cells.grouped`
+        sorts: the rows of a subset in this order are grouped.  Built on
+        the first fit."""
         cells = self._condition.astype(np.intp) * len(self.trials.years) + self._year
-        self._grouped = np.lexsort((self._condition, cells))
+        return np.lexsort((self._condition, cells))
 
     def imputed(self, rows: np.ndarray) -> np.ndarray:
         """The z of the rows, other censors imputed within them; NaN on
         D1/D2 rows."""
         if not len(rows):
             raise ValueError("selection design is empty")
-        t = self._table
         if not self._other[rows].any():
-            return t.z[rows]
-        return impute_other_censors(t.kind[rows], t.z[rows], t.bound[rows], t.below[rows])
+            return self.z_raw[rows]
+        return impute_other_censors(self._kind[rows], self.z_raw[rows], self.bound[rows],
+                                    self._below[rows])
 
     def _matrix(self, rows, z, levels=None, warn_unseen=False, clusters=False):
         dense = _take_rows(self._dense, rows)

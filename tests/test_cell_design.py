@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import dense_logit
+from pinned_phase import pinned_phase
 from trialscope import selection as sel
-from trialscope.decompose import _PhaseSample, phase_scores
+from trialscope.decompose import phase_scores
 from trialscope.linker import build_synonym_map, link_all
 from trialscope.pz import outcome_table
 from trialscope.registry import Phase
@@ -34,8 +35,9 @@ def pipeline(seed, q):
     reg, truth = generate(SimConfig(n_trials=2000, seed=seed, misreporting=misreporting))
     links, _ = link_all(reg, synonyms=build_synonym_map(truth.synonym_pairs))
     table = outcome_table(reg)
+    rows, z, labels, sample = pinned_phase(table, links)
     ph2 = phase_scores(table, Phase.PHASE2)
-    return sel.build_design(table, links), ph2, links.labels(table.trials.ids)[ph2.trial_code]
+    return sel.build_design(table, links), ph2, labels, (rows, z), sample
 
 
 @pytest.fixture(scope="module")
@@ -68,10 +70,10 @@ def check_fit(design, cluster_by="condition"):
     return model
 
 
-def check_refit(ph2, labels, model, counts):
-    """A pinned refit against the dense one: the same screen, and the same
-    predictions."""
-    pinned = sel.PinnedDesign(ph2, labels, model)
+def check_refit(ph2, rows, labels, model, counts):
+    """A pinned refit over the pinned rows and z ``rows`` against the dense
+    one of the design ``ph2``: the same screen, and the same predictions."""
+    pinned = sel.PinnedDesign(*rows, labels, model)
     drawn = np.flatnonzero(counts[pinned.fitting])
     c = counts[pinned.fitting][drawn].astype(float)
     X, names, _ = sel.build_matrix(ph2)
@@ -91,7 +93,7 @@ def check_refit(ph2, labels, model, counts):
 
 @pytest.mark.parametrize("entry", POOL, ids=[f"{s}-{q}" for s, q in POOL])
 def test_pool_design_equals_dense(pool, entry):
-    design, ph2, labels = pool[entry]
+    design, ph2, labels, rows, sample = pool[entry]
     rng = np.random.default_rng(entry[0])
     for cluster_by in ("condition", "year", "trial_code"):
         check_sums(design, getattr(design, cluster_by), rng)
@@ -99,9 +101,8 @@ def test_pool_design_equals_dense(pool, entry):
     close(sel.predict(model, ph2), dense_logit.predict(model, ph2))
     close(sel.predict_at_mean(model, design, np.linspace(-1, 5, 13)),
           dense_logit.expit(predict_at_mean_dense(model, design, np.linspace(-1, 5, 13))))
-    sample = _PhaseSample(ph2)
     for stream in np.random.SeedSequence(entry[0]).spawn(3):
-        check_refit(ph2, labels, model, sample.counts(np.random.default_rng(stream)))
+        check_refit(ph2, rows, labels, model, sample.counts(np.random.default_rng(stream)))
 
 
 def predict_at_mean_dense(model, design, z_grid):
@@ -117,7 +118,7 @@ def predict_at_mean_dense(model, design, z_grid):
 def test_rep_with_an_absent_level(pool, label):
     # no fitting row of one non-reference level is drawn: its dummy is a
     # zero column, which both screens drop
-    design, ph2, labels = pool[POOL[0]]
+    design, ph2, labels, rows, _ = pool[POOL[0]]
     model = sel.fit_logit(design)
     codes = getattr(ph2, label)
     vocabulary = getattr(ph2.trials, f"{label}s")
@@ -125,11 +126,11 @@ def test_rep_with_an_absent_level(pool, label):
     counts = ((codes != np.flatnonzero(vocabulary == level)[0]) & ~np.isnan(labels)).astype(int)
     counts[np.flatnonzero(counts)[::4]] = 3
     prefix = "cond" if label == "condition" else "year"
-    assert check_refit(ph2, labels, model, counts) == [f"{prefix}:{level}"]
+    assert check_refit(ph2, rows, labels, model, counts) == [f"{prefix}:{level}"]
 
 
 def test_rep_without_the_reference_level_takes_the_greedy_path(pool, monkeypatch):
-    design, ph2, labels = pool[POOL[1]]
+    design, ph2, labels, rows, _ = pool[POOL[1]]
     model = sel.fit_logit(design)
     ref = model.levels["condition"][0]
     names = ph2.trials.conditions[ph2.condition]
@@ -137,7 +138,7 @@ def test_rep_without_the_reference_level_takes_the_greedy_path(pool, monkeypatch
     calls = []
     real = sel._greedy_keep
     monkeypatch.setattr(sel, "_greedy_keep", lambda *a: calls.append(1) or real(*a))
-    assert len(check_refit(ph2, labels, model, counts)) == 1
+    assert len(check_refit(ph2, rows, labels, model, counts)) == 1
     assert calls
 
 
@@ -163,7 +164,7 @@ def test_condition_coinciding_with_a_year_takes_the_greedy_path(pool, monkeypatc
 
 
 def test_predict_unseen_level_warns_like_dense(pool):
-    design, ph2, _ = pool[POOL[3]]
+    design, ph2, *_ = pool[POOL[3]]
     counts = np.bincount(design.condition)
     rarest = int(np.argmin(np.where(counts > 0, counts, counts.max() + 1)))
     model = sel.fit_logit(design.subset(np.flatnonzero(design.condition != rarest)))
@@ -176,7 +177,7 @@ def test_predict_unseen_level_warns_like_dense(pool):
 
 
 def test_fits_refits_and_predictions_build_no_dummy_column(pool, monkeypatch):
-    design, ph2, labels = pool[POOL[4]]
+    design, ph2, labels, rows, sample = pool[POOL[4]]
     calls = []
     real_build, real_materialise = sel.build_matrix, sel._Cells.materialise
     monkeypatch.setattr(sel, "build_matrix",
@@ -184,8 +185,8 @@ def test_fits_refits_and_predictions_build_no_dummy_column(pool, monkeypatch):
     monkeypatch.setattr(sel._Cells, "materialise",
                         lambda self: calls.append(1) or real_materialise(self))
     model = sel.fit_logit(design)
-    counts = _PhaseSample(ph2).counts(np.random.default_rng(0))
-    assert sel.PinnedDesign(ph2, labels, model).refit_predict(counts) is not None
+    counts = sample.counts(np.random.default_rng(0))
+    assert sel.PinnedDesign(*rows, labels, model).refit_predict(counts) is not None
     sel.predict(model, ph2)
     sel.predict_at_mean(model, design, [0.0, 1.0, 2.0])
     assert calls == []

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import string_coding as ref
+from pinned_phase import pinned_phase
 from trialscope.decompose import phase_scores
 from trialscope.pz import outcome_table
 from trialscope.registry import Phase
@@ -34,7 +35,8 @@ def setup(sim_small):
         "fit": fit, "ph2": ph2, "ph3": phase_scores(table, Phase.PHASE3),
         "condition_tie": tied(fit, "condition"), "year_tie": tied(fit, "year"),
     }
-    return designs, links.labels(table.trials.ids)[ph2.trial_code]
+    rows, z, labels, _ = pinned_phase(table, links)
+    return designs, labels, (rows, z)
 
 
 @pytest.mark.parametrize("name", ["fit", "ph2", "ph3", "condition_tie", "year_tie"])
@@ -72,7 +74,7 @@ def test_fit_equals_string_coded(setup, name, cluster_by):
 
 
 def test_predict_unseen_level_equals_string_coded(setup):
-    designs, _ = setup
+    designs = setup[0]
     fit, ph2 = designs["fit"], designs["ph2"]
     counts = np.bincount(fit.condition)
     rarest = int(np.argmin(np.where(counts > 0, counts, counts.max() + 1)))
@@ -86,14 +88,14 @@ def test_predict_unseen_level_equals_string_coded(setup):
 
 
 def test_pinned_refit_without_reference_equals_string_coded(setup):
-    designs, labels = setup
+    designs, labels, rows = setup
     ph2 = designs["ph2"]
     model = fit_logit(designs["fit"])
     names = ph2.trials.conditions[ph2.condition]
     counts = ((names != model.levels["condition"][0]) & ~np.isnan(labels)).astype(int)
     counts[np.flatnonzero(counts)[::3]] = 2  # some rows drawn twice
     with pytest.warns(UserWarning, match="collinear"):
-        p = PinnedDesign(ph2, labels, model).refit_predict(counts)
+        p = PinnedDesign(*rows, labels, model).refit_predict(counts)
     with pytest.warns(UserWarning, match="collinear"):
         p_ref = ref.refit_predict(ph2, labels, model, counts)
     assert p is not None

@@ -1,11 +1,11 @@
 from dataclasses import replace
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dense_logit
 import trialscope.selection as sel
+from pinned_phase import pinned_phase
 from trialscope.decompose import (
     DecompositionReport,
     _auto_bandwidth,
@@ -84,8 +84,8 @@ class TestShares:
         table = outcome_table(reg)
         model = fit_logit(build_design(table, links))
         ph2 = phase_scores(table, Phase.PHASE2)
-        pinned = PinnedDesign(ph2, links.labels(table.trials.ids)[ph2.trial_code], model)
-        sample = _PhaseSample(ph2)
+        rows, z, labels, sample = pinned_phase(table, links)
+        pinned = PinnedDesign(rows, z, labels, model)
         for stream in np.random.SeedSequence(20001).spawn(50):
             counts = sample.counts(np.random.default_rng(stream))
             w = counts * pinned.refit_predict(counts)
@@ -95,13 +95,10 @@ class TestShares:
             assert sample.shares((counts, w), Z_SIG, h) == expected
 
     def test_phase_sample_rejects_censored_rows_without_z(self):
-        design = SimpleNamespace(
-            kind=np.array(["precise", "other_censor"], dtype=object),
-            share_z=np.array([1.0, np.nan]), z=np.array([1.0, np.nan]),
-            trial_code=np.array([0, 1]),
-        )
+        # a precise row and an other censor without an imputed z
         with pytest.raises(ValueError, match="censored rows need a bound or an imputed z"):
-            _PhaseSample(design)
+            _PhaseSample(np.array([0, 1]), np.array([True, False]), np.array([1.0, np.nan]),
+                         np.array([0]))
 
 
 class TestDecompose:
@@ -256,13 +253,12 @@ class TestPinnedDesign:
         model = fit_logit(build_design(table, links))
         ph2 = phase_scores(table, Phase.PHASE2)
         ph3 = phase_scores(table, Phase.PHASE3)
-        labels = links.labels(table.trials.ids)[ph2.trial_code]
-        return table, links, model, ph2, ph3, labels
+        rows, z, labels, s2 = pinned_phase(table, links)
+        s3 = pinned_phase(table, links, Phase.PHASE3)[3]
+        return table, links, model, ph2, ph3, labels, PinnedDesign(rows, z, labels, model), s2, s3
 
     def test_reps_match_subset_refits(self, setup):
-        table, links, model, ph2, ph3, labels = setup
-        pinned = PinnedDesign(ph2, labels, model)
-        s2, s3 = _PhaseSample(ph2), _PhaseSample(ph3)
+        table, links, model, ph2, ph3, labels, pinned, s2, s3 = setup
         draws = []
         for stream in np.random.SeedSequence(9).spawn(5):
             rng = np.random.default_rng(stream)
@@ -282,9 +278,7 @@ class TestPinnedDesign:
             assert rep.std_errs[key] == pytest.approx(ref[j], rel=0, abs=1e-9), key
 
     def test_count_reps_match_gather_reps(self, setup):
-        table, links, model, ph2, ph3, labels = setup
-        pinned = PinnedDesign(ph2, labels, model)
-        s2, s3 = _PhaseSample(ph2), _PhaseSample(ph3)
+        table, links, model, ph2, ph3, labels, pinned, s2, s3 = setup
         draws = []
         for stream in np.random.SeedSequence(17).spawn(20):
             counts_rng, rows_rng = np.random.default_rng(stream), np.random.default_rng(stream)
@@ -306,14 +300,13 @@ class TestPinnedDesign:
     def test_absent_reference_level(self, setup):
         # without the pinned reference level the other condition dummies sum
         # to the constant; the screen drops one, which reparametrises the fit
-        table, links, model, ph2, ph3, labels = setup
+        table, links, model, ph2, ph3, labels, pinned, s2, _ = setup
         ref_level = build_matrix(ph2)[2]["condition"][0]
         conditions = ph2.trials.conditions[ph2.condition]
         counts2 = ((conditions != ref_level) & ~np.isnan(labels)).astype(int)
         counts2[np.flatnonzero(counts2)[::3]] = 2  # some rows drawn twice
         rows2 = np.repeat(np.arange(ph2.n_obs), counts2)
         rows3 = np.arange(ph3.n_obs)
-        pinned = PinnedDesign(ph2, labels, model)
         (_, _, c), w_ref, b2 = subset_shares(ph2, ph3, labels, model.coefficients,
                                              rows2, rows3)
         with pytest.warns(UserWarning, match="collinear"):
@@ -322,7 +315,7 @@ class TestPinnedDesign:
             p = pinned.refit_predict(counts2)
         assert np.max(np.abs(p[rows2] - w_gather)) < 1e-12
         assert np.max(np.abs(p[rows2] - w_ref)) < 1e-9
-        assert _PhaseSample(ph2).shares((counts2 * p,), Z_SIG, b2)[0] == pytest.approx(
+        assert s2.shares((counts2 * p,), Z_SIG, b2)[0] == pytest.approx(
             c, rel=0, abs=1e-9
         )
 
@@ -334,10 +327,8 @@ class TestPinnedDesign:
         _, starts = np.unique(code[order], return_index=True)
         bounds = np.append(starts, len(code))
         groups = [order[bounds[i]:bounds[i + 1]] for i in range(len(starts))]
-        sample = _PhaseSample(SimpleNamespace(
-            kind=np.full(len(code), "precise", dtype=object), share_z=np.zeros(len(code)),
-            z=np.zeros(len(code)), trial_code=code,
-        ))
+        sample = _PhaseSample(code, np.ones(len(code), dtype=bool), np.zeros(len(code)),
+                              np.arange(len(code)))
         for seed in range(5):
             drawn = np.random.default_rng(seed).integers(0, len(groups), size=len(groups))
             expected = np.concatenate([groups[j] for j in drawn])
@@ -347,7 +338,7 @@ class TestPinnedDesign:
             assert np.array_equal(counts, np.bincount(expected, minlength=len(code)))
 
     def test_failed_checks_are_dropped_reps(self, setup, monkeypatch):
-        table, links, model, ph2, ph3, labels = setup
+        table, links, model, *_ = setup
         real_irls, real_eigvalsh = sel._irls, np.linalg.eigvalsh
         raised = []
 
