@@ -425,8 +425,9 @@ def build_registry(trials: Mapping[str, Sequence], outcomes: Mapping[str, Sequen
     writes them), ``start`` and ``completion`` (ordinals, NO_DATE when
     missing), ``enrollment``, ``placebo`` and ``superiority``; ``outcomes``
     holds ``trial`` (the registry row of each outcome's trial), ``rank``
-    (OutcomeRank values), ``p_kind``, ``p_value`` and ``mht``.  ``keys``
-    holds the canonical keys of sponsor names already seen.
+    (OutcomeRank values), ``p_kind``, ``p_value`` and ``mht``; columns
+    may be arrays or sequences.  ``keys`` holds the canonical keys of
+    sponsor names already seen.
 
     Each distinct sponsor name is canonicalised once, each distinct
     interventions and MeSH cell parsed once and each distinct MeSH set

@@ -633,30 +633,35 @@ class PinnedRows:
     :func:`fit_logit` on it and :meth:`predict` is :func:`predict` on it,
     each on its own dummy layout.  Only the layout is built per subset:
     the dense columns, the cells and the grouped row order are read off
-    the pinned ones.
+    the pinned ones, which the first fit or prediction builds, so rows
+    that are only ever sampled never hold them.
     """
 
     def __init__(self, table: OutcomeTable, rows: np.ndarray):
         t = table.subset(rows)
         self.trials, self.trial_code, self.bound = t.trials, t.trial_code, t.bound
         self.z_raw = t.z  # NaN on censored rows
-        self._kind, self._below = t.kind, t.below  # for imputing other censors
+        self._kind, self._below, self._mht = t.kind, t.below, t.mht
         self.is_precise = t.kind == ZKind.PRECISE.value
-        d1, d2 = t.kind == ZKind.ABOVE_D1.value, t.kind == ZKind.ABOVE_D2.value
-        self.bounded = d1 | d2
+        self.bounded = (t.kind == ZKind.ABOVE_D1.value) | (t.kind == ZKind.ABOVE_D2.value)
         self._other = (t.kind == ZKind.OTHER_CENSOR.value) & np.isnan(t.z)
-        # z_ph2 is set per subset
-        self._dense = _dense(t.trials, t.trial_code, np.zeros(len(t.z)), d1, d2, t.mht)
-        self._condition = self.trials.condition[self.trial_code]
-        self._year = self.trials.year[self.trial_code]
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The dense columns (z_ph2 is set per subset), condition and year
+        codes of every row."""
+        k, code = self._kind, self.trial_code
+        return (_dense(self.trials, code, np.zeros(len(k)), k == ZKind.ABOVE_D1.value,
+                       k == ZKind.ABOVE_D2.value, self._mht),
+                self.trials.condition[code], self.trials.year[code])
 
     @cached_property
     def _grouped(self) -> np.ndarray:
         """Every row by cell, then condition cluster, as :meth:`_Cells.grouped`
         sorts: the rows of a subset in this order are grouped.  Built on
         the first fit."""
-        cells = self._condition.astype(np.intp) * len(self.trials.years) + self._year
-        return np.lexsort((self._condition, cells))
+        _, condition, year = self._columns
+        return np.lexsort((condition, condition.astype(np.intp) * len(self.trials.years) + year))
 
     def imputed(self, rows: np.ndarray) -> np.ndarray:
         """The z of the rows, other censors imputed within them; NaN on
@@ -669,10 +674,10 @@ class PinnedRows:
                                     self._below[rows])
 
     def _matrix(self, rows, z, levels=None, warn_unseen=False, clusters=False):
-        dense = _take_rows(self._dense, rows)
+        dense, condition, year = self._columns
+        dense, condition = _take_rows(dense, rows), condition[rows]
         dense[:, 1] = np.where(self.bounded[rows], 0.0, z)
-        condition = self._condition[rows]
-        return _factored(dense, condition, self._year[rows], self.trials, levels, warn_unseen,
+        return _factored(dense, condition, year[rows], self.trials, levels, warn_unseen,
                          condition if clusters else None)
 
     def fit(self, rows: np.ndarray, z: np.ndarray, y: np.ndarray) -> SelectionModel:

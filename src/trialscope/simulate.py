@@ -30,6 +30,7 @@ from .registry import (
     build_registry,
     write_csv,
 )
+from .selection import _expit
 
 __all__ = [
     "Misreporting",
@@ -42,8 +43,9 @@ __all__ = [
 
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(32)
 # trials per block of the Gauss-Hermite grid, which bounds its
-# (trials, nodes) arrays
-_GH_BLOCK = 1000
+# (trials, nodes) arrays; a multiple of 8, which keeps the bits of the
+# payoff (250 changed them)
+_GH_BLOCK = 256
 
 _CONDITION_CODES = (
     "C14", "F03", "C18", "C19", "C10", "C08", "C06", "C05",
@@ -174,7 +176,6 @@ def _norm_pdf(x: np.ndarray) -> np.ndarray:
 
 def _tail_payoff(mu: np.ndarray, c: float) -> np.ndarray:
     """E[|T| 1{|T|>c}] for T ~ N(mu, 1)."""
-    mu = np.asarray(mu, dtype=float)
     return (
         mu * ((1.0 - pz.norm_cdf(c - mu)) - pz.norm_cdf(-c - mu))
         + _norm_pdf(c - mu)
@@ -213,13 +214,7 @@ def continuation_probability(
     z2 = np.abs(t2)
     ev3 = expected_phase3_value(t2, s2, cfg)
     stay = cfg.outside_intercept + cfg.outside_slope * z2
-    index = (-cfg.cost + cfg.discount * ev3 - stay) / cfg.shock_scale
-    out = np.empty_like(index)
-    pos = index >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-index[pos]))
-    ex = np.exp(index[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return _expit((-cfg.cost + cfg.discount * ev3 - stay) / cfg.shock_scale)
 
 
 def _report_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,13 +265,14 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
     t3 = s3 * theta + eps3
     z3 = np.abs(t3)
 
-    # covariates and paperwork
+    # covariates and paperwork; a MeSH cell or sponsor name is one str object
+    # per distinct value
     placebo = s_covar.random(n) < 0.5
     mht = s_covar.random(n) < 0.03
-    cond_codes = s_covar.choice(_CONDITION_CODES, size=n)
-    sponsors = np.array(
-        [f"Sponsor {i + 1:02d}" for i in s_covar.integers(0, cfg.n_sponsors, size=n)]
-    )
+    mesh = np.array([f"{c}:Condition {c}" for c in _CONDITION_CODES],
+                    dtype=object)[s_covar.choice(len(_CONDITION_CODES), size=n)]
+    sponsors = np.array([f"Sponsor {i + 1:02d}" for i in range(cfg.n_sponsors)],
+                        dtype=object)[s_covar.integers(0, cfg.n_sponsors, size=n)]
     start_year = s_covar.integers(2009, 2016, size=n)
     start_month = s_covar.integers(1, 13, size=n)
     use_synonym = s_covar.random(n) < 0.10
@@ -292,19 +288,17 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
         suppressed = continued & nonsig & (s_misreport.random(n) < mr.q)
     elif mr.kind == "inflate":
         inflated = continued & nonsig & (s_misreport.random(n) < mr.q)
-        z3_rep = np.where(
-            inflated, sig + mr.window * s_misreport.random(n), z3_rep
-        )
+        z3_rep = np.where(inflated, sig + mr.window * s_misreport.random(n), z3_rep)
 
     # registry order: each phase II trial, then its phase III trial if continued
     p3 = np.flatnonzero(continued)
     row2 = np.arange(n) + np.concatenate(([0], np.cumsum(continued)[:-1]))
     row3 = row2[p3] + 1
 
-    def rows(phase2, phase3) -> list:
+    def rows(phase2, phase3) -> np.ndarray:
         out = np.empty(n + len(p3), dtype=np.result_type(phase2, phase3))
         out[row2], out[row3] = phase2, phase3
-        return out.tolist()
+        return out
 
     number = [f"{i:05d}" for i in range(1, n + 1)]
     ids2 = np.array([f"SIM2-{k}" for k in number])
@@ -312,15 +306,14 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
     drug = np.array([f"drug-{k}" for k in number])
     listed_drug = np.array([f"drug-{number[i]}-alt" if use_synonym[i] else drug[i]
                             for i in p3.tolist()], dtype=str)
-    mesh = np.array([f"{c}:Condition {c}" for c in cond_codes.tolist()])
-    start = np.array([date(y, m, 1).toordinal()
-                      for y, m in zip(start_year.tolist(), start_month.tolist())])
+    month_start = [date(y, m, 1).toordinal() for y in range(2009, 2016) for m in range(1, 13)]
+    start = np.array(month_start)[(start_year - 2009) * 12 + start_month - 1]
     p3_start = start[p3] + gap_days[p3]
     trials = dict(
-        ids=rows(ids2, ids3),
-        phase=rows(np.full(n, Phase.PHASE2.value), np.full(len(p3), Phase.PHASE3.value)),
-        sponsor_name=rows(sponsors, sponsors[p3]), industry=np.ones(n + len(p3), dtype=bool),
-        interventions=rows(drug, listed_drug), mesh=rows(mesh, mesh[p3]),
+        ids=rows(ids2, ids3).tolist(), industry=np.ones(n + len(p3), dtype=bool),
+        phase=np.array([Phase.PHASE2.value, Phase.PHASE3.value], dtype=object)[rows(0, 1)].tolist(),
+        sponsor_name=rows(sponsors, sponsors[p3]).tolist(),
+        interventions=rows(drug, listed_drug).tolist(), mesh=rows(mesh, mesh[p3]).tolist(),
         start=rows(start, p3_start), completion=rows(start + 730, p3_start + 900),
         enrollment=rows(enroll2, (enroll2[p3] * max(cfg.phase3_enroll_mult, 1.0)).astype(np.int64)),
         placebo=rows(placebo, placebo[p3]), superiority=np.ones(n + len(p3), dtype=bool),
@@ -342,8 +335,8 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
     outcomes = dict(
         trial=np.concatenate((row2, np.repeat(row2, k), row2[reported] + 1))[by_trial],
         rank=np.repeat([OutcomeRank.PRIMARY.value, OutcomeRank.SECONDARY.value,
-                        OutcomeRank.PRIMARY.value], [n, n * k, len(reported)])[by_trial].tolist(),
-        p_kind=kind[by_trial].tolist(), p_value=value[by_trial],
+                        OutcomeRank.PRIMARY.value], [n, n * k, len(reported)])[by_trial],
+        p_kind=kind[by_trial], p_value=value[by_trial],
         mht=np.concatenate((mht, np.zeros(n * k + len(reported), dtype=bool)))[by_trial],
     )
 

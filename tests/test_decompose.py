@@ -277,6 +277,16 @@ class TestPinnedDesign:
         for j, key in enumerate(KEYS):
             assert rep.std_errs[key] == pytest.approx(ref[j], rel=0, abs=1e-9), key
 
+    def test_pinned_rows_build_their_matrix_on_first_fit(self, sim_small):
+        reg, _, links, _ = sim_small
+        table = outcome_table(reg)
+        rows2, z2, labels, _ = pinned_phase(table, links)
+        rows3 = pinned_phase(table, links, Phase.PHASE3)[0]
+        lazy = {"_columns", "_grouped"}
+        assert lazy.isdisjoint(vars(rows2)) and lazy.isdisjoint(vars(rows3))
+        rows2.fit(np.arange(len(z2)), z2, labels)
+        assert lazy <= set(vars(rows2))
+
     def test_count_reps_match_gather_reps(self, setup):
         table, links, model, ph2, ph3, labels, pinned, s2, s3 = setup
         draws = []

@@ -1,10 +1,16 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, kstest
 
+from trialscope import simulate
 from trialscope.discontinuity import binned_test, cjm_test
 from trialscope.pz import Z_SIG
 from trialscope.registry import write_outcomes_csv, write_trials_csv
@@ -156,6 +162,83 @@ class TestTruth:
         assert [i.replace("SIM3", "SIM2") for i in truth.phase3_id[cont].tolist()] == \
             truth.trial_id[cont].tolist()
         assert truth.continued_ids() == set(truth.trial_id[cont].tolist())
+
+
+# trials.csv, outcomes.csv and truth.csv of runs whose sizes are not
+# multiples of 8, recorded with the Gauss-Hermite grid in blocks of 1,000
+# trials and the registry columns passed as lists of str
+CSV_SHA256 = {
+    "suppress_1003": (
+        SimConfig(n_trials=1003, seed=23, misreporting=Misreporting.suppress_share(0.3)),
+        {"trials": "faafc45bc6427ffb0e278ce4f3990155726ec6285f9462ed607c51efc9f991a0",
+         "outcomes": "57012f72c84c2b04b65e9357b29be164ada35cd38248def6c638d252d3149537",
+         "truth": "98463fa9e2392db7dd5f32a4e63ed0545782144c05ad1b0788fa412cfd6dc0b3"}),
+    "inflate_2001": (
+        SimConfig(n_trials=2001, seed=24, misreporting=Misreporting.inflate_spike(0.3, 0.4)),
+        {"trials": "9a716e0ecbf94df7305c922ca4ad78620657436f7cf5688017e1b4179bb146e3",
+         "outcomes": "5c13d7b7275a9e20278da641d3e5aad3cc0fced00bb9d2a388c33eb19c5096e2",
+         "truth": "e6bbb8d0c8879d5d7469ceeea5969a19da5534002349efc4e07084f9122cb15d"}),
+}
+
+
+class TestBytes:
+    @pytest.mark.parametrize("name", sorted(CSV_SHA256))
+    def test_csv_bytes(self, tmp_path, name):
+        cfg, expected = CSV_SHA256[name]
+        reg, truth = generate(cfg)
+        write_trials_csv(reg, tmp_path / "trials")
+        write_outcomes_csv(reg, tmp_path / "outcomes")
+        write_truth_csv(truth, tmp_path / "truth")
+        assert {k: hashlib.sha256((tmp_path / k).read_bytes()).hexdigest()
+                for k in expected} == expected
+
+    @pytest.mark.parametrize("n", [7, 1003, 2001])
+    def test_gauss_hermite_blocks_keep_the_bits(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        s2 = np.sqrt(rng.integers(40, 401, size=n) / 4.0)
+        t2 = s2 * rng.normal(0.12, 0.25, size=n) + rng.normal(size=n)
+        values = []
+        for block in (8, 256, 1000, n):
+            monkeypatch.setattr(simulate, "_GH_BLOCK", block)
+            values.append(expected_phase3_value(t2, s2, SimConfig()).tobytes())
+        assert len(set(values)) == 1
+
+
+class TestMemory:
+    def test_generate_traced_peak(self):
+        # the traced peak of this call was 40.5 MiB with the Gauss-Hermite
+        # grid in blocks of 1,000 trials and every registry column a list,
+        # and 28.1 MiB with blocks of 256, numeric columns as arrays and one
+        # str object per distinct phase, sponsor and MeSH cell
+        tracemalloc.start()
+        try:
+            generate(SimConfig(n_trials=20_000, seed=7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * 2**20
+
+    @pytest.mark.slow
+    def test_simulate_200k_peak_rss(self, tmp_path):
+        if not os.path.exists("/proc/self/status"):
+            pytest.skip("no /proc/self/status")
+        code = textwrap.dedent("""
+            import sys
+            from trialscope.cli import main
+            assert main(sys.argv[1:]) == 0
+            with open("/proc/self/status") as fh:
+                hwm = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
+            print(hwm[0] if hwm else "missing")
+        """)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(simulate.__file__))}
+        out = subprocess.run(
+            [sys.executable, "-c", code, "simulate", "--n-trials", "200000", "--seed", "7",
+             "--out", str(tmp_path / "sim")],
+            capture_output=True, text=True, check=True, timeout=600, env=env)
+        hwm = out.stdout.strip().splitlines()[-1]
+        if hwm == "missing":
+            pytest.skip("/proc/self/status has no VmHWM")
+        assert int(hwm) <= 450 * 1024  # kB
 
 
 class TestMisreporting:
