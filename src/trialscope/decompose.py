@@ -170,8 +170,9 @@ class _PhaseSample:
         self.trial = (np.cumsum(present) - 1)[trial_code]
         self.n_trials = int(np.count_nonzero(present))
         self.n_obs = len(trial_code)
-        self.is_precise, self.is_censored = is_precise, ~is_precise
-        self.z_precise = share_z[is_precise]
+        # index arrays: a weighting is gathered by them twice per rep
+        self.is_precise, self.is_censored = np.flatnonzero(is_precise), np.flatnonzero(~is_precise)
+        self.z_precise = share_z[self.is_precise]
         self.z_censored = _censored_z(share_z[self.is_censored])
         self.precise = precise
         self.z_sorted = share_z[precise]

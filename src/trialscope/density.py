@@ -207,7 +207,7 @@ def _phi6_sum(dist2: np.ndarray, cnt: np.ndarray, n: int, h: float) -> float:
     return s / (n * (n - 1) * h**7 * _SQRT_2PI)
 
 
-def _brent(f, a: float, b: float, fa: float, fb: float, rtol: float = 1e-10):
+def _brent(f, a: float, b: float, fa: float, fb: float, rtol: float = 1e-8):
     """Brent's method (Brent 1973, ch. 4, ``zeroin``) on a bracket a < b
     with f(a) = fa > 0 >= fb = f(b).  Every step stays strictly inside the
     bracket, so it only narrows, and its left end keeps f > 0.  Returns its
@@ -267,9 +267,11 @@ def sj_bandwidth(
     The root is that of bisection to 1e-6, bit for bit, from fewer than
     half of its objective evaluations.  The Gaussian rule of thumb g
     splits the bracket at 0.3 g and g; Brent's method narrows the part
-    with the sign change to a relative 1e-10.  The bisection is then
-    replayed: a midpoint on either side of that narrow bracket goes the
-    way its end does, and only one inside it evaluates the objective.  The replay is exact when
+    with the sign change to a relative 1e-8, a hundredth of the
+    bisection's tolerance, so that a midpoint seldom falls inside it.  The
+    bisection is then replayed: a midpoint on either side of that narrow
+    bracket goes the way its end does, and only one inside it evaluates
+    the objective.  The replay is exact when
     the objective changes sign once on [sd/n, 2*sd]; where it changes sign
     more often, which root the bisection finds is arbitrary anyway, and the
     replay may find another.

@@ -126,6 +126,9 @@ _ERF_U = (  # monic
 )
 # exp(-x^2) underflows beyond x^2 = log(DBL_MAX)
 _MAXLOG = 7.09782712893383996843e2
+# the tail branches: erfc(x) exp(x^2) = num(x) / den(x) with den monic,
+# below 8 and from 8 on
+_ERFC_TAILS = ((_ERFC_P, _ERFC_Q), (_ERFC_R, _ERFC_S))
 
 
 def _horner(coefficients, x, monic=False):
@@ -141,8 +144,13 @@ def _horner(coefficients, x, monic=False):
 def _erfc(a):
     """Cephes erfc, elementwise, of an array or a number; a float for a
     number or a 0-d array.  Each element evaluates only its own branch, and
-    NaN propagates."""
+    NaN propagates.  A single element is evaluated on Python floats, in the
+    same order of operations, so to the same bits: numpy's per-call cost
+    would be most of its time."""
     a = np.asarray(a, dtype=float)
+    if a.size == 1:
+        v = _erfc_float(float(a.flat[0]))
+        return np.full(a.shape, v) if a.ndim else v
     flat = a.ravel()
     x = np.abs(flat)
     with np.errstate(over="ignore"):  # past 1e154 -x^2 is -inf, and underflows
@@ -153,13 +161,26 @@ def _erfc(a):
     if small.size:  # erfc = 1 - erf
         v = flat[small]
         out[small] = 1.0 - v * _horner(_ERF_T, v * v) / _horner(_ERF_U, v * v, monic=True)
-    for rows, num, den in ((np.flatnonzero((x >= 1.0) & (x < 8.0)), _ERFC_P, _ERFC_Q),
-                           (np.flatnonzero((x >= 8.0) & (z >= -_MAXLOG)), _ERFC_R, _ERFC_S)):
+    tails = (np.flatnonzero((x >= 1.0) & (x < 8.0)), np.flatnonzero((x >= 8.0) & (z >= -_MAXLOG)))
+    for rows, (num, den) in zip(tails, _ERFC_TAILS):
         if rows.size:
             e = np.fromiter(map(math.exp, z[rows].tolist()), float, count=rows.size)
             y = (e * _horner(num, x[rows])) / _horner(den, x[rows], monic=True)
             out[rows] = np.where(flat[rows] < 0.0, 2.0 - y, y)
-    return out.reshape(a.shape) if a.ndim else float(out[0])
+    return out.reshape(a.shape)
+
+
+def _erfc_float(v: float) -> float:
+    """Cephes erfc of one float, as :func:`_erfc` evaluates an element."""
+    x = abs(v)
+    if x < 1.0:
+        return 1.0 - v * _horner(_ERF_T, v * v) / _horner(_ERF_U, v * v, monic=True)
+    z = -v * v  # -inf past 1e154, as in the array path
+    if not (x < 8.0 or z >= -_MAXLOG):  # NaN, or exp(-x^2) underflows
+        return v if v != v else 2.0 if v < 0.0 else 0.0
+    num, den = _ERFC_TAILS[x >= 8.0]
+    y = (math.exp(z) * _horner(num, x)) / _horner(den, x, monic=True)
+    return 2.0 - y if v < 0.0 else y
 
 
 def norm_cdf(z):

@@ -394,6 +394,9 @@ def _coded(labels: Sequence[str], code: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _parse_combos(raw: str) -> list[tuple[str, ...]]:
     """The drug combinations of an interventions cell, empty ones dropped,
     each as its distinct drug names sorted."""
+    if ";" not in raw and "+" not in raw:  # one drug, or none
+        drug = raw.strip()
+        return [(drug,)] if drug else []
     combos = []
     for chunk in raw.split(";"):
         drugs = set(map(str.strip, chunk.split("+")))
@@ -853,8 +856,17 @@ def _dates(ordinals: np.ndarray) -> list[str]:
 
 
 def _joined(rows: Ragged, names: np.ndarray, sep: str) -> np.ndarray:
-    names = names.tolist()
-    return np.array([sep.join(names[v] for v in row) for row in rows.rows()], dtype=object)
+    """Each row's ``names`` joined by ``sep``: a row of one name is
+    gathered, and only the longer rows are joined."""
+    length = np.diff(rows.offsets)
+    out = np.full(len(length), "", dtype=object)
+    one = np.flatnonzero(length == 1)
+    out[one] = names[rows.values[rows.offsets[one]]]
+    many = np.flatnonzero(length > 1)
+    if many.size:
+        names = names.tolist()
+        out[many] = [sep.join(names[v] for v in row) for row in rows.take(many).rows()]
+    return out
 
 
 def write_trials_csv(reg: Registry, path: str | Path) -> None:

@@ -46,6 +46,9 @@ CORE_COEFS = ("const", "z_ph2", "d1", "d2")
 # component falls below SCORE_TOL or the relative log-likelihood change
 # below LL_TOL
 MAX_ITER, SCORE_TOL, LL_TOL = 100, 1e-8, 1e-12
+# the collinearity screen drops a column whose residual on the kept earlier
+# columns is at most COLLINEAR_TOL times its norm (at least 1)
+COLLINEAR_TOL = 1e-8
 
 
 class SeparationError(RuntimeError):
@@ -215,18 +218,21 @@ class _Cells:
     products and one ``np.add.reduceat`` over the runs of equal cells; the
     rest are products of cell-level matrices.  They hold in any row order,
     and rows grouped by cell, then cluster (:meth:`grouped`), make one run
-    per cell and sum condition clusters without a sort.
+    per cell and sum condition clusters without a sort.  ``by_cell`` says
+    the clusters are constant within cells (condition or year clusters):
+    the cluster sums then reuse the runs of equal cells.
     """
 
-    def __init__(self, dense, cell, incidence, names, clusters=None):
+    def __init__(self, dense, cell, incidence, names, clusters=None, by_cell=False):
         # column-major: each product and sum over rows reads contiguous columns
         self.dense, self.cell = np.asfortranarray(dense), cell
         self.incidence, self.names, self.clusters = incidence, names, clusters
+        self.by_cell = by_cell
 
     def take(self, rows: np.ndarray) -> "_Cells":
         clusters = None if self.clusters is None else self.clusters[rows]
         return _Cells(_take_rows(self.dense, rows), self.cell[rows], self.incidence, self.names,
-                      clusters)
+                      clusters, self.by_cell)
 
     def grouped(self) -> tuple["_Cells", np.ndarray]:
         """The rows sorted by cell, then cluster, and the sorting order.
@@ -261,6 +267,11 @@ class _Cells:
         np.matmul(M.T * S[:, 0], M, out=G[k:, k:])
         return G
 
+    def gram_diagonal(self, w: np.ndarray) -> np.ndarray:
+        """The diagonal of X'WX, summed directly."""
+        starts, M = self._runs
+        return np.concatenate([w @ np.square(self.dense), np.add.reduceat(w, starts) @ M])
+
     def xt(self, r: np.ndarray) -> np.ndarray:
         """X'r."""
         starts, M = self._runs
@@ -270,10 +281,14 @@ class _Cells:
         """Sums of the rows of X scaled by ``r`` within each cluster present,
         one row per cluster in code order.  Each (cell, cluster) run is
         summed first; the runs are sorted by cluster only when out of order."""
-        split = (self.cell[1:] != self.cell[:-1]) | (self.clusters[1:] != self.clusters[:-1])
-        starts = _run_starts(split)
+        if self.by_cell:  # the (cell, cluster) runs are the cell runs
+            starts, M = self._runs
+        else:
+            split = (self.cell[1:] != self.cell[:-1]) | (self.clusters[1:] != self.clusters[:-1])
+            starts = _run_starts(split)
+            M = self.incidence[self.cell[starts]]
         U = np.add.reduceat(r[:, None] * self.dense, starts)  # column 0 sums r
-        scores = np.hstack([U, U[:, :1] * self.incidence[self.cell[starts]]])
+        scores = np.hstack([U, U[:, :1] * M])
         clusters = self.clusters[starts]
         if np.any(clusters[1:] < clusters[:-1]):
             order = np.argsort(clusters, kind="stable")
@@ -288,8 +303,10 @@ def _run_starts(change: np.ndarray) -> np.ndarray:
 
 
 def _take_rows(dense: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows ``rows`` of a column-major matrix, column-major."""
-    return dense.T[:, rows].T
+    """The rows at the indices ``rows`` of a column-major matrix,
+    column-major: a gather along the rows of its row-major transpose, so
+    the result needs no copy to column order."""
+    return np.take(dense.T, rows, axis=1).T
 
 
 def _dense(trials: Trials, trial_code, z, d1, d2, mht) -> np.ndarray:
@@ -305,6 +322,7 @@ def _cells(
     levels: Mapping[str, tuple] | None = None,
     warn_unseen: bool = False,
     clusters: np.ndarray | None = None,
+    by_cell: bool = False,
 ) -> tuple[_Cells, dict]:
     """The factored design matrix of ``design``, rows in design order, and
     its categorical layout.  ``levels`` pins the layout (reference +
@@ -312,7 +330,7 @@ def _cells(
     levels fold into the reference."""
     dense = _dense(design.trials, design.trial_code, design.z, design.d1, design.d2, design.mht)
     return _factored(dense, design.condition, design.year, design.trials, levels, warn_unseen,
-                     clusters)
+                     clusters, by_cell)
 
 
 def _factored(
@@ -323,6 +341,7 @@ def _factored(
     levels: Mapping[str, tuple] | None = None,
     warn_unseen: bool = False,
     clusters: np.ndarray | None = None,
+    by_cell: bool = False,
 ) -> tuple[_Cells, dict]:
     """The factored matrix of rows with dense columns ``dense`` and the
     condition and year codes into ``trials``' vocabularies, and its
@@ -340,7 +359,7 @@ def _factored(
     incidence = np.hstack([np.repeat(by_condition, n_years, axis=0),
                            np.tile(by_year, (len(by_condition), 1))])
     cell = condition.astype(np.intp) * n_years + year
-    return _Cells(dense, cell, incidence, names, clusters), out_levels
+    return _Cells(dense, cell, incidence, names, clusters, by_cell), out_levels
 
 
 def build_matrix(
@@ -356,40 +375,61 @@ def build_matrix(
 
 
 def _drop_collinear(
-    X: _Cells, weights: np.ndarray | None = None, tol: float = 1e-8
+    X: _Cells, weights: np.ndarray | None = None, G: np.ndarray | None = None
 ) -> tuple[np.ndarray, list[str]]:
     """Indices of the columns of X (rows scaled by the square roots of the
     frequency ``weights``, so the Gram matrix is X'WX) that a greedy
     Gram-Schmidt pass keeps, and the names it drops.  A column is kept when
-    its residual on the kept earlier columns exceeds ``tol`` times its
-    norm (at least 1); earlier columns win, so the core regressors (listed
-    first) are always retained.
+    its residual on the kept earlier columns exceeds ``COLLINEAR_TOL``
+    times its norm (at least 1); earlier columns win, so the core
+    regressors (listed first) are always retained.
 
-    Columns of norm at most ``tol`` are dropped first: the greedy pass
-    drops them and they leave its basis unchanged.  The residual norms of
-    the others are the pivots of the Cholesky factor of the Gram matrix;
-    when every pivot clears 100 times its tolerance, the greedy pass would
-    keep every column and is skipped.  Otherwise it runs on the
-    materialised columns: on the Gram matrix, an exactly collinear column
-    would leave a residual of about sqrt(eps) times its norm.
+    Columns of norm at most ``COLLINEAR_TOL`` are dropped first: the
+    greedy pass drops them and they leave its basis unchanged.  The
+    residual norms of the others are the pivots of the Cholesky factor of
+    the Gram matrix (``G``, when the caller has built it); when every
+    pivot clears 100 times its tolerance, the greedy pass would keep every
+    column and is skipped.  Otherwise it runs on the materialised columns: on the Gram
+    matrix, an exactly collinear column would leave a residual of about
+    sqrt(eps) times its norm.
     """
     c = np.ones(len(X.cell)) if weights is None else weights
-    G = X.gram(c)
+    if G is None:
+        G = X.gram(c)
     norms = np.sqrt(np.diag(G))
-    cols = np.flatnonzero(norms > tol)
-    floor = tol * np.maximum(norms[cols], 1.0)
-    try:
-        pivots = np.diag(np.linalg.cholesky(G if len(cols) == len(G) else G[np.ix_(cols, cols)]))
-        screened = bool(np.all(pivots > 100.0 * floor))
-    except np.linalg.LinAlgError:
-        screened = False
-    if not screened:
+    cols = np.flatnonzero(norms > COLLINEAR_TOL)
+    floor = COLLINEAR_TOL * np.maximum(norms[cols], 1.0)
+    if not _pivots_clear(G if len(cols) == len(G) else G[np.ix_(cols, cols)], floor):
         cols = cols[_greedy_keep(np.sqrt(c)[:, None] * X.materialise()[:, cols], floor)]
     kept = set(cols.tolist())
     dropped = [nm for j, nm in enumerate(X.names) if j not in kept]
     if dropped:
         warnings.warn(f"dropping collinear columns: {dropped}")
     return cols, dropped
+
+
+def _pivots_clear(G: np.ndarray, floor: np.ndarray) -> bool:
+    """Whether every pivot of the Cholesky factor of ``G`` exceeds 100
+    times ``floor``; False when ``G`` has no Cholesky factor."""
+    try:
+        return bool(np.all(np.diag(np.linalg.cholesky(G)) > 100.0 * floor))
+    except np.linalg.LinAlgError:
+        return False
+
+
+def _keeps_every_column(X: _Cells, c: np.ndarray, G_w: np.ndarray) -> bool:
+    """Whether a certificate shows that :func:`_drop_collinear` of X with
+    weights ``c`` keeps every column, without that screen's own Gram
+    matrix X'CX.  ``G_w`` is X'WX for row weights w <= c/4, such as the
+    first Newton Gram of a logit fit, so G_w <= X'CX/4 in the Loewner
+    order and each Cholesky pivot of G_w is at most half the screen's.
+    Pivots of G_w above 100 times the screen's floor then put the screen's
+    above 200 times it.  The column norms, and with them the floor, are
+    the screen's, summed directly; above 2 ``COLLINEAR_TOL`` they clear
+    it whatever the order of summation."""
+    norms = np.sqrt(X.gram_diagonal(c))
+    return bool(np.all(norms > 2.0 * COLLINEAR_TOL)) and _pivots_clear(
+        G_w, COLLINEAR_TOL * np.maximum(norms, 1.0))
 
 
 def _greedy_keep(X: np.ndarray, floor: np.ndarray) -> list[int]:
@@ -438,6 +478,8 @@ def _irls(
     beta: np.ndarray,
     cols: np.ndarray,
     weights: np.ndarray | None = None,
+    p: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
 ) -> _Fit:
     """The logit fit on the columns ``cols`` of a factored matrix: IRLS
     from ``beta``, the separation check and the sandwich covariance
@@ -447,7 +489,13 @@ def _irls(
 
     ``weights`` are positive frequency weights: a row of weight c counts as
     c copies of it in every term, and the small-sample factor counts
-    sum(c) observations.  None is one per row."""
+    sum(c) observations.  None is one per row.
+
+    ``p`` and ``gram``, when the caller has them, are the probabilities at
+    ``beta`` and the Gram matrix of its Newton step, X'diag(c max(p(1-p),
+    1e-10))X over every column of X, bit for bit as the fit would build
+    them.  The first Newton step takes that Gram, or, when ``beta`` already
+    meets the convergence test, the covariance does."""
     if y.size == 0 or y.min() == y.max():
         raise ValueError("need both outcome classes to fit a logit")
     c = np.ones(y.size) if weights is None else weights
@@ -466,7 +514,8 @@ def _irls(
             full[cols] = b
             return _expit(X.dot(full))
 
-    p = probabilities(beta)
+    if p is None:
+        p = probabilities(beta)
     ll = _log_likelihood(one, p, c)
     ll_old = -np.inf
     converged = False
@@ -479,9 +528,10 @@ def _irls(
             converged = True
             break
         ll_old = ll
-        w = c * np.maximum(p * (1.0 - p), 1e-10)
+        if gram is None:
+            gram = X.gram(c * np.maximum(p * (1.0 - p), 1e-10))
         try:
-            delta = np.linalg.solve(X.gram(w)[sub], score)
+            delta = np.linalg.solve(gram[sub], score)
         except np.linalg.LinAlgError as exc:
             raise SeparationError(f"singular information matrix: {exc}") from exc
         # dampened step if the likelihood would not improve
@@ -497,18 +547,20 @@ def _irls(
             cand = beta + step * delta
             p_cand = probabilities(cand)
             ll_cand = _log_likelihood(one, p_cand, c)
-        beta, p, ll = cand, p_cand, ll_cand
+        beta, p, ll, gram = cand, p_cand, ll_cand, None
 
-    w = c * np.maximum(p * (1.0 - p), 1e-10)
-    bread = np.linalg.inv(X.gram(w)[sub])
+    if gram is None:
+        gram = X.gram(c * np.maximum(p * (1.0 - p), 1e-10))
+    bread = np.linalg.inv(gram[sub])
 
-    plain_se = np.sqrt(np.maximum(np.diag(bread), 0.0))
-    blown = (np.abs(beta) > 15.0) & (plain_se > 5.0)
-    if np.any(blown):
-        bad = [X.names[cols[j]] for j in np.where(blown)[0]]
-        raise SeparationError(
-            f"complete separation suspected: runaway coefficient on {bad}"
-        )
+    large = np.abs(beta) > 15.0
+    if np.any(large):
+        blown = large & (np.sqrt(np.maximum(np.diag(bread), 0.0)) > 5.0)
+        if np.any(blown):
+            bad = [X.names[cols[j]] for j in np.where(blown)[0]]
+            raise SeparationError(
+                f"complete separation suspected: runaway coefficient on {bad}"
+            )
 
     sums = X.cluster_sums(c * (y - p))[:, pick]
     meat = sums.T @ sums
@@ -548,7 +600,8 @@ def fit_logit(
     """
     if cluster_by not in ("condition", "year", "trial_code"):
         raise ValueError(f"unknown cluster column {cluster_by!r}")
-    X, levels = _cells(design, clusters=getattr(design, cluster_by))
+    X, levels = _cells(design, clusters=getattr(design, cluster_by),
+                       by_cell=cluster_by != "trial_code")
     X, order = X.grouped()
     return _fit(X, design.y.astype(float)[order], levels, design.n_trials, warm_start)
 
@@ -561,12 +614,17 @@ def _fit(
     warm_start: Mapping[str, float] | None = None,
 ) -> SelectionModel:
     """The model of :func:`fit_logit` on a factored matrix whose rows are
-    grouped (:meth:`_Cells.grouped`), labels ``y`` in the same order."""
-    cols, dropped = _drop_collinear(X)
+    grouped (:meth:`_Cells.grouped`), labels ``y`` in the same order.
+
+    A cold start's first Newton Gram is a quarter of the screen's: at
+    beta = 0 every p(1 - p) is exactly 1/4, and scaling by a power of two
+    commutes with rounding."""
+    G = X.gram(np.ones(len(y)))
+    cols, dropped = _drop_collinear(X, G=G)
     names = [X.names[j] for j in cols]
     warm = warm_start or {}
     beta = np.array([warm.get(nm, 0.0) for nm in names])
-    fit = _irls(X, y, beta, cols)
+    fit = _irls(X, y, beta, cols, gram=None if beta.any() else 0.25 * G)
     return SelectionModel(
         names=names,
         coef=fit.beta,
@@ -608,13 +666,26 @@ class PinnedDesign:
         """Continuation probabilities of every row from a refit in which
         each labelled row counts ``counts`` times, clustered by condition;
         None when the refit does not converge.  Equals a refit on the rows
-        repeated that often.  Raises like :func:`fit_logit`."""
+        repeated that often.  Raises like :func:`fit_logit`.
+
+        One Gram matrix serves the screen and the first Newton step: the
+        refit builds the Newton Gram at the start coefficients first, and
+        when it certifies that the screen keeps every column
+        (:func:`_keeps_every_column`), the screen is skipped and the fit
+        takes that Gram.  Otherwise the screen runs in full."""
         counts = counts[self.fitting]
         drawn = np.flatnonzero(counts)
         c = counts[drawn].astype(float)
         X_fit = self.X_fit.take(drawn)
-        cols, _ = _drop_collinear(X_fit, c)
-        fit = _irls(X_fit, self.y_fit[drawn], self.beta0[cols], cols, weights=c)
+        p0 = _expit(X_fit.dot(self.beta0))
+        gram = X_fit.gram(c * np.maximum(p0 * (1.0 - p0), 1e-10))
+        if _keeps_every_column(X_fit, c, gram):
+            cols = np.arange(len(self.names))
+        else:
+            cols, _ = _drop_collinear(X_fit, c)
+        every = len(cols) == len(self.names)  # the fit starts where the Gram was built
+        fit = _irls(X_fit, self.y_fit[drawn], self.beta0[cols], cols, c,
+                    p=p0 if every else None, gram=gram if every else None)
         if not fit.converged:
             return None
         beta = np.zeros(len(self.names))
@@ -678,7 +749,7 @@ class PinnedRows:
         dense, condition = _take_rows(dense, rows), condition[rows]
         dense[:, 1] = np.where(self.bounded[rows], 0.0, z)
         return _factored(dense, condition, year[rows], self.trials, levels, warn_unseen,
-                         condition if clusters else None)
+                         condition if clusters else None, by_cell=clusters)
 
     def fit(self, rows: np.ndarray, z: np.ndarray, y: np.ndarray) -> SelectionModel:
         """:func:`fit_logit` of the subset ``rows`` with z from :meth:`imputed`

@@ -207,14 +207,18 @@ def expected_phase3_value(
     return cfg.payoff_slope * (ev / math.sqrt(math.pi))
 
 
+def _values(t2: np.ndarray, s2: np.ndarray, cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The values of going to phase III and of staying out, before shocks."""
+    go = -cfg.cost + cfg.discount * expected_phase3_value(t2, s2, cfg)
+    return go, cfg.outside_intercept + cfg.outside_slope * np.abs(t2)
+
+
 def continuation_probability(
     t2: np.ndarray, s2: np.ndarray, cfg: SimConfig
 ) -> np.ndarray:
     """Closed-form logistic probability of undertaking phase III."""
-    z2 = np.abs(t2)
-    ev3 = expected_phase3_value(t2, s2, cfg)
-    stay = cfg.outside_intercept + cfg.outside_slope * z2
-    return _expit((-cfg.cost + cfg.discount * ev3 - stay) / cfg.shock_scale)
+    go, stay = _values(t2, s2, cfg)
+    return _expit((go - stay) / cfg.shock_scale)
 
 
 def _report_p(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,13 +250,12 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
     t2 = s2 * theta + eps2
     z2 = np.abs(t2)
 
-    p_cont = continuation_probability(t2, s2, cfg)
+    # one Gauss-Hermite grid serves the probability and the shocks rule
+    go_value, stay_value = _values(t2, s2, cfg)
+    p_cont = _expit((go_value - stay_value) / cfg.shock_scale)
     if cfg.decision_rule == "logistic":
         continued = s_decide.random(n) < p_cont
     else:
-        ev3 = expected_phase3_value(t2, s2, cfg)
-        stay_value = cfg.outside_intercept + cfg.outside_slope * z2
-        go_value = -cfg.cost + cfg.discount * ev3
         shock_stay = s_decide.gumbel(0.0, cfg.shock_scale, size=n)
         shock_go = s_decide.gumbel(0.0, cfg.shock_scale, size=n)
         continued = go_value + shock_go > stay_value + shock_stay

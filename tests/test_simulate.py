@@ -192,6 +192,23 @@ class TestBytes:
         assert {k: hashlib.sha256((tmp_path / k).read_bytes()).hexdigest()
                 for k in expected} == expected
 
+    def test_shocks_rule_evaluates_one_grid(self, tmp_path, monkeypatch):
+        # recorded when the shocks rule evaluated the Gauss-Hermite grid twice
+        expected = {
+            "trials": "82233d724c764e813aef15c8739a2eb000e75445f94613357d9ad263045fe70f",
+            "outcomes": "751729a9c39c8d4f3ba3b4f66c9ebe4e6c22237bd0a00457730ad2b2a94d1894",
+            "truth": "3ceb8241c08dc4ddf2c062a4922a8c3c545e0ef59b36d85cfbcecd4170be17ef"}
+        calls, real = [], simulate.expected_phase3_value
+        monkeypatch.setattr(simulate, "expected_phase3_value",
+                            lambda *a: calls.append(1) or real(*a))
+        reg, truth = generate(SimConfig(n_trials=1003, seed=25, decision_rule="shocks"))
+        assert len(calls) == 1
+        write_trials_csv(reg, tmp_path / "trials")
+        write_outcomes_csv(reg, tmp_path / "outcomes")
+        write_truth_csv(truth, tmp_path / "truth")
+        assert {k: hashlib.sha256((tmp_path / k).read_bytes()).hexdigest()
+                for k in expected} == expected
+
     @pytest.mark.parametrize("n", [7, 1003, 2001])
     def test_gauss_hermite_blocks_keep_the_bits(self, monkeypatch, n):
         rng = np.random.default_rng(n)
