@@ -603,13 +603,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="trialscope",
         description="Forensic statistics for registry-reported sequential trials",
     )
+    # the flags are declared once and shared: each add_argument call costs
+    # a help formatter
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--config", help="key=value configuration file")
+    for key, spec in _CONFIG_KEYS.items():
+        flags.add_argument(spec.flag or "--" + key.replace("_", "-"), dest=key,
+                           type=spec.type, choices=spec.choices, help=spec.help)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value configuration file")
-        for key, spec in _CONFIG_KEYS.items():
-            p.add_argument(spec.flag or "--" + key.replace("_", "-"), dest=key,
-                           type=spec.type, choices=spec.choices, help=spec.help)
+        sub.add_parser(name, parents=[flags])
     return parser
 
 

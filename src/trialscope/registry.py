@@ -14,10 +14,10 @@ import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import date
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -835,24 +835,102 @@ def default_rankings() -> dict[str, dict[str, int]]:
 # ---------------------------------------------------------------------------
 # Canonical serialization (round-trips bit-identically through ingest)
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write the ``header`` and then the ``rows`` of cells as one CSV file."""
+# rows per block: a writer formats a block at a time and writes it at once
+_BLOCK = 1024
+
+# a cell holding one of these is quoted
+_SPECIAL = (",", '"', "\r", "\n")
+
+# the date ordinal of 1970-01-01, day 0 of numpy's datetime64[D]
+_EPOCH = date(1970, 1, 1).toordinal()
+
+
+def _cells(column: Sequence) -> Sequence[str]:
+    """The cells of ``column`` as ``csv`` writes them in the excel dialect:
+    strings as they are, None as empty, anything else by ``str``, and a cell
+    that holds a comma, quote, CR or LF in quotes, its quotes doubled.  The
+    column is scanned once, and only a column that needs quotes is quoted
+    a cell at a time."""
+    try:
+        joined = "".join(column)  # a column of strings
+        text = column
+    except TypeError:
+        text = list(map(str, column))
+        if "None" in text:
+            text = ["" if c is None else t for c, t in zip(column, text)]
+        joined = "".join(text)
+    if _needs_quotes(joined):
+        text = ['"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t for t in text]
+    return text
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(c in text for c in _SPECIAL)
+
+
+def _block(columns: Sequence[Sequence]) -> str:
+    """The CSV text of the rows whose cells ``columns`` holds, a column each,
+    every line ended by CRLF."""
+    text = list(map(_cells, columns))
+    if len(text) == 1:
+        (lines,) = text
+        if "" in lines:  # csv quotes an empty cell alone on its row
+            lines = [t or '""' for t in lines]
+    else:
+        lines = map(",".join, zip(*text))
+    return "\r\n".join(chain(lines, ("",)))
+
+
+def _write_blocks(path: str | Path, header: Sequence[str], blocks: Iterable[Sequence]) -> None:
+    """Write the ``header`` and then each of the ``blocks`` of rows, given as
+    its columns of cells, with one ``write`` per block."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(_block([[name] for name in header]))
+        for columns in blocks:
+            fh.write(_block(columns))
 
 
-def _either(mask: np.ndarray, yes: str = "true", no: str = "false") -> list[str]:
-    return np.where(mask, yes, no).tolist()
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the ``header`` and then the ``rows`` of cells, each as wide as
+    the header, as one CSV file, a block of rows at a time."""
+    rows = iter(rows)
+
+    def blocks():
+        while block := list(islice(rows, _BLOCK)):
+            columns = list(zip(*block, strict=True))
+            if len(columns) != len(header):
+                raise ValueError(f"rows of {len(columns)} cells under a header of {len(header)}")
+            yield columns
+
+    _write_blocks(path, header, blocks())
 
 
-def _dates(ordinals: np.ndarray) -> list[str]:
-    """The ISO date of each ordinal, "" for NO_DATE, formatted once per
-    distinct ordinal."""
-    days, at = np.unique(ordinals, return_inverse=True)
-    text = ["" if d == NO_DATE else date.fromordinal(d).isoformat() for d in days.tolist()]
-    return np.array(text, dtype=object)[at].tolist()
+def _write_columns(path: str | Path, header: Sequence[str], rows: np.ndarray,
+                   columns: Sequence[Callable[[np.ndarray], Sequence]]) -> None:
+    """Write the ``header`` and then one row per entry of ``rows``: each of
+    the ``columns`` gives its cells at a block of ``rows``."""
+    _write_blocks(path, header, ([column(rows[a:a + _BLOCK]) for column in columns]
+                                 for a in range(0, len(rows), _BLOCK)))
+
+
+def _take(values: np.ndarray) -> Callable[[np.ndarray], list]:
+    """The cells of a column of ``values`` at given positions."""
+    return lambda at: values[at].tolist()
+
+
+def _flags(mask: np.ndarray, yes: str = "true",
+           no: str = "false") -> Callable[[np.ndarray], list]:
+    """The cells of a boolean column at given positions, ``yes`` or ``no``,
+    each held once."""
+    return _take(np.array([no, yes], dtype=object)[mask.astype(np.intp)])
+
+
+def _dates(ordinals: np.ndarray) -> Callable[[np.ndarray], list]:
+    """The cells of a column of date ordinals at given positions: the ISO
+    date, "" for NO_DATE, each distinct day formatted and held once."""
+    days, code = np.unique(ordinals, return_inverse=True)
+    text = np.where(days == NO_DATE, "", (days - _EPOCH).astype("datetime64[D]").astype(str))
+    return _take(text.astype(object)[code])
 
 
 def _joined(rows: Ragged, names: np.ndarray, sep: str) -> np.ndarray:
@@ -864,28 +942,30 @@ def _joined(rows: Ragged, names: np.ndarray, sep: str) -> np.ndarray:
     out[one] = names[rows.values[rows.offsets[one]]]
     many = np.flatnonzero(length > 1)
     if many.size:
-        names = names.tolist()
-        out[many] = [sep.join(names[v] for v in row) for row in rows.take(many).rows()]
+        many_rows = rows.take(many)
+        parts, off = names[many_rows.values].tolist(), many_rows.offsets.tolist()
+        out[many] = [sep.join(parts[a:b]) for a, b in zip(off[:-1], off[1:])]
     return out
 
 
 def write_trials_csv(reg: Registry, path: str | Path) -> None:
-    t, o = reg.trials, reg.trials.order
-    interventions = _joined(t.interventions, _joined(t.combos, t.drug_names, "+"), ";")[o]
-    mesh = _joined(t.mesh_sets, t.mesh_terms, ";")[t.mesh[o]]
-    write_csv(path, TRIALS_COLUMNS, zip(
-        t.ids[o].tolist(), t.phase[o].tolist(), t.sponsor_name[o].tolist(),
-        _either(t.industry[o], SponsorClass.INDUSTRY.value, SponsorClass.NON_INDUSTRY.value),
-        interventions.tolist(), mesh.tolist(), _dates(t.start[o]), _dates(t.completion[o]),
-        t.enrollment[o].tolist(), _either(t.placebo[o]), _either(
-            t.superiority[o], StudyType.INTERVENTIONAL_SUPERIORITY.value, StudyType.OTHER.value)))
+    t = reg.trials
+    combos = _joined(t.combos, t.drug_names, "+")
+    mesh = _joined(t.mesh_sets, t.mesh_terms, ";")
+    _write_columns(path, TRIALS_COLUMNS, t.order, [
+        _take(t.ids), _take(t.phase), _take(t.sponsor_name),
+        _flags(t.industry, SponsorClass.INDUSTRY.value, SponsorClass.NON_INDUSTRY.value),
+        lambda at: _joined(t.interventions.take(at), combos, ";").tolist(),
+        lambda at: mesh[t.mesh[at]].tolist(), _dates(t.start), _dates(t.completion),
+        _take(t.enrollment), _flags(t.placebo), _flags(
+            t.superiority, StudyType.INTERVENTIONAL_SUPERIORITY.value, StudyType.OTHER.value)])
 
 
 def write_outcomes_csv(reg: Registry, path: str | Path) -> None:
     o = reg.outcomes
-    write_csv(path, OUTCOMES_COLUMNS, zip(
-        reg.trials.ids[o.trial].tolist(), o.rank.tolist(), o.p_kind.tolist(),
-        map(repr, o.p_value.tolist()), _either(o.mht)))
+    _write_columns(path, OUTCOMES_COLUMNS, np.arange(len(o)), [
+        lambda at: reg.trials.ids[o.trial[at]].tolist(), _take(o.rank), _take(o.p_kind),
+        _take(o.p_value), _flags(o.mht)])
 
 
 def write_rankings_csv(reg: Registry, path: str | Path) -> None:

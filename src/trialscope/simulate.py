@@ -27,8 +27,10 @@ from .registry import (
     OutcomeRank,
     Phase,
     Registry,
+    _flags,
+    _take,
+    _write_columns,
     build_registry,
-    write_csv,
 )
 from .selection import _expit
 
@@ -370,19 +372,17 @@ def write_truth_csv(truth: SimTruth, path: str | Path) -> None:
     cells empty where a trial did not continue."""
     cont = truth.continued
 
-    def phase3(col: np.ndarray) -> list[str]:
-        text = np.full(len(col), "", dtype=object)
-        text[cont] = list(map(repr, col[cont].tolist()))
-        return text.tolist()
+    def phase3(col: np.ndarray):
+        def cells(at: np.ndarray) -> list:
+            out = col[at].astype(object)
+            out[~cont[at]] = ""
+            return out.tolist()
+        return cells
 
-    def flags(mask: np.ndarray) -> list[str]:
-        return np.where(mask, "true", "false").tolist()
-
-    write_csv(path, TRUTH_COLUMNS, zip(
-        truth.trial_id.tolist(), *(map(repr, c.tolist()) for c in (
-            truth.theta, truth.t2, truth.z2, truth.p_continue)),
-        flags(cont), truth.phase3_id.tolist(), phase3(truth.z3_true),
-        phase3(truth.z3_reported), flags(truth.suppressed), flags(truth.inflated)))
+    _write_columns(path, TRUTH_COLUMNS, np.arange(len(cont)), [
+        *map(_take, (truth.trial_id, truth.theta, truth.t2, truth.z2, truth.p_continue)),
+        _flags(cont), _take(truth.phase3_id), phase3(truth.z3_true),
+        phase3(truth.z3_reported), _flags(truth.suppressed), _flags(truth.inflated)])
 
 
 def end_to_end_truth_check(

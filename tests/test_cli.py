@@ -104,6 +104,24 @@ class TestConfig:
             assert {a.dest: a.choices for a in parser._actions if a.choices} == flag_choices
         assert len(cli._CONFIG_KEYS) == 18
 
+    def test_every_subcommand_parses_every_flag(self):
+        def value(spec):
+            return spec.choices[-1] if spec.choices else {str: "x", int: "7", float: "0.5"}[
+                spec.type]
+
+        argv = ["--config", "run.cfg"]
+        for key, spec in cli._CONFIG_KEYS.items():
+            argv += [spec.flag or "--" + key.replace("_", "-"), value(spec)]
+        expected = {"config": "run.cfg",
+                    **{k: s.type(value(s)) for k, s in cli._CONFIG_KEYS.items()}}
+        parser = cli._build_parser()
+        for name in cli._COMMANDS:
+            args = vars(parser.parse_args([name, *argv]))
+            assert args == {"command": name, **expected}, name
+            # a flag given to one subcommand does not leak into the next
+            assert vars(parser.parse_args([name])) == {
+                "command": name, **dict.fromkeys(expected)}, name
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("command, flags, key, value", [
         ("disctest", [], "poly_order", "1"),

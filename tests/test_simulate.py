@@ -235,6 +235,23 @@ class TestMemory:
             tracemalloc.stop()
         assert peak <= 34 * 2**20
 
+    def test_writers_traced_peak(self, tmp_path):
+        # traced peaks of each writer on this registry, with every column
+        # formatted at once as Python lists: trials 17.4 MiB, outcomes
+        # 8.4 MiB, truth 9.7 MiB; formatted 1,024 rows at a time: 3.5, 1.0
+        # and 1.6 MiB
+        reg, truth = generate(SimConfig(n_trials=20_000, seed=7))
+        peaks = {}
+        for write, of in ((write_trials_csv, reg), (write_outcomes_csv, reg),
+                          (write_truth_csv, truth)):
+            tracemalloc.start()
+            try:
+                write(of, tmp_path / "out.csv")
+                peaks[write.__name__] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 8 * 2**20, peaks
+
     @pytest.mark.slow
     def test_simulate_200k_peak_rss(self, tmp_path):
         if not os.path.exists("/proc/self/status"):

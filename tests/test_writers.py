@@ -9,10 +9,25 @@ MeSH cell, a sponsor name that needs quoting, ``lt``/``gt`` p-values, an
 exact 0, ``mht`` true, a criterion with no rankings and one absent.  The
 expected text was recorded from the row-at-a-time writers that the
 columnar ones replaced.
+
+``write_csv`` serializes a block of rows at a time; the differential tests
+compare it with ``csv.writer`` on random rows, at row counts around small
+block sizes and, for simple rows, around the block size itself.
 """
 
+import csv
+import io
+import tempfile
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trialscope import registry
 from trialscope.registry import (
     NO_DATE,
     build_registry,
@@ -22,6 +37,7 @@ from trialscope.registry import (
     write_rankings_csv,
     write_trials_csv,
 )
+from trialscope.simulate import SimConfig, generate, write_truth_csv
 
 
 def pinned_registry():
@@ -113,3 +129,130 @@ def test_write_csv_quotes_cells_and_takes_any_iterable(tmp_path):
     assert path.read_bytes() == b'a,b\r\nx,1\r\n"y,z",\r\n"q""",3\r\n'
     write_csv(path, ["only"], [])
     assert path.read_bytes() == b"only\r\n"
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_blocks_of_any_size_write_the_pinned_bytes(tmp_path, block):
+    with mock.patch.object(registry, "_BLOCK", block):
+        for write, text in ((write_trials_csv, TRIALS), (write_outcomes_csv, OUTCOMES),
+                            (write_rankings_csv, RANKINGS)):
+            assert _written(write, tmp_path) == text
+
+
+def test_truth_blocks_of_any_size_write_the_same_bytes(tmp_path):
+    _, truth = generate(SimConfig(n_trials=40, seed=3))
+    assert truth.continued.any() and not truth.continued.all()
+    write_truth_csv(truth, tmp_path / "one.csv")
+    with mock.patch.object(registry, "_BLOCK", 7):
+        write_truth_csv(truth, tmp_path / "blocks.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_write_csv_rejects_rows_of_another_width(tmp_path):
+    with pytest.raises(ValueError, match="rows of 3 cells under a header of 2"):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [["x", "y", "z"]])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", ["a", "b"], [["x", "y"], ["z"]])
+
+
+# ---------------------------------------------------------------------------
+# write_csv against csv.writer
+
+B = registry._BLOCK
+
+_ALPHABET = [",", '"', "\r", "\n", " ", "a", "Z", "0", "é", "中", "😀"]
+_TEXT = st.text(alphabet=st.sampled_from(_ALPHABET), max_size=6)
+_CELLS = st.one_of(
+    _TEXT, st.just(""), st.none(),
+    st.floats(), st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 1e-300]),
+    st.integers(min_value=-(2**70), max_value=2**70), st.booleans(),
+    st.floats().map(np.float64), st.sampled_from([np.float64(0.25), np.float64("nan")]),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+)
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+def _written_text(header, rows) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, header, iter(rows))
+        return path.read_bytes().decode("utf-8")
+
+
+@st.composite
+def _table(draw):
+    """A block size, a header and rectangular rows: a few random rows
+    repeated to a row count around the block size."""
+    block = draw(st.sampled_from([1, 2, 3, 8]))
+    width = draw(st.integers(min_value=1, max_value=4))
+    header = draw(st.lists(_TEXT, min_size=width, max_size=width))
+    pool = draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    n = draw(st.sampled_from([0, 1, block - 1, block, block + 1, 2 * block + 1]))
+    return block, header, [pool[i % len(pool)] for i in range(n)]
+
+
+@given(_table())
+@settings(max_examples=300, deadline=None)
+def test_write_csv_matches_csv_writer(table):
+    block, header, rows = table
+    with mock.patch.object(registry, "_BLOCK", block):
+        assert _written_text(header, rows) == _csv_text(header, rows)
+
+
+@given(st.lists(st.one_of(_TEXT, st.none()), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_one_column_matches_csv_writer(cells):
+    rows = [[c] for c in cells]
+    with mock.patch.object(registry, "_BLOCK", 3):
+        assert _written_text(["only"], rows) == _csv_text(["only"], rows)
+        assert _written_text([""], rows) == _csv_text([""], rows)
+
+
+def test_numpy_scalars_are_written_by_str():
+    # numpy 2's repr of a float64 is np.float64(0.25); csv writes str
+    row = [np.float64(0.25), np.int64(-3), np.bool_(True), np.float64("nan"), 1e-300, -0.0]
+    assert _written_text(list("abcdef"), [row]) == "a,b,c,d,e,f\r\n0.25,-3,True,nan,1e-300,-0.0\r\n"
+
+
+def test_carriage_return_is_quoted():
+    text = _written_text(["a", "b"], [["x\ry", "z"], ["\r", ""]])
+    assert text == 'a,b\r\n"x\ry",z\r\n"\r",\r\n'
+
+
+class _CountingFile:
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self.fh.__exit__(*exc)
+
+    def write(self, text):
+        self.writes += 1
+        return self.fh.write(text)
+
+
+@pytest.mark.parametrize("n, blocks", [(0, 0), (1, 1), (B, 1), (B + 1, 2), (3 * B - 1, 3)])
+def test_one_write_per_block(tmp_path, monkeypatch, n, blocks):
+    files = []
+
+    def counting_open(*args, **kwargs):
+        files.append(_CountingFile(open(*args, **kwargs)))
+        return files[-1]
+
+    monkeypatch.setattr(registry, "open", counting_open, raising=False)
+    rows = [(i, f"r{i}", i / 7) for i in range(n)]
+    write_csv(tmp_path / "t.csv", ["i", "name", "x"], rows)
+    assert [f.writes for f in files] == [1 + blocks]  # the header, then each block
+    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _csv_text(["i", "name", "x"], rows)
