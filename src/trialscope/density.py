@@ -33,6 +33,12 @@ EPAN_OVER_GAUSS = (15.0 * 2.0 * math.sqrt(math.pi)) ** 0.2
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# grid centres per kernel block of a density curve
+_BLOCK = 16
+
+# elements of the bootstrap reps' weight rows held at once (1 MiB)
+_REP_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class BandwidthResult:
@@ -62,8 +68,8 @@ class KdeSpec:
         if isinstance(self.bandwidth, str):
             if self.bandwidth != "auto":
                 raise ValueError(f"bandwidth must be positive or 'auto', got {self.bandwidth!r}")
-        elif self.bandwidth <= 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        elif not 0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if np.any(w < 0):
@@ -84,11 +90,19 @@ class DensityCurve:
         return float(np.trapezoid(self.values, self.grid))
 
 
+def _finite(values: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first non-finite entry of ``values``."""
+    if not np.isfinite(values).all():
+        i = int(np.flatnonzero(~np.isfinite(values))[0])
+        raise ValueError(f"non-finite {what} {values[i]} at index {i}")
+
+
 def _draws(sample, weights=None) -> tuple[np.ndarray, np.ndarray]:
     """The drawn values of a sample in increasing order, with how often each
     was drawn: every value once, or with integer frequency weights the
     values of positive weight.  A sample already in order is not sorted."""
     x = np.asarray(sample, dtype=float)
+    _finite(x, "sample value")
     if weights is None:
         c = np.ones(x.shape, dtype=np.int64)
     else:
@@ -390,6 +404,8 @@ def _resolve(sample, spec: KdeSpec) -> tuple[np.ndarray, np.ndarray, float]:
     )
     if w.shape != x.shape:
         raise ValueError(f"weights shape {w.shape} does not match sample {x.shape}")
+    _finite(x, "sample value")
+    _finite(w, "weight")
     if w.sum() <= 0:
         raise ValueError("weights sum to zero")
     h = float(sj_bandwidth(x)) if spec.bandwidth == "auto" else float(spec.bandwidth)
@@ -397,53 +413,56 @@ def _resolve(sample, spec: KdeSpec) -> tuple[np.ndarray, np.ndarray, float]:
 
 
 class _KernelSums:
-    """Weighted Epanechnikov density of one sample at fixed centres, exact,
-    by prefix sums over the sorted sample.
+    """Weighted Epanechnikov density of one sample at fixed centres, by
+    direct kernel sums in float64 over the sorted sample.
 
-    The kernel is quadratic, so the sum over the observations within one
-    bandwidth of a centre g is S0 - (g^2 S0 - 2 g S1 + S2) / h^2, where
-    S0, S1 and S2 are window differences of the prefix sums of w, w x and
-    w x^2.  The terms cancel by up to the squared ratio of the sample's
-    range to h, so x is centred on the sample's midpoint and the sums and
-    the combination are taken in long double (Fan & Marron 1994 on the
-    rounding of fast exact updating).  Where long double is 64 bits wide
-    the values are those of float64 prefix sums, up to about 1e-11 from a
-    direct sum at registry scale.
+    Each centre g only sees the observations within one bandwidth of it,
+    a window of the sorted sample.  The centres are taken ``_BLOCK`` at a
+    time: a block holds one dense kernel matrix over the union of its
+    centres' windows, 0.75 (1 - u^2) with u = (g - x) / h inside a centre's
+    own window and 0 outside it, so a curve is a row of weights times each
+    block.  Direct sums need no guard against the cancellation of fast
+    exact updating (Fan & Marron 1994).
 
-    The sort and the windows depend on the sample, h and the grid alone, so
-    they are built once; each call takes one weight per observation, and a
-    bootstrap rep is the sample reweighted by its draw counts.
+    The sort and the blocks depend on the sample, h and the grid alone, so
+    they are built once; each call takes one weight per observation, or a
+    matrix of them, a row per curve, and a bootstrap rep is the sample
+    reweighted by its draw counts.
     """
 
     def __init__(self, x: np.ndarray, h: float, grid: np.ndarray, reflect: bool):
         self.order = np.argsort(x)
         xs = x[self.order]
-        mid = 0.5 * (xs[0] + xs[-1])
-        xc = xs.astype(np.longdouble) - mid
-        self.powers = np.stack([np.ones_like(xc), xc, xc * xc])
         self.h = h
-        self.windows = []
-        # each centre only sees observations within one bandwidth; the
-        # reflected pass puts the centres at -g
+        self.size = grid.size
+        self.blocks = []
+        # the reflected pass puts the centres at -g
         for centres in (grid, -grid) if reflect else (grid,):
             lo = np.searchsorted(xs, centres - h, side="left")
             hi = np.searchsorted(xs, centres + h, side="right")
-            self.windows.append((lo, hi, centres.astype(np.longdouble) - mid))
+            for b in range(0, centres.size, _BLOCK):
+                cols = slice(b, b + _BLOCK)
+                a, z = int(lo[cols].min()), int(hi[cols].max())
+                if a >= z:
+                    continue
+                u = (centres[cols] - xs[a:z, None]) / h
+                k = 0.75 * (1.0 - u * u)
+                rows = np.arange(a, z)[:, None]
+                # an observation at g +- h in floating point may round to
+                # a kernel value a few units below zero
+                k[(rows < lo[cols]) | (rows >= hi[cols]) | (k < 0.0)] = 0.0
+                self.blocks.append((a, z, cols, k))
+
+    def curves(self, ws: np.ndarray) -> np.ndarray:
+        """The densities of the rows of weights ``ws``, in sorted order."""
+        out = np.zeros((ws.shape[0], self.size))
+        for a, z, cols, k in self.blocks:
+            out[:, cols] += ws[:, a:z] @ k
+        out /= ws.sum(axis=1, keepdims=True) * self.h
+        return out
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        ws = w[self.order].astype(np.longdouble)
-        prefix = np.zeros((3, ws.size + 1), dtype=np.longdouble)
-        np.cumsum(self.powers * ws, axis=1, out=prefix[:, 1:])
-        scale = float(prefix[0, -1]) * self.h
-        h2 = np.longdouble(self.h) * self.h
-        out = np.zeros(len(self.windows[0][0]))
-        for lo, hi, gc in self.windows:
-            s0, s1, s2 = prefix[:, hi] - prefix[:, lo]
-            sums = 0.75 * (s0 - (gc * gc * s0 - 2.0 * gc * s1 + s2) / h2)
-            # a window whose observations all sit at g +- h sums to zero,
-            # which rounding may leave a few units below it
-            out += np.maximum(sums, 0.0).astype(float) / scale
-        return out
+        return self.curves(w[None, self.order])[0]
 
 
 def kde(
@@ -458,12 +477,15 @@ def kde(
 
     Optional pointwise 95% bands from a nonparametric bootstrap that
     resamples (observation, weight) pairs; per-rep streams are derived
-    from the seed by counter so results do not depend on scheduling.
+    from the seed by counter so results do not depend on scheduling.  The
+    reps are evaluated a chunk of weight rows at a time, about
+    ``_REP_ELEMENTS`` weights, so memory does not grow with reps x n.
     """
     if bootstrap_bands and bootstrap_reps < 1:
         raise ValueError(f"bootstrap_reps must be >= 1 for bands, got {bootstrap_reps}")
     x, w, h = _resolve(sample, spec)
     g = default_grid(x, h) if grid is None else np.asarray(grid, dtype=float)
+    _finite(g, "grid point")
     if np.any(np.diff(g) < 0):
         raise ValueError("grid must be ascending")
     sums = _KernelSums(x, h, g, spec.boundary_reflection)
@@ -471,16 +493,21 @@ def kde(
 
     band_low = band_high = None
     if bootstrap_bands:
+        n = x.size
         reps = np.empty((bootstrap_reps, g.size))
         streams = np.random.SeedSequence(seed).spawn(bootstrap_reps)
-        n = x.size
-        for r in range(bootstrap_reps):
-            rng = np.random.default_rng(streams[r])
-            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-            wr = w * counts
-            if wr.sum() <= 0:
-                wr = counts.astype(float)
-            reps[r] = sums(wr)
+        ws = w[sums.order]
+        # the reps' weights, a bounded chunk of rows at a time
+        chunk = np.empty((min(bootstrap_reps, max(1, _REP_ELEMENTS // n)), n))
+        for a in range(0, bootstrap_reps, len(chunk)):
+            rows = chunk[:bootstrap_reps - a]
+            for row, stream in zip(rows, streams[a:a + len(rows)]):
+                rng = np.random.default_rng(stream)
+                counts = np.bincount(rng.integers(0, n, size=n), minlength=n)[sums.order]
+                np.multiply(ws, counts, out=row)
+                if row.sum() <= 0:
+                    row[:] = counts
+            reps[a:a + len(rows)] = sums.curves(rows)
         reps.sort(axis=0)
         cum = np.arange(1, bootstrap_reps + 1)
         band_low, band_high = (_order_stat(reps, cum, q) for q in (0.025, 0.975))

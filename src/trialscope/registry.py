@@ -17,7 +17,7 @@ from importlib import resources
 from itertools import chain, islice
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -909,8 +909,13 @@ def _write_columns(path: str | Path, header: Sequence[str], rows: np.ndarray,
                    columns: Sequence[Callable[[np.ndarray], Sequence]]) -> None:
     """Write the ``header`` and then one row per entry of ``rows``: each of
     the ``columns`` gives its cells at a block of ``rows``."""
-    _write_blocks(path, header, ([column(rows[a:a + _BLOCK]) for column in columns]
-                                 for a in range(0, len(rows), _BLOCK)))
+    _write_blocks(path, header, ([column(rows[at]) for column in columns]
+                                 for at in _row_blocks(len(rows))))
+
+
+def _row_blocks(n: int) -> Iterator[slice]:
+    """The rows of a file of ``n`` rows, a block at a time."""
+    return (slice(a, a + _BLOCK) for a in range(0, n, _BLOCK))
 
 
 def _take(values: np.ndarray) -> Callable[[np.ndarray], list]:

@@ -28,8 +28,8 @@ from .registry import (
     Phase,
     Registry,
     _flags,
-    _take,
-    _write_columns,
+    _row_blocks,
+    _write_blocks,
     build_registry,
 )
 from .selection import _expit
@@ -367,22 +367,43 @@ def generate(cfg: SimConfig) -> tuple[Registry, SimTruth]:
     return reg, truth
 
 
+def _copied_cells(values: np.ndarray, like: np.ndarray, like_cells: list,
+                  blank: np.ndarray | None = None) -> list:
+    """The cells of floats ``values`` by ``repr``, each copied from
+    ``like_cells`` where it is the float of ``like`` with the same sign of
+    zero, so has its digits; "" where ``blank``."""
+    fresh = (values != like) | (np.signbit(values) != np.signbit(like))
+    if blank is not None:
+        fresh &= ~blank
+    out = np.array(like_cells, dtype=object)
+    at = np.flatnonzero(fresh)
+    out[at] = list(map(str, values[at].tolist()))
+    if blank is not None:
+        out[blank] = ""
+    return out.tolist()
+
+
 def write_truth_csv(truth: SimTruth, path: str | Path) -> None:
     """The truth columns as truth.csv: floats by ``repr``, the phase III
-    cells empty where a trial did not continue."""
-    cont = truth.continued
+    cells empty where a trial did not continue.  A z cell takes the digits
+    of one to its left where their floats are equal, formatted once: z2 of
+    t2 without its sign, z3_true of z2 and z3_reported of z3_true."""
+    continued, suppressed, inflated = map(_flags, (truth.continued, truth.suppressed,
+                                                   truth.inflated))
 
-    def phase3(col: np.ndarray):
-        def cells(at: np.ndarray) -> list:
-            out = col[at].astype(object)
-            out[~cont[at]] = ""
-            return out.tolist()
-        return cells
+    def blocks():
+        for at in _row_blocks(len(truth.continued)):
+            t2, z2, z3 = truth.t2[at], truth.z2[at], truth.z3_true[at]
+            stopped = ~truth.continued[at]
+            t2_cells = list(map(str, t2.tolist()))
+            z2_cells = _copied_cells(z2, np.abs(t2), [c.lstrip("-") for c in t2_cells])
+            z3_cells = _copied_cells(z3, z2, z2_cells, stopped)
+            yield [truth.trial_id[at].tolist(), truth.theta[at].tolist(), t2_cells, z2_cells,
+                   truth.p_continue[at].tolist(), continued(at), truth.phase3_id[at].tolist(),
+                   z3_cells, _copied_cells(truth.z3_reported[at], z3, z3_cells, stopped),
+                   suppressed(at), inflated(at)]
 
-    _write_columns(path, TRUTH_COLUMNS, np.arange(len(cont)), [
-        *map(_take, (truth.trial_id, truth.theta, truth.t2, truth.z2, truth.p_continue)),
-        _flags(cont), _take(truth.phase3_id), phase3(truth.z3_true),
-        phase3(truth.z3_reported), _flags(truth.suppressed), _flags(truth.inflated)])
+    _write_blocks(path, TRUTH_COLUMNS, blocks())
 
 
 def end_to_end_truth_check(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -172,8 +174,9 @@ def registry_scale_sample():
 
 
 class TestPrefixSumEvaluation:
-    """Small samples pass with plain float64 prefix sums too; only a sample
-    at registry scale shows their cancellation."""
+    """The blocked kernel sums against one dot product per grid point.
+    Small samples would pass with plain float64 prefix sums too; only a
+    sample at registry scale shows the cancellation such sums suffer."""
 
     @pytest.mark.parametrize("reflect", [False, True])
     @pytest.mark.parametrize("weighting", ["unit", "random"])
@@ -224,14 +227,14 @@ class TestPrefixSumEvaluation:
         assert got[8] == pytest.approx(0.75)
 
 
-def brute_force_bands(x, w, h, grid, reps, seed):
+def brute_force_bands(x, w, h, grid, reps, seed, reflect=False):
     """Pointwise 95% bands of kde's bootstrap by the direct route: draw the
     same rows from the same streams, gather them, and sum the kernel."""
     curves = np.empty((reps, grid.size))
     for r, stream in enumerate(np.random.SeedSequence(seed).spawn(reps)):
         idx = np.random.default_rng(stream).integers(0, x.size, size=x.size)
         wr = w[idx] if w[idx].sum() > 0 else np.ones(x.size)
-        curves[r] = brute_force_density(x[idx], wr, h, grid, False)
+        curves[r] = brute_force_density(x[idx], wr, h, grid, reflect)
     return np.percentile(curves, 2.5, axis=0), np.percentile(curves, 97.5, axis=0)
 
 
@@ -372,6 +375,106 @@ class TestKde:
         sizes = (100, 1000, 10_000)
         avg = {n: np.mean([mise(n, 100 + s) for s in range(20)]) for n in sizes}
         assert avg[100] > avg[1000] > avg[10_000]
+
+
+class TestChunkedBands:
+    """The bands evaluate the reps a bounded chunk of weight rows at a
+    time; the chunks must not show in the bands or in the memory."""
+
+    @pytest.mark.parametrize("reflect", [False, True])
+    def test_registry_scale_matches_brute_force(self, registry_scale_sample, reflect):
+        z, h, grid = registry_scale_sample
+        w = np.random.default_rng(19).uniform(0.1, 3.0, z.size)
+        curve = kde(z, KdeSpec(bandwidth=h, weights=w, boundary_reflection=reflect),
+                    grid=grid, bootstrap_bands=True, bootstrap_reps=200, seed=20)
+        low, high = brute_force_bands(z, w, h, grid, 200, 20, reflect)
+        assert np.max(np.abs(curve.band_low - low)) <= 1e-12
+        assert np.max(np.abs(curve.band_high - high)) <= 1e-12
+
+    @pytest.mark.parametrize("extra", [None, 1])
+    def test_one_rep_and_one_chunk_plus_one(self, registry_scale_sample, extra):
+        import trialscope.density as dens
+
+        z, h, grid = registry_scale_sample
+        rows = dens._REP_ELEMENTS // z.size
+        assert 1 < rows < 200
+        reps = 1 if extra is None else rows + extra
+        curve = kde(z, KdeSpec(bandwidth=h), grid=grid, bootstrap_bands=True,
+                    bootstrap_reps=reps, seed=21)
+        low, high = brute_force_bands(z, np.ones(z.size), h, grid, reps, 21)
+        assert np.max(np.abs(curve.band_low - low)) <= 1e-12
+        assert np.max(np.abs(curve.band_high - high)) <= 1e-12
+
+    def test_fallback_reps_straddle_a_chunk_boundary(self, monkeypatch):
+        import trialscope.density as dens
+
+        n, rows, reps, seed = 12, 3, 40, 22
+        monkeypatch.setattr(dens, "_REP_ELEMENTS", rows * n)
+        x = np.random.default_rng(23).normal(size=n)
+        w = np.eye(n)[0]
+        # the reps that draw only zero weights fall back to unit weights;
+        # two of them sit on either side of a chunk boundary
+        fallback = [np.random.default_rng(s).integers(0, n, size=n).min() > 0
+                    for s in np.random.SeedSequence(seed).spawn(reps)]
+        assert any(fallback[r] and fallback[r + 1] for r in range(rows - 1, reps - 1, rows))
+        grid = np.linspace(-3.0, 3.0, 61)
+        curve = kde(x, KdeSpec(bandwidth=0.8, weights=w), grid=grid,
+                    bootstrap_bands=True, bootstrap_reps=reps, seed=seed)
+        low, high = brute_force_bands(x, w, 0.8, grid, reps, seed)
+        assert np.max(np.abs(curve.band_low - low)) <= 1e-12
+        assert np.max(np.abs(curve.band_high - high)) <= 1e-12
+
+    def test_traced_peak_below_every_reps_weights(self, registry_scale_sample):
+        # holding every rep's weights at once would take 200 n float64s
+        z, h, grid = registry_scale_sample
+        bound = 6 * 2**20
+        assert bound < 200 * z.size * 8
+        tracemalloc.start()
+        try:
+            kde(z, KdeSpec(bandwidth=h), grid=grid, bootstrap_bands=True,
+                bootstrap_reps=200, seed=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"{peak / 2**20:.2f} MiB"
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bandwidth", [0.5, "auto"])
+    def test_kde_names_a_sample_value(self, bad, bandwidth):
+        x = np.random.default_rng(25).normal(size=50)
+        x[7] = bad
+        with pytest.raises(ValueError, match=f"non-finite sample value {bad} at index 7"):
+            kde(x, KdeSpec(bandwidth=bandwidth))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_kde_names_a_weight(self, bad):
+        x = np.random.default_rng(26).normal(size=50)
+        w = np.ones(50)
+        w[3] = bad
+        with pytest.raises(ValueError, match=f"non-finite weight {bad} at index 3"):
+            kde(x, KdeSpec(bandwidth=0.5, weights=w))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_spec_rejects_a_bandwidth(self, bad):
+        with pytest.raises(ValueError, match=f"bandwidth must be positive and finite, got {bad}"):
+            KdeSpec(bandwidth=bad)
+
+    def test_kde_names_a_grid_point(self):
+        x = np.random.default_rng(28).normal(size=50)
+        with pytest.raises(ValueError, match="non-finite grid point nan at index 1"):
+            kde(x, KdeSpec(bandwidth=0.5), grid=np.array([0.0, np.nan, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_bandwidths_name_a_sample_value(self, bad, counts):
+        x = np.random.default_rng(27).normal(size=50)
+        x[11] = bad
+        c = np.ones(50, dtype=np.int64) if counts else None
+        for select in (sj_bandwidth, silverman_bandwidth):
+            with pytest.raises(ValueError, match=f"non-finite sample value {bad} at index 11"):
+                select(x, c)
 
 
 PRECISE, D1, D2, OTHER = (k.value for k in ZKind)

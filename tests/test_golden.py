@@ -83,6 +83,25 @@ def test_artifacts_match_golden(tmp_path):
     assert not changed, f"artifacts differ from {GOLDEN.name}: {changed}"
 
 
+# ``density --seed 101`` on ``simulate --seed 101 --n-trials 5000``, the
+# registry of the benchmark's report: the 600-trial report above has small
+# samples, where the density's windows hold few observations
+REGISTRY_DENSITY = {
+    "density_phase2.csv": "c3b295443d0cdf8ceef0eedc63a45be9e98fae0afc2afbec7959740faef2d13c",
+    "density_phase3.csv": "eece02598418b058c4ccdc6862b8a7c7cb9ac2b9de6c97e8305eeb84581f9599",
+}
+
+
+def test_registry_scale_densities_match_pins(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "density"
+    _cli("simulate", "--seed", 101, "--n-trials", 5000, "--out", sim)
+    _cli("density", "--trials", sim / "trials.csv", "--outcomes", sim / "outcomes.csv",
+         "--seed", 101, "--out", out)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in REGISTRY_DENSITY}
+    assert got == REGISTRY_DENSITY
+
+
 if __name__ == "__main__":
     import tempfile
 

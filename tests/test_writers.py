@@ -18,6 +18,7 @@ block sizes and, for simple rows, around the block size itself.
 import csv
 import io
 import tempfile
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -37,7 +38,7 @@ from trialscope.registry import (
     write_rankings_csv,
     write_trials_csv,
 )
-from trialscope.simulate import SimConfig, generate, write_truth_csv
+from trialscope.simulate import TRUTH_COLUMNS, SimConfig, generate, write_truth_csv
 
 
 def pinned_registry():
@@ -146,6 +147,37 @@ def test_truth_blocks_of_any_size_write_the_same_bytes(tmp_path):
     with mock.patch.object(registry, "_BLOCK", 7):
         write_truth_csv(truth, tmp_path / "blocks.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_truth_cells_are_the_repr_of_each_float(tmp_path, block):
+    # a z cell copies the digits of an equal float to its left; a zero of
+    # the other sign, a value that is not |t2| and a blanked phase III cell
+    # must still come out as csv.writer writes them
+    _, truth = generate(SimConfig(n_trials=40, seed=3))
+    t2, z2, z3, z3r = (c.copy() for c in (truth.t2, truth.z2, truth.z3_true, truth.z3_reported))
+    a, b, c, d = np.flatnonzero(truth.continued)[:4]
+    t2[a], z2[a], z3[a], z3r[a] = -0.0, 0.0, -0.0, 0.0
+    t2[b], z2[b], z3[b], z3r[b] = 1.5, 2.5, 2.5, 3.0
+    t2[c], z2[c], z3[c], z3r[c] = -1e-300, 1e-300, 1e-300, 1e-300
+    t2[d], z2[d], z3[d], z3r[d] = np.nan, np.nan, np.nan, -np.inf
+    stopped = np.flatnonzero(~truth.continued)[0]
+    z3[stopped] = z3r[stopped] = z2[stopped]
+    truth = replace(truth, t2=t2, z2=z2, z3_true=z3, z3_reported=z3r)
+    flag = {True: "true", False: "false"}
+    expected = io.StringIO(newline="")
+    out = csv.writer(expected)
+    out.writerow(TRUTH_COLUMNS)
+    for i, cont in enumerate(truth.continued.tolist()):
+        out.writerow([truth.trial_id[i], truth.theta[i].item(), t2[i].item(), z2[i].item(),
+                      truth.p_continue[i].item(), flag[cont], truth.phase3_id[i],
+                      z3[i].item() if cont else "", z3r[i].item() if cont else "",
+                      flag[bool(truth.suppressed[i])], flag[bool(truth.inflated[i])]])
+    with mock.patch.object(registry, "_BLOCK", block or registry._BLOCK):
+        write_truth_csv(truth, tmp_path / "truth.csv")
+    text = (tmp_path / "truth.csv").read_bytes().decode("utf-8")
+    assert "-0.0" in text and "1e-300" in text
+    assert text == expected.getvalue()
 
 
 def test_write_csv_rejects_rows_of_another_width(tmp_path):
