@@ -37,6 +37,9 @@ from .registry import (
     RANK_CRITERIA,
     Phase,
     Registry,
+    _flags,
+    _take,
+    _write_columns,
     all_sponsor_splits,
     apply_sample_filters,
     default_rankings,
@@ -310,6 +313,12 @@ def _fnum(v) -> str:
     return "" if v is None else f"{v:.6g}"
 
 
+def _fnums(values: np.ndarray) -> Callable[[np.ndarray], list[str]]:
+    """The cells of a column of numbers at given positions, as ``_fnum``
+    writes them."""
+    return lambda at: list(map(_fnum, values[at].tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Stages: each writes its artifacts into the run's staging directory
 
@@ -335,9 +344,9 @@ def _transform(run: _Run) -> None:
     outdir = run.stage
     t = run.table
     z_val = np.where(t.precise, t.z, t.bound)
-    write_csv(outdir / "zscores.csv", ["trial_id", "outcome_rank", "z_kind", "z_value"],
-              zip(t.trial_id.tolist(), t.rank.tolist(), t.kind.tolist(),
-                  map(_fnum, z_val.tolist())))
+    _write_columns(outdir / "zscores.csv", ["trial_id", "outcome_rank", "z_kind", "z_value"],
+                   np.arange(len(z_val)),
+                   [_take(t.trial_id), _take(t.rank), _take(t.kind), _fnums(z_val)])
     print(f"transformed {len(z_val)} outcomes ({t.side.value})")
 
 
@@ -351,9 +360,9 @@ def _density(run: _Run) -> None:
             raise ValueError(f"too few precise z-scores for {label} density")
         curve = density.kde(z, density.KdeSpec(), bootstrap_bands=True,
                             bootstrap_reps=200, seed=int(cfg["seed"]))
-        write_csv(outdir / f"density_{label}.csv", ["grid", "value", "band_low", "band_high"],
-                  [[_fnum(v) for v in row] for row in zip(
-                      curve.grid, curve.values, curve.band_low, curve.band_high)])
+        _write_columns(outdir / f"density_{label}.csv", ["grid", "value", "band_low", "band_high"],
+                       np.arange(len(curve.grid)), [_fnums(c) for c in (
+                           curve.grid, curve.values, curve.band_low, curve.band_high)])
         curves.append((label, curve))
     svg.line_plot(
         [
@@ -400,12 +409,13 @@ def _link(run: _Run) -> None:
     outdir = run.stage
     links, summary = run.links
     ids, n = links.ids, links.n_matches
-    write_csv(outdir / "links.csv", ["phase2_id", "phase3_id"],
-              ids[np.column_stack(links.pairs())].tolist())
-    write_csv(
+    phase2, phase3 = links.pairs()
+    _write_columns(outdir / "links.csv", ["phase2_id", "phase3_id"], np.arange(len(phase3)),
+                   [_take(ids[phase2]), _take(ids[phase3])])
+    _write_columns(
         outdir / "links_summary.csv", ["phase2_id", "continued", "n_matches", "skip_reason"],
-        zip(ids[links.phase2].tolist(), np.where(n > 0, "true", "false").tolist(),
-            n.tolist(), links.skip_reason.tolist()),
+        np.arange(len(n)), [_take(ids[links.phase2]), _flags(n > 0), _take(n),
+                            _take(links.skip_reason)],
     )
     write_csv(
         outdir / "links_rates.csv",
@@ -437,13 +447,11 @@ def _fit_selection(run: _Run) -> None:
     write_csv(outdir / "selection_coefficients.csv",
               ["term", "estimate", "clustered_se", "stars"], rows)
     probs = predict(model, design)
-    write_csv(
-        outdir / "selection_predictions.csv",
-        ["trial_id", "row", "continuation", "p_hat"],
-        [
-            [tid, i, int(y), _fnum(p)] for i, (tid, y, p) in
-            enumerate(zip(run.table.trials.ids[design.trial_code], design.y, probs))
-        ],
+    row = np.arange(len(probs))
+    _write_columns(
+        outdir / "selection_predictions.csv", ["trial_id", "row", "continuation", "p_hat"], row,
+        [_take(run.table.trials.ids[design.trial_code]), _take(row),
+         _take(design.y.astype(np.int64)), _fnums(probs)],
     )
     z_grid = np.linspace(0.0, 5.0, 101)
     curve = predict_at_mean(model, design, z_grid)

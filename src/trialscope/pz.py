@@ -276,7 +276,8 @@ def transform_arrays(kind, value, side: Sidedness = Sidedness.TWO_SIDED):
     # one-sided arguments can reach 1.0 exactly; step inside the open
     # domain by one representable unit
     q = p / 2.0 if side is Sidedness.TWO_SIDED else np.minimum(p, 1.0 - 2.5e-16)
-    zq = -inv_norm_cdf(q)
+    # 0 - x, not -x: the quantile of 1/2 is 0.0, whose z is +0.0, not -0.0
+    zq = 0.0 - inv_norm_cdf(q)
     codes = np.select(
         [precise, d1, d2],
         [ZKind.PRECISE.value, ZKind.ABOVE_D1.value, ZKind.ABOVE_D2.value],

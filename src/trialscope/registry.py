@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import date
@@ -59,6 +60,9 @@ OTHER_CATEGORY = "Other"
 
 # the date ordinal of a missing date; real ordinals start at 1
 NO_DATE = 0
+
+# the date ordinal of 1970-01-01, day 0 of numpy's datetime64[D]
+_EPOCH = date(1970, 1, 1).toordinal()
 
 
 class Phase(enum.Enum):
@@ -445,6 +449,7 @@ def build_registry(trials: Mapping[str, Sequence], outcomes: Mapping[str, Sequen
         return np.asarray(trials[name], dtype=dtype)[by_code]
 
     names = _first_seen(trials["sponsor_name"])
+    name = _lookup(names, trials["sponsor_name"])[by_code]
     keys = _sponsor_keys(names, {} if keys is None else keys)
     sponsor_keys, key_code = np.unique(
         np.array([keys[n] for n in names], dtype=str), return_inverse=True)
@@ -463,12 +468,14 @@ def build_registry(trials: Mapping[str, Sequence], outcomes: Mapping[str, Sequen
 
     completion = col("completion", np.int64)
     days, day = np.unique(completion, return_inverse=True)
-    years, year = _coded(["unknown" if d == NO_DATE else "%d" % date.fromordinal(d).year
-                          for d in days.tolist()], day)
+    in_year = (days - _EPOCH).astype("datetime64[D]").astype("datetime64[Y]").astype(np.int64)
+    known, known_year = np.unique(np.where(days == NO_DATE, -1, in_year + 1970),
+                                  return_inverse=True)
+    years, year = _coded(["unknown" if y == -1 else "%d" % y for y in known.tolist()],
+                         known_year[day])
     t = Trials(
         ids=ids[by_code], order=code, phase=col("phase", str),
-        sponsor_name=col("sponsor_name", str),
-        sponsor=key_code[_lookup(names, trials["sponsor_name"])][by_code],
+        sponsor_name=np.array(list(names), dtype=str)[name], sponsor=key_code[name],
         industry=col("industry", bool), interventions=interventions,
         mesh=mesh, condition=condition, year=year,
         start=col("start", np.int64), completion=completion,
@@ -501,6 +508,10 @@ _PHASES = {"phase2": Phase.PHASE2, "phase3": Phase.PHASE3}
 
 # records moved from rows into the columns at a time
 _CHUNK = 4096
+
+# characters read at a time; a block runs on to the end of the line
+# that they end in
+_HINT = 1 << 16
 
 # the largest enrollment a column of int64 holds
 _MAX_ENROLLMENT = int(np.iinfo(np.int64).max)
@@ -596,46 +607,137 @@ def _first_positions(values: Sequence) -> tuple[dict, np.ndarray]:
     """Each distinct value -> its first position, and the mask of the
     values equal to a value at an earlier position."""
     n = len(values)
+    first = dict(zip(values, range(n)))
+    if len(first) == n:  # every value distinct
+        return first, np.zeros(n, dtype=bool)
     first = dict(zip(values[::-1], range(n - 1, -1, -1)))
     return first, _lookup(first, values) != np.arange(n)
 
 
-def _extend(columns: list[list[str]], chunk: list[list[str]]) -> None:
-    for column, cells in zip(columns, zip(*chunk)):
-        column.extend(cells)
-    chunk.clear()
+def _extend(columns: list[list[str]], held: list[dict | None],
+            parts: Iterable[Sequence[str]]) -> None:
+    """Append each of the ``parts`` to its column.  A column with a table
+    in ``held`` takes each distinct cell's first copy from it, so the
+    others are let go at once; once more than half its cells are
+    distinct, its table is dropped."""
+    for at, (column, part) in enumerate(zip(columns, parts)):
+        table = held[at]
+        if table is None:
+            column += part
+        else:
+            column += map(table.setdefault, part, part)
+            if 2 * len(table) > len(column):
+                held[at] = None
+
+
+_COMMA, _LF, _CR = ord(","), ord("\n"), ord("\r")
+
+
+def _plain(text: str) -> np.ndarray | None:
+    """The utf-8 bytes of ``text`` if ``csv.reader`` reads its lines as
+    their cells split at commas, else None: it must hold no quote, no NUL
+    (which ``csv`` rejects before Python 3.11) and no CR outside a CRLF, and
+    no cell of it can pass csv's field size limit.  In utf-8 a comma, CR or
+    LF is one byte, and no other character holds it."""
+    if '"' in text or "\0" in text or len(text) > csv.field_size_limit():
+        return None
+    data = np.frombuffer(text.encode(), np.uint8)
+    cr = data == _CR
+    if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & (data[1:] == _LF)):
+        return None
+    return data
+
+
+def _split(n: int, text: str, data: np.ndarray, first: int, columns: list[list[str]],
+           lines: list[int], held: list[dict | None]) -> bool:
+    """Whether the plain ``text`` (see ``_plain``) of utf-8 bytes ``data``
+    holds no blank line and ``n`` fields on every line; if so, split it
+    at commas into the ``columns`` through ``_extend`` and the line of each
+    record, from line ``first`` on, into ``lines``."""
+    ends = np.flatnonzero(data == _LF)
+    if text[-1] != "\n":  # the last line is unterminated
+        ends = np.append(ends, len(data))
+    # the commas before each line's end, n - 1 more at each line
+    commas = np.searchsorted(np.flatnonzero(data == _COMMA), ends)
+    # each line's length with its LF: a blank line is an LF or a CRLF alone
+    length = np.diff(ends, prepend=-1)
+    blank = (length == 1) | ((length == 2) & (data[ends - 1] == _CR))
+    if blank.any() or not np.array_equal(commas, (n - 1) * np.arange(1, len(ends) + 1)):
+        return False
+    lines += range(first, first + len(ends))
+    # in plain text every CR ends a line before its LF
+    cells = text.replace("\r", "").replace("\n", ",").split(",")
+    if text[-1] == "\n":
+        del cells[-1]
+    _extend(columns, held, (cells[at::n] for at in range(n)))
+    return True
 
 
 def _read_columns(path: str | Path, expected: Sequence[str]):
     """The cells of the records after a header of the ``expected`` columns,
     one list per column, the line each record starts on, and the error of
     a record with another number of fields, where reading stopped (None
-    when every record has them all).  Blank lines are skipped."""
+    when every record has them all).  Blank lines are skipped.
+
+    The file is read a block of whole lines at a time.  A plain block (see
+    ``_plain``) with no blank line and no record of another width is split
+    at commas straight into the columns; ``csv.reader`` reads any other
+    plain block, and from the first block that is not plain, whose quoted
+    cells may run on past it, the rest of the file.  A column of few
+    distinct cells holds one copy of each (see ``_extend``): the records
+    of a file then take few string objects, and the short-lived ones leave
+    no scattered survivors in the allocator's pools, which would keep them
+    from going back to the system."""
+    path, n = str(path), len(expected)
+    columns: list[list[str]] = [[] for _ in expected]
+    held: list[dict | None] = [{} for _ in expected]
+    lines: list[int] = []
+    fault = None
     # utf-8-sig drops the byte-order mark that spreadsheet exports prepend
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, [])
+        # csv reads on past the header's line only for a quoted line break,
+        # which no header of the expected names holds
+        got = next(csv.reader(chain([fh.readline()], fh)), [])
         if got != list(expected):
-            raise SchemaError(str(path), 1, "<header>", f"expected columns {expected}, got {got}")
-        n = len(expected)
-        columns: list[list[str]] = [[] for _ in expected]
-        lines: list[int] = []
-        chunk: list[list[str]] = []
-        fault = None
-        line = reader.line_num + 1
-        for values in reader:
-            if len(values) == n:
-                chunk.append(values)
-                lines.append(line)
-                if len(chunk) == _CHUNK:
-                    _extend(columns, chunk)
-            elif values:
-                fault = SchemaError(str(path), line, "<row>",
-                                    f"expected {n} fields, got {len(values)}")
-                break
-            line = reader.line_num + 1
-        _extend(columns, chunk)
+            raise SchemaError(path, 1, "<header>", f"expected columns {expected}, got {got}")
+        first = 2  # the line of the block
+        while fault is None and (text := fh.read(_HINT)):
+            if text[-1] != "\n":
+                text += fh.readline()
+            data = _plain(text)
+            if data is None:
+                reader = csv.reader(chain(io.StringIO(text, newline=""), fh))
+                return columns, lines, _read_records(path, n, reader, first, columns, lines, held)
+            if not _split(n, text, data, first, columns, lines, held):
+                reader = csv.reader(io.StringIO(text, newline=""))
+                fault = _read_records(path, n, reader, first, columns, lines, held)
+            first += text.count("\n") + (text[-1] != "\n")
     return columns, lines, fault
+
+
+def _read_records(path: str, n: int, reader, first: int, columns: list[list[str]],
+                  lines: list[int], held: list[dict | None]) -> SchemaError | None:
+    """Read the records of ``csv.reader`` ``reader``, whose first line is
+    line ``first``, into the ``columns`` a chunk at a time (see
+    ``_extend``) and the line of each record into ``lines``; the error of
+    the first record with other than ``n`` fields, where reading stops, or
+    None."""
+    chunk: list[list[str]] = []
+    fault = None
+    line = first + reader.line_num
+    for values in reader:
+        if len(values) == n:
+            chunk.append(values)
+            lines.append(line)
+            if len(chunk) == _CHUNK:
+                _extend(columns, held, zip(*chunk))
+                chunk.clear()
+        elif values:
+            fault = SchemaError(path, line, "<row>", f"expected {n} fields, got {len(values)}")
+            break
+        line = first + reader.line_num
+    _extend(columns, held, zip(*chunk))
+    return fault
 
 
 # Each file is checked against one list of rules in docs/schemas.md order.
@@ -720,6 +822,24 @@ def _read_trials(path: Path, keys: dict[str, str],
                 superiority=_parsed(_parse_superiority, study_type, bool)[0]), row_of
 
 
+def _p_values(kind: np.ndarray, value: list[str]):
+    """The p-values of the ``value`` cells of the reported ``kind``s, and
+    the failure of the rule that each is a number, then in range for its
+    kind, as ``_parsed`` gives it.  Every cell is read by one ``float``
+    pass and tested in range by kind at once; only when some cell fails
+    does the rule run a cell at a time, for its messages."""
+    try:
+        p = np.fromiter(map(float, value), float, count=len(value))
+    except ValueError:
+        pass
+    else:
+        inside = np.where(kind == "exact", (0.0 <= p) & (p <= 1.0), (0.0 < p) & (p < 1.0))
+        if inside.all():
+            return p, (~inside, None)
+    return _parsed(lambda cell: ReportedP(cell[0], _parse_float(cell[1])).value,
+                   list(zip(kind.tolist(), value)), float, 0.5)
+
+
 def _read_outcomes(path: Path, row_of: Mapping[str, int]) -> dict[str, Sequence]:
     columns, lines, fault = _read_columns(path, OUTCOMES_COLUMNS)
     tid, rank, kind, value, mht = columns
@@ -727,8 +847,8 @@ def _read_outcomes(path: Path, row_of: Mapping[str, int]) -> dict[str, Sequence]
     absent = set(ids).difference(row_of)
     rank, bad_rank = _parsed(_parse_rank, rank, filler=OutcomeRank.PRIMARY.value)
     kind, bad_kind = _parsed(_parse_p_kind, kind, filler="exact")
-    p, bad_p = _parsed(lambda cell: ReportedP(cell[0], _parse_float(cell[1])).value,
-                       list(zip(kind, value)), float, 0.5)  # a number, then in range
+    kind = np.array(kind, dtype=str)
+    p, bad_p = _p_values(kind, value)
     mht, bad_mht = _parsed(_parse_bool, mht, bool, False)
     present = ~_among(absent, ids)  # rows of absent trials are not checked
     _check(str(path), lines, [(column, mask & present, message) for column, mask, message in (
@@ -840,9 +960,6 @@ _BLOCK = 1024
 
 # a cell holding one of these is quoted
 _SPECIAL = (",", '"', "\r", "\n")
-
-# the date ordinal of 1970-01-01, day 0 of numpy's datetime64[D]
-_EPOCH = date(1970, 1, 1).toordinal()
 
 
 def _cells(column: Sequence) -> Sequence[str]:

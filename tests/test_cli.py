@@ -292,6 +292,23 @@ class TestArtifacts:
         assert lines[0] == "trial_id,outcome_rank,z_kind,z_value"
         assert len(lines) > 400
 
+    @pytest.mark.parametrize("sidedness, p", [("two-sided", "1"), ("one-sided", "0.5")])
+    def test_central_p_writes_zero(self, tmp_path, sidedness, p):
+        sim = tmp_path / "sim"
+        assert run(["simulate", "--out", sim, "--seed", 4, "--n-trials", 600]) == 0
+        with open(sim / "outcomes.csv", newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[7][header.index("p_kind")], rows[7][header.index("p_value")] = "exact", p
+        with open(sim / "outcomes.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        assert run(["transform", "--trials", sim / "trials.csv", "--outcomes",
+                    sim / "outcomes.csv", "--sidedness", sidedness, "--out", tmp_path / "z"]) == 0
+        with open(tmp_path / "z" / "zscores.csv", newline="", encoding="utf-8") as fh:
+            z = list(csv.DictReader(fh))
+        assert z[7]["trial_id"] == rows[7][0] and z[7]["z_kind"] == "precise"
+        assert z[7]["z_value"] == "0"
+        assert not any(r["z_value"] == "-0" for r in z)
+
     def test_link_artifacts(self, sim_dir, tmp_path):
         assert run(["link", "--trials", sim_dir / "trials.csv",
                     "--outcomes", sim_dir / "outcomes.csv",

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from trialscope import registry
 from trialscope.registry import (
     OUTCOMES_COLUMNS,
     RANKINGS_COLUMNS,
@@ -71,19 +72,33 @@ def simulated_rows(tmp_path, cfg):
     return rows
 
 
-def write_files(tmp_path, rows, tag, bom=False, blank_lines=()):
+# line endings -> the terminator of each line by its index; "none" ends
+# every line with CRLF but the last, which has no terminator
+ENDINGS = {
+    "crlf": lambda i: "\r\n",
+    "lf": lambda i: "\n",
+    "cr": lambda i: "\r",
+    "mixed": lambda i: ("\r\n", "\n", "\r")[i % 3],
+    "none": lambda i: "\r\n",
+}
+
+
+def write_files(tmp_path, rows, tag, bom=False, blank_lines=(), ending="crlf"):
     """Write ``rows`` (file -> header and records) as CSV files; ``blank_lines``
-    lists (file, record index) pairs to put a blank line before."""
+    lists (file, record index) pairs to put a blank line before, and
+    ``ending`` names the line endings in ``ENDINGS``."""
     paths = []
     for name in FILES:
         out = io.StringIO()
-        writer = csv.writer(out)
         for i, row in enumerate(rows[name]):
             if (name, i) in blank_lines:
-                out.write("\r\n")
-            writer.writerow(row)
+                out.write(ENDINGS[ending](i))
+            csv.writer(out, lineterminator=ENDINGS[ending](i)).writerow(row)
+        text = out.getvalue()
+        if ending == "none":
+            text = text.removesuffix("\r\n")
         path = tmp_path / f"{tag}_{name}.csv"
-        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + out.getvalue().encode("utf-8"))
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
         paths.append(path)
     return paths
 
@@ -353,3 +368,62 @@ def test_accepted_cell_language_is_unchanged(tmp_path, base_rows, which, column,
     rows[which][1][INDEX[which][column]] = value
     rows[which][-1][INDEX[which][column]] = value
     assert_same_ingest(write_files(tmp_path, rows, "cell"))
+
+
+# ---------------------------------------------------------------------------
+# line endings and quotes, read a block of lines at a time
+
+@pytest.mark.parametrize("ending", ENDINGS)
+def test_line_endings(tmp_path, base_rows, ending):
+    assert assert_same_ingest(write_files(tmp_path, base_rows, "e", ending=ending)) == ("ok",)
+    rng = random.Random(ending)
+    for k in range(20):
+        which = rng.choice(FILES)
+        faults = [(which, rng.choice(sorted(FAULTS[which])), rng.randrange(1, len(base_rows[which])))]
+        blank = {(f, rng.randrange(1, len(base_rows[f]))) for f in FILES}
+        assert_same_ingest(write_files(tmp_path, corrupted(base_rows, faults, rng), f"e{k}",
+                                       bom=k % 2 == 0, blank_lines=blank, ending=ending))
+
+
+def stray_quote(path, record, cell) -> str:
+    """Put an unquoted quote mark into ``cell`` of the ``record``-th line after
+    the header of the file at ``path``; the cell as it now reads."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    quoted = cell[:2] + '"' + cell[2:]
+    assert cell in lines[record]
+    lines[record] = lines[record].replace(cell, quoted, 1)
+    path.write_text("".join(lines), encoding="utf-8", newline="")
+    return quoted
+
+
+@pytest.mark.parametrize("hint", [1 << 16, 256])
+def test_stray_quote_mid_field(tmp_path, base_rows, monkeypatch, hint):
+    """A quote inside an unquoted cell is a character of the cell; with a
+    small block hint it first appears after the first block."""
+    monkeypatch.setattr(registry, "_HINT", hint)
+    for record in (1, len(base_rows["trials"]) - 1):
+        paths = write_files(tmp_path, base_rows, f"q{record}")
+        name = stray_quote(paths[0], record,
+                           base_rows["trials"][record][INDEX["trials"]["sponsor_name"]])
+        assert assert_same_ingest(paths) == ("ok",)
+        assert name in ingest(*paths).trials.sponsor_name.tolist()
+
+
+def test_quote_first_after_the_first_block(tmp_path, base_rows, monkeypatch):
+    """Files split at commas for some blocks, then read by ``csv.reader`` from
+    the first block with a quoted cell, keep every record and line."""
+    monkeypatch.setattr(registry, "_HINT", 200)
+    rng = random.Random(6)
+    for k in range(30):
+        late = [(f, rng.randrange(len(base_rows[f]) // 2, len(base_rows[f]))) for f in FILES]
+        faults = [("trials", "multi_line_cell", late[0][1])]
+        if k % 2:
+            which = rng.choice(FILES)
+            faults.append((which, rng.choice(sorted(FAULTS[which])),
+                           rng.randrange(1, len(base_rows[which]))))
+        rows = corrupted(base_rows, faults, rng)
+        for f, r in late[1:]:
+            rows[f][r][0] = f" {rows[f][r][0]}, "  # a comma, so csv quotes the cell
+        blank = {(f, rng.randrange(1, len(base_rows[f]))) for f in FILES}
+        assert_same_ingest(write_files(tmp_path, rows, f"l{k}", blank_lines=blank,
+                                       ending=rng.choice(["crlf", "lf", "none"])))

@@ -102,6 +102,29 @@ def test_registry_scale_densities_match_pins(tmp_path):
     assert got == REGISTRY_DENSITY
 
 
+# ``report --seed 101 --bootstrap-reps 20`` on the same registry with its
+# synonyms, recorded when these files were written a row at a time through
+# ``csv``-style tuples: their rows span several blocks of the column writer
+REGISTRY_REPORT = {
+    "zscores.csv": "dbdd755018f5a31040cc010c3af889cb002aaccb8a68be262103219ca38d74d3",
+    "links.csv": "62d279d45fee4c4ccc88d07d5115336d17e4c8e69a5d360fa2f7d7c15141a2b2",
+    "links_summary.csv": "ec44821a70aad7daf0e91a037202bff157292934df43cb997579fe57720c6b4a",
+    "selection_predictions.csv":
+        "404427f5960161be6d057ad6c01862580c24898d70fcad70e10d1283c21deacf",
+}
+
+
+def test_registry_scale_report_matches_pins(tmp_path):
+    sim, out = tmp_path / "sim", tmp_path / "report"
+    _cli("simulate", "--seed", 101, "--n-trials", 5000, "--out", sim)
+    _cli("report", *(f"--{name}={sim / name}.csv" for name in (
+        "trials", "outcomes", "rankings", "synonyms")),
+         "--seed", 101, "--bootstrap-reps", 20, "--out", out)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+           for name in REGISTRY_REPORT}
+    assert got == REGISTRY_REPORT
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -321,6 +321,15 @@ class TestTransformArrays:
             assert precise.sum() == 6
             assert np.all(np.isfinite(zs[precise]))
 
+    @pytest.mark.parametrize("side, p", [(Sidedness.TWO_SIDED, 1.0), (Sidedness.ONE_SIDED, 0.5)])
+    def test_central_p_is_positive_zero(self, side, p):
+        # the quantile of 1/2 is 0.0; its z is +0.0, which a CSV writes as 0
+        _, z, _ = transform_arrays(["exact"], [p], side)
+        assert z[0] == 0.0 and not np.signbit(z[0])
+        if side is Sidedness.ONE_SIDED:
+            _, _, bound = transform_arrays(["lt", "gt"], [p, p], side)
+            assert np.array_equal(bound, [0.0, 0.0]) and not np.signbit(bound).any()
+
     def test_one_sided_p_one_is_finite(self):
         _, z, _ = transform_arrays(["exact"], [1.0], Sidedness.ONE_SIDED)
         assert np.isfinite(z[0]) and z[0] < -8.0
